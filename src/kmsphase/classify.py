@@ -223,7 +223,7 @@ def kms_oa(
         col = int(np.flatnonzero(~model.matrix.any(axis=0))[0])
         raise ZeroColumnError(col)
     entries = transfer_matrix(model, beta).entries
-    nweights = model.energies ** (-beta)
+    nweights = model.weights(beta)
     vectors = _nonnegative_fixed_extremes(entries, nweights, eig_tol, null_rtol)
     return OaSimplex(
         beta=float(beta),

@@ -48,21 +48,6 @@ _VALIDATION_ERRORS = (
 
 # --- deterministic serialization -----------------------------------------
 
-def _plain(obj):
-    """Convert reports to plain JSON-ready structures."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    return obj
-
-
 def _fmt_float(x: float) -> str:
     if math.isinf(x):
         return '"inf"' if x > 0 else '"-inf"'
@@ -71,29 +56,59 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _emit_dict(items) -> str:
+    keyed = {str(k): v for k, v in items}
+    return "{" + ", ".join(f"{json.dumps(k)}: {_emit(keyed[k])}" for k in sorted(keyed)) + "}"
+
+
+def _emit(o) -> str:
+    t = type(o)
+    if t is float:
+        return _fmt_float(o)
+    if o is None:
+        return "null"
+    if t is bool:
+        return "true" if o else "false"
+    if t is int:
+        return str(o)
+    if t is str:
+        return json.dumps(o)
+    if t is list or t is tuple:
+        return "[" + ", ".join(_emit(v) for v in o) + "]"
+    if t is dict:
+        return _emit_dict(o.items())
+    # Less common types, in the order that decides what they print as.
+    if dataclasses.is_dataclass(o) and not isinstance(o, type):
+        return _emit_dict((f.name, getattr(o, f.name)) for f in dataclasses.fields(o))
+    if isinstance(o, np.ndarray):
+        return "[" + ", ".join(_emit(v) for v in o.tolist()) + "]"
+    if isinstance(o, (np.floating, np.integer)):
+        item = o.item()
+        if type(item) in (int, float):
+            return _emit(item)
+        raise TypeError(f"cannot serialize {type(item)!r}")
+    if isinstance(o, dict):
+        return _emit_dict(o.items())
+    if isinstance(o, (list, tuple)):
+        return "[" + ", ".join(_emit(v) for v in o) + "]"
+    if isinstance(o, bool):
+        return "true" if o else "false"
+    if isinstance(o, int):
+        return str(o)
+    if isinstance(o, float):
+        return _fmt_float(o)
+    if isinstance(o, str):
+        return json.dumps(o)
+    raise TypeError(f"cannot serialize {type(o)!r}")
+
+
 def dumps(obj) -> str:
-    """JSON text with sorted keys and fixed 17-significant-digit floats."""
-    obj = _plain(obj)
+    """JSON text with sorted keys and fixed 17-significant-digit floats.
 
-    def emit(o) -> str:
-        if o is None:
-            return "null"
-        if isinstance(o, bool):
-            return "true" if o else "false"
-        if isinstance(o, int):
-            return str(o)
-        if isinstance(o, float):
-            return _fmt_float(o)
-        if isinstance(o, str):
-            return json.dumps(o)
-        if isinstance(o, dict):
-            items = (f"{json.dumps(str(k))}: {emit(v)}" for k, v in sorted(o.items()))
-            return "{" + ", ".join(items) + "}"
-        if isinstance(o, list):
-            return "[" + ", ".join(emit(v) for v in o) + "]"
-        raise TypeError(f"cannot serialize {type(o)!r}")
-
-    return emit(obj)
+    Dataclasses print as objects of their fields, arrays and tuples as
+    lists, numpy scalars as Python numbers, and dict keys as strings.
+    """
+    return _emit(obj)
 
 
 # --- ingestion ------------------------------------------------------------

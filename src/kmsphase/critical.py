@@ -230,7 +230,7 @@ def perron_vector(model: SystemModel, beta: float) -> np.ndarray:
     if v.min() < -1e-9 * abs(v).max():
         raise NoConvergenceError("dominant eigenvector is not sign-definite")
     v = np.clip(v, 0.0, None)
-    scale = float((model.energies ** (-beta)) @ v)
+    scale = float(model.weights(beta) @ v)
     if scale <= 0:
         raise NoConvergenceError("degenerate eigenvector normalization")
     v = v / scale

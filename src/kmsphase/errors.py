@@ -23,7 +23,7 @@ class EnergyNotAboveOneError(KmsError):
     def __init__(self, index: int, value: float):
         self.index = index
         self.value = value
-        super().__init__(f"energy N({index}) = {value} must be strictly greater than 1")
+        super().__init__(f"energy N({index}) = {value} must be finite and strictly greater than 1")
 
 
 class DimensionMismatchError(KmsError):

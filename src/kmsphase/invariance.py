@@ -83,10 +83,7 @@ def is_subinvariant(
             subinvariant=True, invariant=False, atom_gaps=gaps, worst_violation=None
         )
 
-    nw = model.energies ** (-beta)
-    inflow = np.zeros(space.d)
-    for z, c in enumerate(space.column_of):
-        inflow[c] += nw[z] * state.q[z]
+    inflow = space.push(model.weights(beta) * state.q)
     gaps = state.atoms - inflow
     sub = bool((gaps >= -tol).all())
     inv = bool((np.abs(gaps) <= tol).all())
@@ -151,7 +148,7 @@ def invariant_state_from_fixed_point(
         raise ValueError(f"fixed point must have length {model.m}")
     if (v < 0).any():
         raise NegativeEntryError("fixed point must be nonnegative")
-    nw = model.energies ** (-beta)
+    nw = model.weights(beta)
     norm = float(nw @ v)
     if abs(norm - 1.0) > 1e-9:
         raise NotNormalizedError(f"sum N(x)^-beta v_x = {norm}, expected 1")
@@ -161,9 +158,7 @@ def invariant_state_from_fixed_point(
         raise NotFixedPointError(f"transfer-matrix residual {residual}")
 
     space = column_space(model)
-    atoms = np.zeros(space.d)
-    for z, c in enumerate(space.column_of):
-        atoms[c] += nw[z] * v[z]
+    atoms = space.push(nw * v)
     state = qstate_from_atoms(space, beta, atoms, INFINITE)
     # By construction q_values[x] = sum_z A(x,z) N(z)^-beta v_z = v_x.
     if np.abs(state.q - v).max() > 1e-8:

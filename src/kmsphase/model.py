@@ -9,7 +9,9 @@ the atoms of every state the toolkit manipulates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,7 +40,9 @@ class SystemModel:
     """A validated transition matrix with per-generator energies.
 
     Generators are the integer indices 0..m-1; external labels, when given,
-    are carried along purely for reporting.
+    are carried along purely for reporting.  The column space and the
+    structural properties never change for a frozen model, so each is built
+    on first use and kept (see :func:`column_space`, :func:`properties`).
     """
 
     matrix: np.ndarray          # (m, m) int8, entries 0/1, no zero row
@@ -56,6 +60,50 @@ class SystemModel:
     def successors(self, x: int) -> np.ndarray:
         """Indices y with a transition x -> y."""
         return np.flatnonzero(self.matrix[x])
+
+    def weights(self, beta: float) -> np.ndarray:
+        """N(x)^-beta per generator; beta = +inf gives zeros."""
+        if math.isinf(beta) and beta > 0:
+            return np.zeros(self.m)
+        return self.energies ** (-beta)
+
+    @cached_property
+    def _properties(self) -> "PropertyReport":
+        a = self.matrix
+        ncomp, _ = connected_components(a, directed=True, connection="strong")
+        irreducible = ncomp == 1
+        no_zero_column = bool(a.any(axis=0).all())
+
+        # Greedy cover: pick the column hitting the most uncovered rows.  Exact
+        # minimal covers are NP-hard and only the existence flag matters.
+        uncovered = np.ones(self.m, dtype=bool)
+        witness: list[int] = []
+        while uncovered.any():
+            gains = (a[uncovered, :] == 1).sum(axis=0)
+            y = int(np.argmax(gains))
+            witness.append(y)
+            uncovered &= a[:, y] == 0
+
+        return PropertyReport(
+            irreducible=bool(irreducible),
+            no_zero_column=no_zero_column,
+            finite_target_set=tuple(sorted(witness)),
+            energy_gap=float(self.energies.min()),
+        )
+
+    @cached_property
+    def _column_space(self) -> "ColumnSpace":
+        cols = [tuple(int(b) for b in self.matrix[:, z]) for z in range(self.m)]
+        points = tuple(sorted(set(cols)))
+        index = {c: i for i, c in enumerate(points)}
+        column_of = tuple(index[c] for c in cols)
+        zero = tuple([0] * self.m)
+        return ColumnSpace(
+            points=points,
+            column_of=column_of,
+            d=len(points),
+            contains_zero=zero in index,
+        )
 
 
 @dataclass(frozen=True)
@@ -95,8 +143,25 @@ class ColumnSpace:
         return tuple(z for z, c in enumerate(self.column_of) if c == point)
 
     def bit_matrix(self) -> np.ndarray:
-        """(d, m) array: row i is points[i]; entry [i, x] says whether x is in point i."""
-        return np.array(self.points, dtype=float)
+        """(d, m) array: row i is points[i]; entry [i, x] says whether x is in point i.
+
+        Built once and shared, so it is read-only.
+        """
+        return self._bits
+
+    @cached_property
+    def _bits(self) -> np.ndarray:
+        bits = np.array(self.points, dtype=float)
+        bits.setflags(write=False)
+        return bits
+
+    def push(self, values) -> np.ndarray:
+        """Per-point sums of a per-generator vector: out[c] = sum of values[z] over z with column c.
+
+        Generators are added in index order, the same order as an explicit
+        loop, so the sums are bitwise reproducible.
+        """
+        return np.bincount(self.column_of, weights=values, minlength=self.d)
 
 
 def build_model(
@@ -123,7 +188,7 @@ def build_model(
         if not a[i].any():
             raise ZeroRowError(i)
     for i, v in enumerate(n):
-        if not v > 1.0:
+        if not (math.isfinite(v) and v > 1.0):
             raise EnergyNotAboveOneError(i, float(v))
     if labels is not None:
         if len(labels) != a.shape[0]:
@@ -133,43 +198,19 @@ def build_model(
 
 
 def properties(model: SystemModel) -> PropertyReport:
-    """Compute irreducibility, column nonvanishing, a finite target set and the energy gap."""
-    a = model.matrix
-    ncomp, _ = connected_components(a, directed=True, connection="strong")
-    irreducible = ncomp == 1
-    no_zero_column = bool(a.any(axis=0).all())
+    """Irreducibility, column nonvanishing, a finite target set and the energy gap.
 
-    # Greedy cover: pick the column hitting the most uncovered rows.  Exact
-    # minimal covers are NP-hard and only the existence flag matters.
-    uncovered = np.ones(model.m, dtype=bool)
-    witness: list[int] = []
-    while uncovered.any():
-        gains = (a[uncovered, :] == 1).sum(axis=0)
-        y = int(np.argmax(gains))
-        witness.append(y)
-        uncovered &= a[:, y] == 0
-
-    return PropertyReport(
-        irreducible=bool(irreducible),
-        no_zero_column=no_zero_column,
-        finite_target_set=tuple(sorted(witness)),
-        energy_gap=float(model.energies.min()),
-    )
+    Computed on first use and cached on the model.
+    """
+    return model._properties
 
 
 def column_space(model: SystemModel) -> ColumnSpace:
-    """Deduplicate the columns of A into canonically ordered points."""
-    cols = [tuple(int(b) for b in model.matrix[:, z]) for z in range(model.m)]
-    points = tuple(sorted(set(cols)))
-    index = {c: i for i, c in enumerate(points)}
-    column_of = tuple(index[c] for c in cols)
-    zero = tuple([0] * model.m)
-    return ColumnSpace(
-        points=points,
-        column_of=column_of,
-        d=len(points),
-        contains_zero=zero in index,
-    )
+    """The columns of A deduplicated into canonically ordered points.
+
+    Computed on first use and cached on the model.
+    """
+    return model._column_space
 
 
 def a_xyz(model: SystemModel, X: Iterable[int], Y: Iterable[int], z: int) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,11 +69,7 @@ class PartitionReport:
 
 def transfer_matrix(model: SystemModel, beta: float) -> TransferMatrix:
     """M(x, y) = A(x, y) N(y)^-beta; beta = +inf gives the zero matrix."""
-    if math.isinf(beta) and beta > 0:
-        entries = np.zeros((model.m, model.m))
-    else:
-        entries = model.matrix * model.energies[None, :] ** (-beta)
-    return TransferMatrix(beta=float(beta), entries=entries)
+    return TransferMatrix(beta=float(beta), entries=model.matrix * model.weights(beta))
 
 
 def evaluate(
@@ -107,13 +104,13 @@ def evaluate(
     tm = transfer_matrix(model, beta).entries
     lhs = np.eye(model.m) - tm
     resolvent = np.linalg.solve(lhs, np.eye(model.m))
-    z_xy = model.energies[:, None] ** (-beta) * resolvent
+    nw = model.weights(beta)
+    z_xy = nw[:, None] * resolvent
     z_y = z_xy.sum(axis=0)
     z_total = 1.0 + float(z_y.sum())
 
     # Every single-letter word y is admissible, so Z_y >= N(y)^-beta > 0.
-    floor = model.energies ** (-beta)
-    if not (z_y >= floor - 1e-12).all():
+    if not (z_y >= nw - 1e-12).all():
         raise AssertionError("fixed-target partition values fell below the single-letter floor")
 
     return PartitionReport(
@@ -132,14 +129,32 @@ def _ancestors(matrix: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Indices with a directed path into ``targets`` (targets included)."""
     reach = np.zeros(matrix.shape[0], dtype=bool)
     reach[targets] = True
-    frontier = list(np.flatnonzero(reach))
-    while frontier:
-        y = frontier.pop()
-        for x in np.flatnonzero(matrix[:, y]):
-            if not reach[x]:
-                reach[x] = True
-                frontier.append(int(x))
-    return np.flatnonzero(reach)
+    while True:
+        grown = reach | matrix[:, reach].any(axis=1)
+        if (grown == reach).all():
+            return np.flatnonzero(reach)
+        reach = grown
+
+
+@lru_cache(maxsize=1)
+def _restricted_resolvent(model: SystemModel, beta: float, u_key: bytes) -> np.ndarray | None:
+    """Z_xy(beta) on the ancestor set U (rows and columns in U), or None if it diverges.
+
+    One entry, keyed by model identity (models compare by identity), beta
+    and U: the d extreme states of one temperature share one U whenever
+    their targets share ancestors, so each column point costs a slice, not
+    a solve.  The spectral radius still decides convergence once per key.
+    """
+    from .critical import matrix_spectral_radius  # deferred: critical builds on this module
+
+    u = np.frombuffer(u_key, dtype=np.intp)
+    sub = transfer_matrix(model, beta).entries[np.ix_(u, u)]
+    if matrix_spectral_radius(sub) >= 1.0:
+        return None
+    resolvent = np.linalg.solve(np.eye(len(u)) - sub, np.eye(len(u)))
+    z_xy_sub = model.weights(beta)[u, None] * resolvent
+    z_xy_sub.setflags(write=False)
+    return z_xy_sub
 
 
 def restricted_fixed_pairs(
@@ -152,18 +167,16 @@ def restricted_fixed_pairs(
     to the union of their ancestor sets has spectral radius below 1; the
     restricted linear solve then evaluates them even when the full matrix
     is supercritical (relevant for reducible matrices).  Returns the
-    (m, len(targets)) array of Z_ax values; rows outside the ancestor set
-    are zero, since no word from there reaches a target.
+    ancestor set and the (m, len(targets)) array of Z_ax values; rows
+    outside the ancestor set are zero, since no word from there reaches a
+    target.  The restricted resolvent is solved once per (model, beta,
+    ancestor set) and reused by consecutive calls that share it.
     """
-    from .critical import matrix_spectral_radius  # deferred: critical builds on this module
-
     targets = np.asarray(targets, dtype=int)
     u = _ancestors(model.matrix, targets)
-    sub = transfer_matrix(model, beta).entries[np.ix_(u, u)]
-    if matrix_spectral_radius(sub) >= 1.0:
+    z_xy_sub = _restricted_resolvent(model, beta, u.tobytes())
+    if z_xy_sub is None:
         return None
-    resolvent = np.linalg.solve(np.eye(len(u)) - sub, np.eye(len(u)))
-    z_xy_sub = model.energies[u, None] ** (-beta) * resolvent
     pos = {int(g): i for i, g in enumerate(u)}
     out = np.zeros((model.m, len(targets)))
     cols = [pos[int(t)] for t in targets]
@@ -223,7 +236,7 @@ def geometric_bound(model: SystemModel, beta: float) -> float | None:
     """
     if not (0 < beta < math.inf):
         raise ValueError("geometric bound is defined for finite positive beta")
-    s = float((model.energies ** (-beta)).sum())
+    s = float(model.weights(beta).sum())
     if s < 1.0:
         return 1.0 / (1.0 - s)
     return None

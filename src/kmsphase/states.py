@@ -198,11 +198,7 @@ def omega_infinity_mass(model: SystemModel, beta: float, state: QState, L: int) 
     if L < 1:
         raise ValueError("need at least one shell")
     entries = transfer_matrix(model, beta).entries
-    u = (
-        np.zeros(model.m)
-        if (math.isinf(beta) and beta > 0)
-        else model.energies ** (-beta)
-    )
+    u = model.weights(beta)
     w = state.q
     out: list[float] = []
     for _ in range(L):
@@ -245,14 +241,7 @@ def _defects(model: SystemModel, space: ColumnSpace, beta: float, state: QState,
     normalizer blows up like 1/(1 - r), so eigen-gap noise left in any
     atom would otherwise masquerade as (or inflate) a finite component.
     """
-    nw = (
-        np.zeros(model.m)
-        if (math.isinf(beta) and beta > 0)
-        else model.energies ** (-beta)
-    )
-    inflow = np.zeros(space.d)
-    for z, c in enumerate(space.column_of):
-        inflow[c] += nw[z] * state.q[z]
+    inflow = space.push(model.weights(beta) * state.q)
     d = state.atoms - inflow
     d[np.abs(d) < clamp] = 0.0
     for c, v in enumerate(d):
@@ -310,8 +299,7 @@ def decompose(
         rem_q = rem @ space.bit_matrix()
         # Renormalize so the fixed-point normalization sum N^-beta q = 1
         # holds exactly; the bit rule is preserved by scaling atoms too.
-        nw = model.energies ** (-beta) if not math.isinf(beta) else np.zeros(model.m)
-        s = float(nw @ rem_q)
+        s = float(model.weights(beta) @ rem_q)
         qn_residual = abs(s - 1.0)
         if s > 0:
             rem = rem / s

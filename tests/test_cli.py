@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
+from kmsphase import cli
 from kmsphase.cli import dumps, main
+from kmsphase.critical import AbscissaEstimate
+from kmsphase.states import QState, TypeTag
+
+from conftest import coexistence_models, full_model, golden_mean_model, random_irreducible
 
 GOLDEN = {"matrix": [[0, 1], [1, 1]], "energies": [math.e, math.e]}
 FULL2 = {"matrix": [[1, 1], [1, 1]], "energies": [2.0, 2.0]}
@@ -141,6 +148,11 @@ class TestErrors:
     def test_inline_model(self, capsys):
         assert main(["analyze", "--model-json", json.dumps(FULL2)]) == 0
 
+    def test_infinite_energy_exits_one(self, capsys):
+        model = '{"matrix": [[1, 1], [1, 0]], "energies": [Infinity, 2]}'
+        assert main(["analyze", "--model-json", model]) == 1
+        assert "finite and strictly greater than 1" in capsys.readouterr().err
+
 
 class TestDumps:
     def test_floats_round_trip(self):
@@ -151,3 +163,122 @@ class TestDumps:
 
     def test_keys_sorted(self):
         assert dumps({"b": 1, "a": 2}).index('"a"') < dumps({"b": 1, "a": 2}).index('"b"')
+
+
+# --- the two-pass serializer the one-pass `dumps` must reproduce byte for byte
+
+def _plain_reference(obj):
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _plain_reference(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return [_plain_reference(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, dict):
+        return {str(k): _plain_reference(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain_reference(v) for v in obj]
+    return obj
+
+
+def dumps_reference(obj) -> str:
+    obj = _plain_reference(obj)
+
+    def emit(o) -> str:
+        if o is None:
+            return "null"
+        if isinstance(o, bool):
+            return "true" if o else "false"
+        if isinstance(o, int):
+            return str(o)
+        if isinstance(o, float):
+            return cli._fmt_float(o)
+        if isinstance(o, str):
+            return json.dumps(o)
+        if isinstance(o, dict):
+            items = (f"{json.dumps(str(k))}: {emit(v)}" for k, v in sorted(o.items()))
+            return "{" + ", ".join(items) + "}"
+        if isinstance(o, list):
+            return "[" + ", ".join(emit(v) for v in o) + "]"
+        raise TypeError(f"cannot serialize {type(o)!r}")
+
+    return emit(obj)
+
+
+def _inline(model) -> str:
+    return json.dumps({"matrix": model.matrix.tolist(), "energies": model.energies.tolist()})
+
+
+@dataclasses.dataclass(frozen=True)
+class _Inner:
+    tag: TypeTag
+    values: tuple
+    array: np.ndarray
+
+
+@dataclasses.dataclass(frozen=True)
+class _Outer:
+    inner: _Inner
+    estimate: AbscissaEstimate
+    extra: dict
+
+
+class TestDumpsMatchesTwoPassReference:
+    def _reports(self, argv, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(cli, "dumps", lambda obj: seen.append(obj) or dumps(obj))
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert seen
+        return seen
+
+    def test_every_subcommand_report(self, monkeypatch, capsys, tmp_path, rng):
+        golden, full3 = _inline(golden_mean_model()), _inline(full_model(3))
+        rand = _inline(random_irreducible(rng, 6, non_permutation=True))
+        coexist = _inline(coexistence_models()[1])
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"beta": 2.0, "atom_masses": {"01": 0.25, "11": 0.75}}))
+        runs = [["analyze", "--model-json", golden], ["analyze", "--model-json", rand],
+                ["partition", "--model-json", golden, "--beta", "0.2"],
+                ["partition", "--model-json", rand, "--beta", "inf"],
+                ["partition", "--model-json", full3, "--beta", "2.0"],
+                ["critical", "--model-json", golden, "--abscissa-check", "8"],
+                ["oa", "--model-json", coexist, "--scan"],
+                ["oa", "--model-json", full3, "--beta", str(math.log(3) / math.log(2))],
+                ["check-state", "--model-json", golden, "--state", str(state)],
+                ["star", "--levels", "8,16", "--head-count", "20000"]]
+        runs += [["kms", "--model-json", model, "--beta", beta]
+                 for model in (golden, rand) for beta in ("0.2", "3.5", "inf")]
+        runs.append(["kms", "--model-json", full3, "--beta", str(math.log(3) / math.log(2))])
+        for argv in runs:
+            for obj in self._reports(argv, monkeypatch, capsys):
+                assert dumps(obj) == dumps_reference(obj), argv[0]
+
+    @pytest.mark.parametrize("obj", [
+        [math.inf, -math.inf, math.nan, 0.0, -0.0, 1e-300, 1.0 / 3.0],
+        {"scalars": [np.float64(0.1), np.float32(0.1), np.int64(-3), np.uint8(7),
+                     np.float64(np.inf), np.float64(np.nan)]},
+        np.arange(6.0).reshape(2, 3) / 7.0,
+        np.array([[1, 2], [3, 4]], dtype=np.int8),
+        AbscissaEstimate(estimate=0.5, residual=np.float64(-1e-12)),
+        _Outer(_Inner(TypeTag.mixed(0.25), (1, (2.5, None)), np.eye(2)),
+               AbscissaEstimate(1.0, 2.0), {"k": QState(1.0, (1.0,), (0.5,), TypeTag("finite"))}),
+        {1: "one", 2.5: "float key", (1, 2): "tuple key", None: 0, True: False},
+        {"flags": [True, 1, False, 0, True + 1], "b": True, "a": 1},
+        {1: "int key first", "1": "str key wins"},
+        (),
+        {},
+        "quote \" and \u00e9",
+    ])
+    def test_values(self, obj):
+        assert dumps(obj) == dumps_reference(obj)
+
+    @pytest.mark.parametrize("obj", [
+        object(), {1, 2}, b"bytes", np.bool_(True), [np.complex128(1j)], {"x": object},
+        np.array(1.5),
+    ])
+    def test_unsupported_types_raise(self, obj):
+        with pytest.raises(TypeError):
+            dumps_reference(obj)
+        with pytest.raises(TypeError):
+            dumps(obj)

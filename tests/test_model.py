@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from kmsphase import a_xyz, build_model, column_space, properties
 from kmsphase.errors import DimensionMismatchError, EnergyNotAboveOneError, ZeroRowError
 from kmsphase.model import v_xy_points
 
-from conftest import full_model, golden_mean_model, random_matrix
+from conftest import coexistence_models, full_model, golden_mean_model, random_matrix
 
 
 class TestBuildModel:
@@ -29,6 +30,9 @@ class TestBuildModel:
         with pytest.raises(EnergyNotAboveOneError) as err:
             build_model([[1, 1], [1, 1]], [2.0, 1.0])
         assert err.value.index == 1
+        with pytest.raises(EnergyNotAboveOneError, match="finite and strictly greater than 1") as err:
+            build_model([[1, 1], [1, 0]], [math.inf, 2.0])
+        assert err.value.index == 0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -126,6 +130,46 @@ class TestColumnSpace:
         for z in range(m.m):
             expected = tuple(int(b) for b in m.matrix[:, z])
             assert space.points[space.column_of[z]] == expected
+
+    def test_structure_built_once_per_model(self):
+        m = golden_mean_model()
+        assert column_space(m) is column_space(m)
+        assert properties(m) is properties(m)
+        # Equal arrays, another model: its own structure.
+        twin = golden_mean_model()
+        assert column_space(twin) is not column_space(m)
+        assert column_space(twin) == column_space(m)
+
+    def test_bit_matrix_shared_and_read_only(self):
+        space = column_space(golden_mean_model())
+        bits = space.bit_matrix()
+        assert bits is space.bit_matrix()
+        assert np.array_equal(bits, np.array(space.points, dtype=float))
+        assert not bits.flags.writeable
+        with pytest.raises(ValueError):
+            bits[0, 0] = 1.0
+
+    def test_push_matches_generator_loop_bitwise(self, rng):
+        models = list(coexistence_models()) + [
+            build_model(random_matrix(rng, mm), rng.uniform(1.5, 4.0, size=mm))
+            for mm in (3, 9, 40)
+        ]
+        # One column shared by many generators: a long sum, where any other
+        # summation order would show in the last bits.
+        models.append(build_model(np.ones((64, 64), dtype=int), rng.uniform(1.5, 4.0, size=64)))
+        for model in models:
+            space = column_space(model)
+            scales = 10.0 ** rng.uniform(-6.0, 0.0, size=model.m)
+            values = model.weights(0.7) * rng.uniform(0.0, 1.0, size=model.m) * scales
+            expected = np.zeros(space.d)
+            for z, c in enumerate(space.column_of):
+                expected[c] += values[z]
+            assert space.push(values).tobytes() == expected.tobytes()
+
+    def test_weights(self):
+        m = build_model([[0, 1], [1, 1]], [2.0, 3.0])
+        assert m.weights(2.0).tolist() == [0.25, 1.0 / 9.0]
+        assert m.weights(math.inf).tolist() == [0.0, 0.0]
 
     def test_bounds_on_d(self, rng):
         for _ in range(20):

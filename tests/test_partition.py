@@ -16,8 +16,16 @@ from kmsphase import (
     z_gamma,
 )
 from kmsphase.critical import beta_c
+from kmsphase.partition import _ancestors, _restricted_resolvent, restricted_fixed_pairs
 
-from conftest import full_model, golden_mean_model, random_irreducible
+from conftest import (
+    block_model,
+    coexistence_models,
+    full_model,
+    golden_mean_model,
+    random_irreducible,
+    random_matrix,
+)
 
 
 class TestTransferMatrix:
@@ -145,6 +153,94 @@ class TestZGamma:
                 mass_per_gen.max(), 0.0
             )
             assert abs(closed - direct) <= tail + 1e-10
+
+
+def _ancestors_bfs(matrix, targets):
+    """Reference: per-node breadth-first search over reversed edges."""
+    reach = np.zeros(matrix.shape[0], dtype=bool)
+    reach[targets] = True
+    frontier = list(np.flatnonzero(reach))
+    while frontier:
+        y = frontier.pop()
+        for x in np.flatnonzero(matrix[:, y]):
+            if not reach[x]:
+                reach[x] = True
+                frontier.append(int(x))
+    return np.flatnonzero(reach)
+
+
+def _fresh_pairs(model, beta, targets):
+    _restricted_resolvent.cache_clear()
+    return restricted_fixed_pairs(model, beta, targets)
+
+
+def _assert_same_pairs(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert np.array_equal(got[0], want[0])
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+class TestRestrictedFixedPairs:
+    def test_ancestors_match_bfs(self, rng):
+        chain = [[0, 1, 0], [0, 0, 1], [0, 0, 1]]
+        models = list(coexistence_models()) + [
+            block_model((chain, 2.0), ([[1]], 3.0), ([[0, 1], [1, 0]], 2.5)),
+        ]
+        # Random reducible matrices: sparse rows, so most have several components.
+        models += [build_model(random_matrix(rng, mm, max_row_ones=2), [2.0] * mm)
+                   for mm in (1, 2, 5, 12, 30) for _ in range(4)]
+        for model in models:
+            a = model.matrix
+            target_sets = [[t] for t in range(model.m)]
+            target_sets += [sorted(rng.choice(model.m, size=k, replace=False).tolist())
+                            for k in range(1, model.m + 1)]
+            for targets in target_sets:
+                got = _ancestors(a, np.asarray(targets))
+                want = _ancestors_bfs(a, np.asarray(targets))
+                assert np.array_equal(got, want), (a.tolist(), targets)
+
+    def test_memo_holds_one_entry(self):
+        m = golden_mean_model()
+        restricted_fixed_pairs(m, 1.5, [0])
+        restricted_fixed_pairs(m, 2.5, [1])
+        info = _restricted_resolvent.cache_info()
+        assert info.maxsize == 1 and info.currsize == 1
+
+    def test_memo_is_keyed_by_model_identity(self):
+        a = [[0, 1], [1, 1]]
+        first, twin = build_model(a, [math.e] * 2), build_model(a, [math.e] * 2)
+        other = build_model(a, [3.0, 5.0])
+        calls = [(first, [0]), (other, [0]), (twin, [1]), (first, [1]), (other, [0, 1]),
+                 (twin, [0]), (first, [0])]
+        want = [_fresh_pairs(model, 1.5, targets) for model, targets in calls]
+        for (model, targets), expected in zip(calls, want):
+            _assert_same_pairs(restricted_fixed_pairs(model, 1.5, targets), expected)
+        assert not np.array_equal(want[0][1], want[1][1])
+
+    def test_memo_does_not_change_convergence(self):
+        m = golden_mean_model()
+        below, above = 0.3, 1.5    # beta_c = log(golden ratio) = 0.4812...
+        fresh_above = _fresh_pairs(m, above, [0, 1])
+        assert _fresh_pairs(m, below, [0]) is None
+        for beta, targets in [(above, [0, 1]), (below, [0]), (below, [1]), (above, [0, 1]),
+                              (above, [0]), (below, [0, 1])]:
+            got = restricted_fixed_pairs(m, beta, targets)
+            if beta == below:
+                assert got is None
+            else:
+                _assert_same_pairs(got, _fresh_pairs(m, beta, targets))
+        _assert_same_pairs(restricted_fixed_pairs(m, above, [0, 1]), fresh_above)
+
+    def test_extreme_states_of_a_temperature_share_one_solve(self, rng):
+        m = random_irreducible(rng, 12, non_permutation=True)
+        beta = beta_c(m).beta_c + 1.0
+        _restricted_resolvent.cache_clear()
+        for t in range(m.m):
+            restricted_fixed_pairs(m, beta, [t])
+        info = _restricted_resolvent.cache_info()
+        assert (info.misses, info.hits) == (1, m.m - 1)
 
 
 class TestGeometricBound:
