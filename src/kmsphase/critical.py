@@ -175,15 +175,19 @@ def abscissa_estimate(
     Estimates the abscissa as the root in beta of
     shell_sum(beta, L) / shell_sum(beta, L-1) = 1: below the abscissa the
     shells grow, above they shrink.  Purely enumerative, so it serves as an
-    independent cross-check of :func:`beta_c`.
+    independent cross-check of :func:`beta_c`.  The words of lengths up to L
+    are enumerated once; each beta replays them, and both shell sums equal
+    :func:`words.shell_sum` bit for bit.
     """
     if L < 2:
         raise ValueError("need at least two shells")
-    if words.shell_sum(model, 0.0, L, cap=cap) == 0.0:
+    tree = words._word_tree(model, L, cap=cap)
+    if words._shell_sums(model, tree, 0.0, first=L)[0] == 0.0:
         raise DegenerateShellsError("empty shell at beta = 0")
 
     def g(b: float) -> float:
-        return words.shell_sum(model, b, L, cap=cap) / words.shell_sum(model, b, L - 1, cap=cap) - 1.0
+        shorter, longer = words._shell_sums(model, tree, b, first=L - 1)
+        return longer / shorter - 1.0
 
     if g(0.0) <= 0.0:
         return AbscissaEstimate(estimate=0.0, residual=g(0.0))

@@ -6,13 +6,23 @@ is admissible when A(mu_i, mu_{i+1}) = 1 for all consecutive pairs; its
 weight is N(mu)^-beta with N(mu) the product of the letter energies.  The
 empty word is admissible with weight 1.
 
-Sums are accumulated with Kahan compensation so that shells of mixed
-magnitude combine at ~1e-16 relative accuracy.
+Shell sums enumerate a word tree once per length bound: level k holds the
+admissible words of length k, each stored as the index of its parent word
+of length k - 1 plus its last letter, grouped by last letter in ascending
+order.  Replaying the tree at a beta gives each word its own weight, the
+left-to-right product w(parent) * N(letter)^-beta; one tree serves any
+number of betas and every level up to its depth.  The sum of a shell is
+fixed bit for bit: each last-letter group is summed exactly rounded
+(``math.fsum``, so the order inside a group does not matter), empty groups
+are skipped, and the groups are combined with Kahan compensation in
+ascending letter order, so that shells of mixed magnitude combine at
+~1e-16 relative accuracy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import fsum, log
 
 import numpy as np
@@ -87,37 +97,96 @@ def enumerate_words(model: SystemModel, n: int, cap: int = WORD_CAP_DEFAULT) -> 
     return out
 
 
-def _shell_count(model: SystemModel, n: int) -> int:
-    """Number of admissible words of length n (exact, integer path count)."""
-    if n == 0:
-        return 1
+def _shell_counts(model: SystemModel, n: int) -> list[int]:
+    """Numbers of admissible words of lengths 0..n (exact, integer path counts)."""
     a = model.matrix.astype(object)  # exact integer arithmetic
     v = np.ones(model.m, dtype=object)
-    for _ in range(n - 1):
-        v = a @ v
-    return int(v.sum())
+    counts = [1]
+    for k in range(1, n + 1):
+        if k > 1:
+            v = a @ v
+        counts.append(int(v.sum()))
+    return counts
 
 
-def _shell_weights(model, beta, n, source):
-    """Per-word weights of shell n, grouped by last letter.
+def _shell_count(model: SystemModel, n: int) -> int:
+    """Number of admissible words of length n (exact, integer path count)."""
+    return _shell_counts(model, n)[-1]
 
-    Returns a dict last_letter -> 1-d array with one entry per word; this is
-    genuine enumeration (each admissible word contributes its own entry),
-    vectorized over extensions.
+
+@dataclass(frozen=True)
+class _Level:
+    """The admissible words of one length in a word tree.
+
+    Word i extends word ``parents[i]`` of the previous level (``None`` on the
+    first level) by the letter ``letters[i]``.  ``groups`` lists, for each
+    last letter in ascending order that ends at least one word, the letter
+    and the slice (start, stop) of its words.
     """
-    nw = model.energies ** (-beta)
-    if source is None:
-        frontier = {x: np.array([nw[x]]) for x in range(model.m)}
-    else:
-        frontier = {source: np.array([nw[source]])}
+
+    parents: np.ndarray | None
+    letters: np.ndarray
+    groups: tuple[tuple[int, int, int], ...]
+
+
+def _word_tree(
+    model: SystemModel,
+    n: int,
+    source: int | None = None,
+    cap: int = WORD_CAP_DEFAULT,
+) -> list[_Level]:
+    """Admissible words of lengths 1..n (first letter ``source`` if given).
+
+    Raises LengthTooLargeError before enumerating when shell n holds more
+    than ``cap`` words.
+    """
+    count = _shell_count(model, n)
+    if count > cap:
+        raise LengthTooLargeError(count, cap)
+    first = np.arange(model.m) if source is None else np.array([source])
+    tree = [_Level(None, first, tuple((int(x), i, i + 1) for i, x in enumerate(first)))]
+    into = model.matrix.T.astype(bool)  # into[y, x] = A(x, y)
     for _ in range(n - 1):
-        new: dict[int, list[np.ndarray]] = {}
-        for x, arr in frontier.items():
-            for y in model.successors(x):
-                y = int(y)
-                new.setdefault(y, []).append(arr * nw[y])
-        frontier = {y: np.concatenate(parts) for y, parts in new.items()}
-    return frontier
+        prev = tree[-1].letters
+        parts, groups, start = [], [], 0
+        for y in range(model.m):
+            parents = np.flatnonzero(into[y][prev])
+            if parents.size:
+                parts.append(parents)
+                groups.append((y, start, start + parents.size))
+                start += parents.size
+        letters = np.repeat([y for y, _, _ in groups], [stop - lo for _, lo, stop in groups])
+        tree.append(_Level(np.concatenate(parts), letters, tuple(groups)))
+    return tree
+
+
+def _shell_sums(
+    model: SystemModel,
+    tree: list[_Level],
+    beta: float,
+    first: int = 1,
+    target: int | None = None,
+) -> list[float]:
+    """Shell sums of lengths first..len(tree) at beta, one replay of the tree.
+
+    Each value equals :func:`shell_sum` of that length bit for bit.
+    """
+    nw = model.weights(beta)
+    out = []
+    for n, level in enumerate(tree, start=1):
+        if level.parents is None:
+            w = nw[level.letters]
+        else:
+            w = w[level.parents]
+            w *= nw[level.letters]  # w(parent) * N(letter)^-beta, in place
+        if n < first:
+            continue
+        acc = Kahan()
+        for y, start, stop in level.groups:
+            if target is None or y == target:
+                acc.add(fsum(w[start:stop].tolist()))
+        out.append(acc.total)
+    return out
 
 
 def shell_sum(
@@ -138,16 +207,8 @@ def shell_sum(
         raise ValueError("shell index must be nonnegative")
     if n == 0:
         return 1.0 if source is None and target is None else 0.0
-    count = _shell_count(model, n)
-    if count > cap:
-        raise LengthTooLargeError(count, cap)
-    frontier = _shell_weights(model, beta, n, source)
-    acc = Kahan()
-    for y in sorted(frontier):
-        if target is not None and y != target:
-            continue
-        acc.add(fsum(frontier[y].tolist()))
-    return acc.total
+    tree = _word_tree(model, n, source, cap)
+    return _shell_sums(model, tree, beta, first=n, target=target)[0]
 
 
 def partial_series(
@@ -165,13 +226,13 @@ def partial_series(
     """
     if L < 0:
         raise ValueError("truncation length must be nonnegative")
+    for total_words in accumulate(_shell_counts(model, L)[1:]):
+        if total_words > cap:
+            raise LengthTooLargeError(total_words, cap)
     acc = Kahan()
     if source is None and target is None:
         acc.add(1.0)
-    total_words = 0
-    for n in range(1, L + 1):
-        total_words += _shell_count(model, n)
-        if total_words > cap:
-            raise LengthTooLargeError(total_words, cap)
-        acc.add(shell_sum(model, beta, n, source=source, target=target, cap=cap))
+    if L > 0:
+        for value in _shell_sums(model, _word_tree(model, L, source, cap), beta, target=target):
+            acc.add(value)
     return acc.total

@@ -1,10 +1,13 @@
-"""The traced benchmark path stays runnable.
+"""The traced benchmark paths stay runnable.
 
-The smoke configuration of the phase-diagram workload runs every job
-through the CLI with tracing on.  The run fails if a traced layer records
-no call, so this also guards the call structure the per-layer metrics
-read: `classify_ta` building each extreme state through
-`finite_type_state`, which goes through `restricted_fixed_pairs`.
+The smoke configurations of the phase-diagram and certify workloads run
+every job with tracing on.  A run fails if a traced layer records no call,
+so this also guards the call structure the per-layer metrics read:
+`classify_ta` building each extreme state through `finite_type_state`,
+which goes through `restricted_fixed_pairs`; and, on certify,
+`words.shell_sum` (reached through the `oracle` subcommand, since
+`abscissa_estimate` replays its own word tree), `is_subinvariant`,
+`abscissa_estimate`, `decompose` and `cooling`.
 """
 
 from __future__ import annotations
@@ -17,12 +20,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_phase_diagram_smoke():
+def _traced_smoke(workload: str) -> None:
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "phase_diagram", "--smoke",
+        [sys.executable, "bench/run.py", "--workload", workload, "--smoke",
          "--trace", "1", "--seconds", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, result
+
+
+def test_traced_phase_diagram_smoke():
+    _traced_smoke("phase_diagram")
+
+
+def test_traced_certify_smoke():
+    _traced_smoke("certify")

@@ -154,6 +154,50 @@ class TestErrors:
         assert "finite and strictly greater than 1" in capsys.readouterr().err
 
 
+class TestSharedParser:
+    def test_parser_built_once(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_interleaved_commands_match_fresh_parser(self, golden_file, full2_file, tmp_path,
+                                                     monkeypatch, capsys):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"beta": 2.0, "atom_masses": {"01": 0.25, "11": 0.75}}))
+        runs = [
+            ["oracle", "--model", full2_file, "--beta", "2.0", "--max-length", "3",
+             "--source", "0", "--target", "1", "--cap", "100"],
+            ["partition", "--model", golden_file, "--beta", "2.0", "--margin", "0.5"],
+            ["oracle", "--model", golden_file, "--beta", "1.0", "--max-length", "4"],
+            ["critical", "--model", golden_file, "--abscissa-check", "6", "--cap", "1000"],
+            ["partition", "--model", golden_file, "--beta", "2.0"],
+            ["check-state", "--model", golden_file, "--state", str(state), "--beta", "3.0",
+             "--exhaustive"],
+            ["critical", "--model", golden_file],
+            ["check-state", "--model", golden_file, "--state", str(state)],
+            ["oa", "--model", full2_file, "--scan"],
+            ["oa", "--model", full2_file, "--beta", "1.0"],
+            ["star", "--levels", "8,16", "--head-count", "20000", "--beta", "1.0"],
+            ["star", "--levels", "8", "--head-count", "20000"],
+            ["kms", "--model", golden_file, "--beta", "inf"],
+            ["analyze"],
+        ]
+
+        def run_all():
+            out = []
+            for argv in runs:
+                rc = main(argv)
+                captured = capsys.readouterr()
+                out.append((rc, captured.out, captured.err))
+            return out
+
+        shared = run_all()
+        for argv in runs[:-1]:
+            assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert shared == run_all()
+        assert [rc for rc, _, _ in shared] == [0] * (len(runs) - 1) + [1]
+
+
 class TestDumps:
     def test_floats_round_trip(self):
         text = dumps({"x": 1.0 / 3.0, "inf": math.inf})

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from kmsphase.errors import (
     NotNormalizedError,
     TooLargeForExhaustiveError,
 )
+from kmsphase.invariance import GAP_TOL_DEFAULT, InvarianceVerdict, _disjoint_pairs
 from kmsphase.states import FINITE
 
 from conftest import full_model, golden_mean_model, random_irreducible
@@ -91,6 +93,198 @@ class TestIsSubinvariant:
             assert is_subinvariant(m, beta, state).subinvariant
             for db in (0.3, 1.0, 4.0):
                 assert is_subinvariant(m, beta + db, state).subinvariant
+
+
+def subinvariant_reference(model, beta, state, tol=GAP_TOL_DEFAULT):
+    """The exhaustive check as a double loop over all 4^m pairs (X, Y).
+
+    Kept as the reference the 3^m disjoint-pair check must reproduce bit
+    for bit, raising where it raises.
+    """
+    space = column_space(model)
+    inflow = space.push(model.weights(beta) * state.q)
+    gaps = state.atoms - inflow
+    sub = bool((gaps >= -tol).all())
+    inv = bool((np.abs(gaps) <= tol).all())
+    worst = None
+    if not inv:
+        c = int(np.argmin(gaps)) if not sub else int(np.argmax(np.abs(gaps)))
+        point = space.points[c]
+        x_set = tuple(i for i, b in enumerate(point) if b)
+        y_set = tuple(i for i, b in enumerate(point) if not b)
+        worst = (x_set, y_set, float(gaps[c]))
+    col_masks = [sum(1 << i for i, b in enumerate(p) if b) for p in space.points]
+    atoms = state.atoms
+    sub_ex, inv_ex = True, True
+    for x_mask, y_mask in product(range(1 << model.m), repeat=2):
+        lhs = rhs = 0.0
+        for c, mask in enumerate(col_masks):
+            if (mask & x_mask) == x_mask and (mask & y_mask) == 0:
+                lhs += inflow[c]
+                rhs += atoms[c]
+        gap = rhs - lhs
+        if gap < -tol:
+            sub_ex = False
+            if worst is None or gap < worst[2]:
+                xs = tuple(i for i in range(model.m) if x_mask >> i & 1)
+                ys = tuple(i for i in range(model.m) if y_mask >> i & 1)
+                worst = (xs, ys, float(gap))
+        if abs(gap) > tol:
+            inv_ex = False
+    if sub_ex != sub or inv_ex != inv:
+        raise AssertionError("atom-level and exhaustive pair checks disagree")
+    return InvarianceVerdict(
+        subinvariant=sub, invariant=inv,
+        atom_gaps=tuple(float(v) for v in gaps), worst_violation=worst,
+    )
+
+
+def pair_gaps_reference(model, beta, state):
+    """Gap of every pair (x_mask, y_mask), summed in column order."""
+    space = column_space(model)
+    inflow = space.push(model.weights(beta) * state.q)
+    col_masks = [sum(1 << i for i, b in enumerate(p) if b) for p in space.points]
+    out = {}
+    for x_mask, y_mask in product(range(1 << model.m), repeat=2):
+        lhs = rhs = 0.0
+        for c, mask in enumerate(col_masks):
+            if (mask & x_mask) == x_mask and (mask & y_mask) == 0:
+                lhs += inflow[c]
+                rhs += state.atoms[c]
+        out[x_mask, y_mask] = rhs - lhs
+    return out
+
+
+def _outcome(check, *args, **kwargs):
+    try:
+        return check(*args, **kwargs)
+    except AssertionError as exc:
+        return ("AssertionError", str(exc))
+
+
+def assert_same_verdict(model, beta, state, tol=GAP_TOL_DEFAULT):
+    got = _outcome(is_subinvariant, model, beta, state, exhaustive=True, tol=tol)
+    want = _outcome(subinvariant_reference, model, beta, state, tol=tol)
+    assert got == want
+    if isinstance(want, InvarianceVerdict) and want.worst_violation is not None:
+        assert got.worst_violation[2].hex() == want.worst_violation[2].hex()
+    return got
+
+
+def _state(model, kind, rng):
+    """(beta, state) of the given kind.
+
+    accepted: finite-type at 1.5 beta_c; rejected: the same atoms declared at
+    0.8 beta_c; invariant: the Perron state at beta_c; random: Dirichlet
+    atoms at a random beta.
+    """
+    space = column_space(model)
+    bc = beta_c(model).beta_c
+    if kind == "invariant":
+        return bc, invariant_state_from_fixed_point(model, bc, beta_c(model).perron_at_critical)
+    gamma = RootMeasure(tuple(rng.uniform(0.05, 1.0, space.d)))
+    state = finite_type_state(model, 1.5 * bc, gamma)
+    if kind == "accepted":
+        return 1.5 * bc, state
+    if kind == "rejected":
+        return 0.8 * bc, qstate_from_atoms(space, 0.8 * bc, state.atoms, FINITE)
+    atoms = rng.dirichlet(np.ones(space.d))
+    beta = float(rng.uniform(0.2, 3.0))
+    return beta, qstate_from_atoms(space, beta, atoms, FINITE)
+
+
+class TestExhaustiveMatchesPairLoop:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 7), st.integers(0, 10_000),
+           st.sampled_from(["accepted", "rejected", "invariant", "random"]),
+           st.sampled_from([GAP_TOL_DEFAULT, 0.0]))
+    def test_hypothesis_models(self, m_size, seed, kind, tol):
+        rng = np.random.default_rng(seed)
+        model = random_irreducible(rng, m_size, non_permutation=True, energy_range=(1.5, 4.0))
+        beta, state = _state(model, kind, rng)
+        assert_same_verdict(model, beta, state, tol=tol)
+
+    def test_seeded_m9_models(self):
+        rng = np.random.default_rng(409)
+        verdicts = []
+        for kind in ("accepted", "rejected", "invariant"):
+            model = random_irreducible(rng, 9, non_permutation=True, energy_range=(1.5, 4.0))
+            beta, state = _state(model, kind, rng)
+            verdicts.append(assert_same_verdict(model, beta, state))
+        accepted, rejected, invariant = verdicts
+        assert accepted.subinvariant and not accepted.invariant
+        assert not rejected.subinvariant and rejected.worst_violation is not None
+        assert invariant.invariant
+
+    def _rejected_cases(self, m_size, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            model = random_irreducible(rng, m_size, non_permutation=True, energy_range=(1.5, 4.0))
+            beta, state = _state(model, "random", rng)
+            verdict = is_subinvariant(model, beta, state)
+            if not verdict.subinvariant:
+                yield model, beta, state, verdict
+
+    @pytest.mark.parametrize("m_size", [0, 1, 2, 5])
+    def test_disjoint_pairs_in_loop_order(self, m_size):
+        x_masks, y_masks = _disjoint_pairs(m_size)
+        expected = [(x, y) for x, y in product(range(1 << m_size), repeat=2) if x & y == 0]
+        assert list(zip(x_masks.tolist(), y_masks.tolist())) == expected
+        assert len(expected) == 3 ** m_size
+
+    def test_tie_between_two_minimal_pairs(self):
+        # The pair minimum lies strictly below every atom gap, and several
+        # pairs select the same column points: the first in (X, Y) order wins.
+        for model, beta, state, atom_verdict in self._rejected_cases(4, 11):
+            gaps = pair_gaps_reference(model, beta, state)
+            low = min(gaps.values())
+            tied = sorted(k for k, g in gaps.items() if g == low)
+            if low < atom_verdict.worst_violation[2] and len(tied) >= 2:
+                break
+        else:
+            pytest.fail("no pair-level tie found")
+        verdict = assert_same_verdict(model, beta, state)
+        x_mask, y_mask = tied[0]
+        assert verdict.worst_violation == (
+            tuple(i for i in range(model.m) if x_mask >> i & 1),
+            tuple(i for i in range(model.m) if y_mask >> i & 1),
+            low,
+        )
+
+    def test_tie_between_atom_witness_and_pair(self):
+        # A pair that isolates the worst atom ties with it; the atom witness,
+        # found first, keeps its place.
+        for model, beta, state, atom_verdict in self._rejected_cases(4, 12):
+            gaps = pair_gaps_reference(model, beta, state)
+            x_set, y_set, low = atom_verdict.worst_violation
+            witness = (sum(1 << i for i in x_set), sum(1 << i for i in y_set))
+            others = [k for k, g in gaps.items() if g == low and k != witness]
+            if min(gaps.values()) == low and others and min(others) < witness:
+                break
+        else:
+            pytest.fail("no atom-pair tie found")
+        verdict = assert_same_verdict(model, beta, state)
+        assert verdict.worst_violation == atom_verdict.worst_violation
+
+    def test_zero_tolerance(self, rng):
+        for kind in ("accepted", "rejected", "invariant", "random"):
+            for _ in range(3):
+                model = random_irreducible(rng, 5, non_permutation=True, energy_range=(1.5, 4.0))
+                beta, state = _state(model, kind, rng)
+                assert_same_verdict(model, beta, state, tol=0.0)
+
+    def test_negative_tolerance_rejected(self):
+        m = full_model(2)
+        state = invariant_state_from_fixed_point(m, 1.0, [1.0, 1.0])
+        with pytest.raises(ValueError):
+            is_subinvariant(m, 1.0, state, exhaustive=True, tol=-1e-12)
+
+    def test_cap_is_inclusive(self, rng):
+        model = random_irreducible(rng, 12, non_permutation=True, energy_range=(1.5, 4.0))
+        beta, state = _state(model, "accepted", rng)
+        verdict = is_subinvariant(model, beta, state, exhaustive=True)
+        assert verdict == is_subinvariant(model, beta, state)
+        assert verdict.subinvariant
 
 
 class TestFixedPointBijection:

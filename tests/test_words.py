@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import math
+from math import fsum
+
 import numpy as np
 import pytest
 
 from kmsphase import build_model, enumerate_words, partial_series, shell_sum
-from kmsphase.errors import LengthTooLargeError
+from kmsphase.critical import abscissa_estimate
+from kmsphase.errors import DegenerateShellsError, LengthTooLargeError, NoConvergenceError
+from kmsphase.words import Kahan, _shell_count
 
-from conftest import cycle_model, full_model, golden_mean_model, random_matrix
+from conftest import cycle_model, full_model, golden_mean_model, random_irreducible, random_matrix
 
 
 class TestEnumerate:
@@ -111,3 +116,133 @@ class TestPartialSeries:
     def test_cap_enforced(self):
         with pytest.raises(LengthTooLargeError):
             partial_series(full_model(5), 2.0, 12, cap=10_000)
+
+
+# --- the word tree against the per-call frontier it replaced ---------------
+
+def _shell_weights_reference(model, beta, n, source):
+    """Per-word weights of shell n grouped by last letter, by frontier extension."""
+    nw = model.energies ** (-beta)
+    if source is None:
+        frontier = {x: np.array([nw[x]]) for x in range(model.m)}
+    else:
+        frontier = {source: np.array([nw[source]])}
+    for _ in range(n - 1):
+        new = {}
+        for x, arr in frontier.items():
+            for y in model.successors(x):
+                y = int(y)
+                new.setdefault(y, []).append(arr * nw[y])
+        frontier = {y: np.concatenate(parts) for y, parts in new.items()}
+    return frontier
+
+
+def shell_sum_reference(model, beta, n, source=None, target=None, cap=10_000_000):
+    if n == 0:
+        return 1.0 if source is None and target is None else 0.0
+    count = _shell_count(model, n)
+    if count > cap:
+        raise LengthTooLargeError(count, cap)
+    frontier = _shell_weights_reference(model, beta, n, source)
+    acc = Kahan()
+    for y in sorted(frontier):
+        if target is not None and y != target:
+            continue
+        acc.add(fsum(frontier[y].tolist()))
+    return acc.total
+
+
+def partial_series_reference(model, beta, L, source=None, target=None, cap=10_000_000):
+    acc = Kahan()
+    if source is None and target is None:
+        acc.add(1.0)
+    total_words = 0
+    for n in range(1, L + 1):
+        total_words += _shell_count(model, n)
+        if total_words > cap:
+            raise LengthTooLargeError(total_words, cap)
+        acc.add(shell_sum_reference(model, beta, n, source=source, target=target, cap=cap))
+    return acc.total
+
+
+def abscissa_reference(model, L, cap=10_000_000):
+    """Bisection on the shell ratio, with both shells re-enumerated per beta."""
+    if shell_sum_reference(model, 0.0, L, cap=cap) == 0.0:
+        raise DegenerateShellsError("empty shell at beta = 0")
+
+    def g(b):
+        return shell_sum_reference(model, b, L, cap=cap) / shell_sum_reference(model, b, L - 1, cap=cap) - 1.0
+
+    if g(0.0) <= 0.0:
+        return 0.0, g(0.0)
+    hi = 1.0
+    while g(hi) > 0.0:
+        hi *= 2.0
+        if hi > 1e6:
+            raise NoConvergenceError("failed to bracket the shell-ratio root")
+    lo = 0.0
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    est = 0.5 * (lo + hi)
+    return est, g(est)
+
+
+def _tree_models():
+    rng = np.random.default_rng(77)
+    models = [golden_mean_model(), cycle_model((2.0, 3.5)), full_model(3, energy=1.7)]
+    for m_size in (3, 4, 4):
+        models.append(build_model(random_matrix(rng, m_size, max_row_ones=3),
+                                  rng.uniform(1.5, 4.0, m_size)))
+    return models
+
+
+class TestWordTreeBitwise:
+    @pytest.mark.parametrize("index", range(6))
+    def test_shell_sum(self, index):
+        model = _tree_models()[index]
+        ends = (None, 0, model.m - 1)
+        for beta in (0.0, 0.73, 2.9, math.inf):
+            for n in range(8):
+                for source in ends:
+                    for target in ends:
+                        got = shell_sum(model, beta, n, source=source, target=target)
+                        want = shell_sum_reference(model, beta, n, source=source, target=target)
+                        assert got.hex() == want.hex(), (beta, n, source, target)
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_partial_series(self, index):
+        model = _tree_models()[index]
+        ends = (None, 0, model.m - 1)
+        for beta in (0.4, 1.9):
+            for L in (0, 1, 4, 7):
+                for source in ends:
+                    for target in ends:
+                        got = partial_series(model, beta, L, source=source, target=target)
+                        want = partial_series_reference(model, beta, L, source=source, target=target)
+                        assert got.hex() == want.hex(), (beta, L, source, target)
+
+    def test_abscissa_estimate(self):
+        rng = np.random.default_rng(5)
+        models = _tree_models() + [random_irreducible(rng, 5, non_permutation=True,
+                                                      energy_range=(1.5, 4.0))]
+        for model in models:
+            for L in (2, 6, 9):
+                got = abscissa_estimate(model, L)
+                want = abscissa_reference(model, L)
+                assert (got.estimate.hex(), got.residual.hex()) == (want[0].hex(), want[1].hex())
+
+    def test_small_cap_raises(self):
+        model = full_model(4)
+        calls = [
+            (lambda: shell_sum(model, 1.0, 6, cap=1000), 4 ** 6),
+            (lambda: partial_series(model, 1.0, 6, cap=1000), 4 + 16 + 64 + 256 + 1024),
+            (lambda: abscissa_estimate(model, 6, cap=1000), 4 ** 6),
+        ]
+        for call, count in calls:
+            with pytest.raises(LengthTooLargeError) as info:
+                call()
+            assert (info.value.count, info.value.cap) == (count, 1000)
