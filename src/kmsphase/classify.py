@@ -20,13 +20,12 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
-from .critical import CriticalReport, beta_c as compute_beta_c, matrix_spectral_radius
+from .critical import BISECT_TOL_DEFAULT, CriticalReport, _bisect, beta_c as compute_beta_c
 from .errors import NotIrreducibleError, ZeroColumnError
 from .invariance import invariant_state_from_fixed_point, is_subinvariant
 from .model import SystemModel, column_space, properties
-from .partition import transfer_matrix
+from .partition import matrix_spectral_radius, transfer_matrix
 from .states import QState, RootMeasure, finite_type_state, ground_state
 
 __all__ = [
@@ -86,9 +85,9 @@ def classify_ta(
     """Full KMS classification of the Toeplitz system at beta.
 
     Requires irreducibility; reducible systems only get the quotient-side
-    analysis (:func:`kms_oa`).  The critical regime is matched within the
-    bisection bracket width; for permutation-like systems (beta_c clamped
-    to 0) every finite beta is supercritical and the regime is flagged.
+    analysis (:func:`kms_oa`).  The regime comes from :meth:`CriticalReport.regime`;
+    for permutation-like systems (beta_c clamped to 0) every finite beta is
+    supercritical and the regime is flagged.
     """
     if not properties(model).irreducible:
         raise NotIrreducibleError("phase classification requires an irreducible matrix")
@@ -108,8 +107,8 @@ def classify_ta(
             permutation_like=crit.permutation_like,
         )
 
-    tol_c = max(crit.bracket_width, 1e-12)
-    if not crit.permutation_like and abs(beta - crit.beta_c) <= tol_c:
+    kind = crit.regime(beta)
+    if kind == "critical":
         state = invariant_state_from_fixed_point(
             model, crit.beta_c, crit.perron_at_critical
         )
@@ -119,7 +118,7 @@ def classify_ta(
             permutation_like=False,
         )
 
-    if beta < crit.beta_c:
+    if kind == "below":
         return PhaseRegime(
             kind="below", beta=beta, beta_critical=crit.beta_c,
             unique_state=None, extreme_states=(), simplex_dim=None,
@@ -233,7 +232,7 @@ def kms_oa(
 
 def oa_beta_scan(
     model: SystemModel,
-    bisect_tol: float = 1e-10,
+    bisect_tol: float = BISECT_TOL_DEFAULT,
     grid_points: int = 200,
 ) -> ScanReport:
     """Locate every beta carrying a KMS state on the quotient.
@@ -248,31 +247,21 @@ def oa_beta_scan(
     if not props.no_zero_column:
         col = int(np.flatnonzero(~model.matrix.any(axis=0))[0])
         raise ZeroColumnError(col)
-    ncomp, labels = connected_components(model.matrix, directed=True, connection="strong")
+    ncomp, labels = model.strong_components
 
     candidates: list[float] = []
     for comp in range(ncomp):
         idx = np.flatnonzero(labels == comp)
         sub = model.matrix[np.ix_(idx, idx)].astype(float)
-        energies = model.energies[idx]
         if not sub.any():
             continue
 
         def r_sub(b: float) -> float:
-            return matrix_spectral_radius(sub * energies[None, :] ** (-b))
+            return matrix_spectral_radius(sub * model.weights(b)[idx])
 
         if r_sub(0.0) <= 1.0 + bisect_tol:
             continue
-        hi = 1.0
-        while r_sub(hi) >= 1.0:
-            hi *= 2.0
-        lo = 0.0
-        while hi - lo > bisect_tol:
-            mid = 0.5 * (lo + hi)
-            if r_sub(mid) >= 1.0:
-                lo = mid
-            else:
-                hi = mid
+        lo, hi = _bisect(lambda b: r_sub(b) >= 1.0, bisect_tol)
         candidates.append(0.5 * (lo + hi))
 
     candidates.sort()

@@ -204,18 +204,11 @@ def _cmd_partition(args) -> int:
     if args.sweep:
         grid = _parse_range(args.sweep)
         crit = critical.beta_c(m)
-        width = max(crit.bracket_width, 1e-12)
         print("beta,spectral_radius,z_total,regime")
         for b in grid:
             rep = partition.evaluate(m, float(b), margin=args.margin)
-            if abs(b - crit.beta_c) <= width and not crit.permutation_like:
-                regime = "critical"
-            elif b < crit.beta_c:
-                regime = "below"
-            else:
-                regime = "above"
             z = "inf" if not rep.convergent else format(rep.z_total, ".17g")
-            print(f"{b:.17g},{rep.spectral_radius:.17g},{z},{regime}")
+            print(f"{b:.17g},{rep.spectral_radius:.17g},{z},{crit.regime(b)}")
         return 0
     if args.beta is None:
         raise ConfigParseError("partition needs --beta or --sweep")
@@ -317,11 +310,11 @@ def _cmd_star(args) -> int:
 
 def _cmd_oracle(args) -> int:
     m = load_model(args.model, args.model_json)
+    counts = words._shell_counts(m, args.max_length)
     print("n,count,shell_sum")
     for n in range(args.max_length + 1):
-        count = words._shell_count(m, n)
         s = words.shell_sum(m, args.beta, n, source=args.source, target=args.target, cap=args.cap)
-        print(f"{n},{count},{s:.17g}")
+        print(f"{n},{counts[n]},{s:.17g}")
     return 0
 
 

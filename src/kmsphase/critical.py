@@ -3,9 +3,12 @@
 For a finite matrix all three Dirichlet abscissas (unrestricted, fixed
 target, fixed source and target) coincide, and for irreducible A the
 common critical value beta_c is the unique root of r(beta) = 1, where
-r is the spectral radius of the transfer matrix.  r is continuous and
-strictly decreasing in beta (every energy exceeds 1 and A carries a
-cycle), so bisection is exact and derivative-free.
+r is the spectral radius of the transfer matrix (from :mod:`partition`).
+r is continuous and strictly decreasing in beta (every energy exceeds 1
+and A carries a cycle), so bisection is exact and derivative-free.  One
+uncapped bracket, :func:`_bisect`, reads every critical temperature:
+beta_c, the quotient temperatures of ``classify.oa_beta_scan`` and the
+shell-ratio root of :func:`abscissa_estimate`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from . import words
 from .errors import NoConvergenceError, NotIrreducibleError, DegenerateShellsError
 from .model import SystemModel, properties
-from .partition import transfer_matrix
+from .partition import matrix_spectral_radius, spectral_radius, transfer_matrix
 
 __all__ = [
     "CriticalReport",
@@ -32,8 +35,6 @@ __all__ = [
     "BISECT_TOL_DEFAULT",
 ]
 
-POWER_TOL_DEFAULT = 1e-12
-POWER_MAXITER_DEFAULT = 100_000
 BISECT_TOL_DEFAULT = 1e-10
 
 
@@ -58,72 +59,41 @@ class CriticalReport:
         if self.perron_at_critical is not None:
             self.perron_at_critical.setflags(write=False)
 
+    def regime(self, beta: float) -> str:
+        """"critical" within max(bracket_width, 1e-12) of beta_c, else "below" or "above"."""
+        if not self.permutation_like and abs(beta - self.beta_c) <= max(self.bracket_width, 1e-12):
+            return "critical"
+        return "below" if beta < self.beta_c else "above"
+
 
 class AbscissaEstimate(NamedTuple):
     estimate: float
     residual: float
 
 
-def _power_radius(entries: np.ndarray, tol: float, maxiter: int) -> float:
-    """Spectral radius by power iteration from the all-ones vector.
+def _bisect(above, tol: float) -> tuple[float, float]:
+    """Bracket [lo, hi] of the beta where a decreasing predicate turns false.
 
-    Raises NoConvergenceError when the Rayleigh drift stalls (imprimitive
-    matrices make the iterates oscillate) or the iteration budget is spent.
-    The stall check compares drift across windows so oscillating inputs
-    fail fast instead of burning the full budget.
+    ``above`` holds at 0 (the caller checks).  hi doubles from 1 while
+    ``above(hi)``, raising NoConvergenceError only if it overflows; then
+    the bracket is halved while wider than ``tol`` and while its midpoint
+    still splits it (far out, one ulp of beta can exceed ``tol``).
     """
-    m = entries.shape[0]
-    v = np.ones(m)
-    lam = 0.0
-    window = 100
-    prev_window_drift = math.inf
-    window_drift = math.inf
-    for it in range(1, maxiter + 1):
-        w = entries @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        w /= norm
-        drift = abs(norm - lam)
-        lam = norm
-        v = w
-        window_drift = min(window_drift, drift)
-        if drift <= tol * max(1.0, lam):
-            return lam
-        if it % window == 0:
-            if it >= 2 * window and window_drift > 0.5 * prev_window_drift:
-                raise NoConvergenceError("power iteration stalled")
-            prev_window_drift = window_drift
-            window_drift = math.inf
-    raise NoConvergenceError("power iteration did not converge")
-
-
-def matrix_spectral_radius(
-    entries: np.ndarray,
-    tol: float = POWER_TOL_DEFAULT,
-    maxiter: int = POWER_MAXITER_DEFAULT,
-) -> float:
-    """Spectral radius of a raw nonnegative matrix.
-
-    Power iteration first; on stall (e.g. a 2-cycle, where the iteration
-    oscillates) fall back to the full eigenvalue computation.
-    """
-    if not entries.any():
-        return 0.0
-    try:
-        return _power_radius(entries, tol, maxiter)
-    except NoConvergenceError:
-        return float(np.abs(np.linalg.eigvals(entries)).max())
-
-
-def spectral_radius(
-    model: SystemModel,
-    beta: float,
-    tol: float = POWER_TOL_DEFAULT,
-    maxiter: int = POWER_MAXITER_DEFAULT,
-) -> float:
-    """Dominant-eigenvalue modulus of the transfer matrix at beta."""
-    return matrix_spectral_radius(transfer_matrix(model, beta).entries, tol, maxiter)
+    hi = 1.0
+    while above(hi):
+        hi *= 2.0
+        if math.isinf(hi):
+            raise NoConvergenceError("failed to bracket the root")
+    lo = 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def beta_c(
@@ -142,18 +112,7 @@ def beta_c(
             beta_c=0.0, interval_open_at_left=True, coincide=True,
             perron_at_critical=None, permutation_like=True, bracket_width=0.0,
         )
-    hi = 1.0
-    while spectral_radius(model, hi) >= 1.0:
-        hi *= 2.0
-        if hi > 1e6:
-            raise NoConvergenceError("failed to bracket the critical temperature")
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if spectral_radius(model, mid) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda b: spectral_radius(model, b) >= 1.0, tol)
     bc = 0.5 * (lo + hi)
 
     perron = None
@@ -191,18 +150,7 @@ def abscissa_estimate(
 
     if g(0.0) <= 0.0:
         return AbscissaEstimate(estimate=0.0, residual=g(0.0))
-    hi = 1.0
-    while g(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e6:
-            raise NoConvergenceError("failed to bracket the shell-ratio root")
-    lo = 0.0
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda b: g(b) > 0.0, BISECT_TOL_DEFAULT)
     est = 0.5 * (lo + hi)
     return AbscissaEstimate(estimate=est, residual=g(est))
 

@@ -42,7 +42,8 @@ class SystemModel:
     Generators are the integer indices 0..m-1; external labels, when given,
     are carried along purely for reporting.  The column space and the
     structural properties never change for a frozen model, so each is built
-    on first use and kept (see :func:`column_space`, :func:`properties`).
+    on first use and kept (see :func:`column_space`, :func:`properties` and
+    :attr:`strong_components`).
     """
 
     matrix: np.ndarray          # (m, m) int8, entries 0/1, no zero row
@@ -68,9 +69,16 @@ class SystemModel:
         return self.energies ** (-beta)
 
     @cached_property
+    def strong_components(self) -> tuple[int, np.ndarray]:
+        """Strongly connected components: their number and a read-only label per generator."""
+        ncomp, labels = connected_components(self.matrix, directed=True, connection="strong")
+        labels.setflags(write=False)
+        return ncomp, labels
+
+    @cached_property
     def _properties(self) -> "PropertyReport":
         a = self.matrix
-        ncomp, _ = connected_components(a, directed=True, connection="strong")
+        ncomp, _ = self.strong_components
         irreducible = ncomp == 1
         no_zero_column = bool(a.any(axis=0).all())
 

@@ -5,7 +5,8 @@ fixed-source-and-target series Z_xy(beta) equals N(x)^-beta times the
 (x, y) entry of the Neumann sum of M, so a single linear solve against
 I - M evaluates every partition function at once.  The solve is only
 meaningful when the spectral radius of M is below 1; divergence is decided
-by the spectral radius, never by whether the solve happens to succeed.
+by the spectral radius (computed here, by power iteration), never by
+whether the solve happens to succeed.
 """
 
 from __future__ import annotations
@@ -16,12 +17,15 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import NoConvergenceError
 from .model import SystemModel, ColumnSpace, column_space
 
 __all__ = [
     "TransferMatrix",
     "PartitionReport",
     "transfer_matrix",
+    "matrix_spectral_radius",
+    "spectral_radius",
     "evaluate",
     "z_gamma",
     "restricted_fixed_target",
@@ -31,6 +35,8 @@ __all__ = [
 ]
 
 CONVERGENCE_MARGIN_DEFAULT = 1e-9
+POWER_TOL_DEFAULT = 1e-12
+POWER_MAXITER_DEFAULT = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,6 +78,68 @@ def transfer_matrix(model: SystemModel, beta: float) -> TransferMatrix:
     return TransferMatrix(beta=float(beta), entries=model.matrix * model.weights(beta))
 
 
+def _power_radius(entries: np.ndarray, tol: float, maxiter: int) -> float:
+    """Spectral radius by power iteration from the all-ones vector.
+
+    Raises NoConvergenceError when the Rayleigh drift stalls (imprimitive
+    matrices make the iterates oscillate) or the iteration budget is spent.
+    The stall check compares drift across windows so oscillating inputs
+    fail fast instead of burning the full budget.
+    """
+    m = entries.shape[0]
+    v = np.ones(m)
+    lam = 0.0
+    window = 100
+    prev_window_drift = math.inf
+    window_drift = math.inf
+    for it in range(1, maxiter + 1):
+        w = entries @ v
+        norm = float(np.linalg.norm(w))
+        if norm == 0.0:
+            return 0.0
+        w /= norm
+        drift = abs(norm - lam)
+        lam = norm
+        v = w
+        window_drift = min(window_drift, drift)
+        if drift <= tol * max(1.0, lam):
+            return lam
+        if it % window == 0:
+            if it >= 2 * window and window_drift > 0.5 * prev_window_drift:
+                raise NoConvergenceError("power iteration stalled")
+            prev_window_drift = window_drift
+            window_drift = math.inf
+    raise NoConvergenceError("power iteration did not converge")
+
+
+def matrix_spectral_radius(
+    entries: np.ndarray,
+    tol: float = POWER_TOL_DEFAULT,
+    maxiter: int = POWER_MAXITER_DEFAULT,
+) -> float:
+    """Spectral radius of a raw nonnegative matrix.
+
+    Power iteration first; on stall (e.g. a 2-cycle, where the iteration
+    oscillates) fall back to the full eigenvalue computation.
+    """
+    if not entries.any():
+        return 0.0
+    try:
+        return _power_radius(entries, tol, maxiter)
+    except NoConvergenceError:
+        return float(np.abs(np.linalg.eigvals(entries)).max())
+
+
+def spectral_radius(
+    model: SystemModel,
+    beta: float,
+    tol: float = POWER_TOL_DEFAULT,
+    maxiter: int = POWER_MAXITER_DEFAULT,
+) -> float:
+    """Dominant-eigenvalue modulus of the transfer matrix at beta."""
+    return matrix_spectral_radius(transfer_matrix(model, beta).entries, tol, maxiter)
+
+
 def evaluate(
     model: SystemModel,
     beta: float,
@@ -83,8 +151,6 @@ def evaluate(
     r < 1 - margin; values with 1 - margin <= r < 1 are still computed but
     flagged ``near_critical``.
     """
-    from .critical import spectral_radius  # deferred: critical builds on this module
-
     if not (beta > 0):
         raise ValueError("partition functions are defined for beta > 0 or beta = +inf")
     if math.isinf(beta):
@@ -94,17 +160,17 @@ def evaluate(
             z_y=np.zeros(m), z_xy=np.zeros((m, m)),
             near_critical=False, condition_estimate=1.0,
         )
-    r = spectral_radius(model, beta)
+    nw = model.weights(beta)
+    tm = model.matrix * nw               # the transfer matrix, from the same weights
+    r = matrix_spectral_radius(tm)
     if r >= 1.0:
         return PartitionReport(
             beta=beta, spectral_radius=r, convergent=False, z_total=math.inf,
             z_y=None, z_xy=None, near_critical=False, condition_estimate=None,
         )
 
-    tm = transfer_matrix(model, beta).entries
     lhs = np.eye(model.m) - tm
     resolvent = np.linalg.solve(lhs, np.eye(model.m))
-    nw = model.weights(beta)
     z_xy = nw[:, None] * resolvent
     z_y = z_xy.sum(axis=0)
     z_total = 1.0 + float(z_y.sum())
@@ -145,8 +211,6 @@ def _restricted_resolvent(model: SystemModel, beta: float, u_key: bytes) -> np.n
     their targets share ancestors, so each column point costs a slice, not
     a solve.  The spectral radius still decides convergence once per key.
     """
-    from .critical import matrix_spectral_radius  # deferred: critical builds on this module
-
     u = np.frombuffer(u_key, dtype=np.intp)
     sub = transfer_matrix(model, beta).entries[np.ix_(u, u)]
     if matrix_spectral_radius(sub) >= 1.0:

@@ -152,12 +152,9 @@ def build_star(
         if family != "default":
             raise ValueError(f"unknown family {family!r}")
         if drop is None:
-            for d in range(_MAX_AUTO_DROP + 1):
-                try:
-                    return build_star("default", drop=d, head_count=head_count)
-                except (EnergyBelowTwoError, ConditionDaggerFailsError):
-                    continue
-            raise ConditionDaggerFailsError(None)
+            drop = _minimal_default_drop(head_count)
+            if drop is None:
+                raise ConditionDaggerFailsError(None)
         raw = np.arange(drop + 1, drop + head_count + 1, dtype=float)
         head = _default_term(raw)
         if head[0] < 2.0:

@@ -1,13 +1,15 @@
 """The traced benchmark paths stay runnable.
 
-The smoke configurations of the phase-diagram and certify workloads run
-every job with tracing on.  A run fails if a traced layer records no call,
-so this also guards the call structure the per-layer metrics read:
-`classify_ta` building each extreme state through `finite_type_state`,
-which goes through `restricted_fixed_pairs`; and, on certify,
-`words.shell_sum` (reached through the `oracle` subcommand, since
-`abscissa_estimate` replays its own word tree), `is_subinvariant`,
-`abscissa_estimate`, `decompose` and `cooling`.
+The smoke configurations of the three workloads run every job with
+tracing on.  A run fails if a traced layer records no call, so this also
+guards the call structure the per-layer metrics read: `classify_ta`
+building each extreme state through `finite_type_state`, which goes
+through `restricted_fixed_pairs`; on temperatures, `beta_c` and
+`oa_beta_scan` reaching `matrix_spectral_radius` (defined in `partition`,
+re-exported by `critical`), plus `kms_oa`, `build_star` and
+`truncated_model`; and, on certify, `words.shell_sum` (reached through the
+`oracle` subcommand, since `abscissa_estimate` replays its own word tree),
+`is_subinvariant`, `abscissa_estimate`, `decompose` and `cooling`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ def _traced_smoke(workload: str) -> None:
 
 def test_traced_phase_diagram_smoke():
     _traced_smoke("phase_diagram")
+
+
+def test_traced_temperatures_smoke():
+    _traced_smoke("temperatures")
 
 
 def test_traced_certify_smoke():

@@ -101,6 +101,23 @@ class TestProperties:
             )
             assert properties(model).irreducible == brute
 
+    def test_strong_components_cached_read_only_and_exact(self):
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            mm = int(rng.integers(1, 9))
+            a = random_matrix(rng, mm)
+            model = build_model(a, [2.0] * mm)
+            ncomp, labels = model.strong_components
+            assert model.strong_components is model.strong_components
+            assert not labels.flags.writeable
+            assert properties(model).irreducible == (ncomp == 1)
+            adj = a.astype(bool)
+            reach = np.eye(mm, dtype=bool) | adj
+            for _ in range(mm):
+                reach = reach | (reach @ adj)
+            assert np.array_equal(labels[:, None] == labels[None, :], reach & reach.T)
+            assert len(set(labels.tolist())) == ncomp
+
 
 def _mutual(a, m):
     """Strong connectivity by explicit path search."""
