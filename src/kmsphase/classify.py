@@ -21,11 +21,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .critical import BISECT_TOL_DEFAULT, CriticalReport, _bisect, beta_c as compute_beta_c
+from .critical import BISECT_TOL_DEFAULT, CriticalReport, beta_c as compute_beta_c
 from .errors import NotIrreducibleError, ZeroColumnError
 from .invariance import invariant_state_from_fixed_point, is_subinvariant
 from .model import SystemModel, column_space, properties
-from .partition import matrix_spectral_radius, transfer_matrix
+from .partition import class_roots, transfer_matrix
 from .states import QState, RootMeasure, finite_type_state, ground_state
 
 __all__ = [
@@ -42,6 +42,9 @@ __all__ = [
 EIG_ONE_TOL_DEFAULT = 1e-8
 NULLSPACE_RTOL_DEFAULT = 1e-9
 MAX_FIXED_MULTIPLICITY = 4
+# Grid matrices per batched eigvals call: bounds a class's (batch, k, k)
+# stack to 2^20 entries.
+GRID_BATCH_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -239,32 +242,20 @@ def oa_beta_scan(
 
     Candidates are the roots of r_C(beta) = 1 over the strongly connected
     components C (a nonnegative fixed vector must be supported on a
-    component at criticality); each candidate is then verified by
-    :func:`kms_oa`.  A residual grid scan flags any eigenvalue-1 sighting
-    away from the candidates.
+    component at criticality), read from :func:`partition.class_roots`;
+    each candidate is then verified by :func:`kms_oa`.  A residual grid
+    scan flags any eigenvalue-1 sighting away from the candidates.  M is
+    block-triangular in the components, so its spectrum is the union of
+    theirs: the grid takes the eigenvalues of each component's stack of
+    grid matrices at once.
     """
     props = properties(model)
     if not props.no_zero_column:
         col = int(np.flatnonzero(~model.matrix.any(axis=0))[0])
         raise ZeroColumnError(col)
-    ncomp, labels = model.strong_components
+    roots = class_roots(model, bisect_tol)
 
-    candidates: list[float] = []
-    for comp in range(ncomp):
-        idx = np.flatnonzero(labels == comp)
-        sub = model.matrix[np.ix_(idx, idx)].astype(float)
-        if not sub.any():
-            continue
-
-        def r_sub(b: float) -> float:
-            return matrix_spectral_radius(sub * model.weights(b)[idx])
-
-        if r_sub(0.0) <= 1.0 + bisect_tol:
-            continue
-        lo, hi = _bisect(lambda b: r_sub(b) >= 1.0, bisect_tol)
-        candidates.append(0.5 * (lo + hi))
-
-    candidates.sort()
+    candidates = sorted(c.beta for c in roots if c.beta is not None)
     deduped: list[float] = []
     for b in candidates:
         if not deduped or abs(b - deduped[-1]) > 1e-9:
@@ -277,12 +268,22 @@ def oa_beta_scan(
     flags: list[float] = []
     if deduped:
         grid = np.linspace(1e-3, 1.25 * max(deduped) + 1.0, grid_points)
-        for b in grid:
-            entries = transfer_matrix(model, float(b)).entries
-            vals = np.linalg.eigvals(entries)
-            if np.abs(vals - 1.0).min() < EIG_ONE_TOL_DEFAULT:
-                if all(abs(b - c) > 1e-6 for c in deduped):
-                    flags.append(float(b))
+        near_one = np.zeros(grid_points, dtype=bool)
+        for root in roots:
+            idx = root.generators
+            sub = model.matrix[np.ix_(idx, idx)]
+            if not sub.any():
+                continue
+            weights = model.energies[idx][None, :] ** -grid[:, None]    # (grid, k)
+            batch = max(1, GRID_BATCH_ENTRIES // len(idx) ** 2)
+            for start in range(0, grid_points, batch):
+                stack = sub[None, :, :] * weights[start:start + batch, None, :]
+                vals = np.linalg.eigvals(stack)
+                near_one[start:start + batch] |= np.abs(vals - 1.0).min(axis=1) < EIG_ONE_TOL_DEFAULT
+        flags = [
+            float(b) for b, hit in zip(grid, near_one)
+            if hit and all(abs(b - c) > 1e-6 for c in deduped)
+        ]
     return ScanReport(simplices=simplices, grid_flags=tuple(flags))
 
 

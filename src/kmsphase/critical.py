@@ -4,11 +4,26 @@ For a finite matrix all three Dirichlet abscissas (unrestricted, fixed
 target, fixed source and target) coincide, and for irreducible A the
 common critical value beta_c is the unique root of r(beta) = 1, where
 r is the spectral radius of the transfer matrix (from :mod:`partition`).
-r is continuous and strictly decreasing in beta (every energy exceeds 1
-and A carries a cycle), so bisection is exact and derivative-free.  One
-uncapped bracket, :func:`_bisect`, reads every critical temperature:
-beta_c, the quotient temperatures of ``classify.oa_beta_scan`` and the
-shell-ratio root of :func:`abscissa_estimate`.
+For reducible A, r is the largest radius of a strong class, so beta_c is
+the largest of the class roots.
+
+Each class root is found once per model by Newton on
+f(beta) = log r_C(beta) (:func:`partition.class_roots`).  Every entry of
+the transfer matrix is log-linear in beta, so f is convex (Kingman, "A
+convexity property of positive matrices", 1961): Newton started at
+beta = 0, whose first step reaches at least the certified left end
+log r(A_CC) / log N_max, climbs monotonically and converges
+quadratically, in about five radius evaluations.  The Collatz-Wielandt
+bounds min(Mv/v) <= r <= max(Mv/v) at the last iterate (Seneta,
+*Non-negative Matrices and Markov Chains*, ch. 1), with r scaling by at
+most N_min^-t when beta moves by t, enclose the root in a certified
+[lo, hi]; ``bracket_width`` reports hi - lo, and Newton stops once it is
+below ``BISECT_TOL_DEFAULT`` (the name kept from the bisection it
+replaced) or at the rounding floor of the radius.
+
+:func:`_bisect` remains only for the shell-ratio root of
+:func:`abscissa_estimate`, whose function is enumerative and has no
+derivative at hand.
 """
 
 from __future__ import annotations
@@ -22,7 +37,15 @@ import numpy as np
 from . import words
 from .errors import NoConvergenceError, NotIrreducibleError, DegenerateShellsError
 from .model import SystemModel, properties
-from .partition import matrix_spectral_radius, spectral_radius, transfer_matrix
+from .partition import (
+    BISECT_TOL_DEFAULT,
+    PerronPair,
+    class_roots,
+    matrix_spectral_radius,
+    perron_pair,
+    spectral_radius,
+    transfer_matrix,
+)
 
 __all__ = [
     "CriticalReport",
@@ -34,8 +57,6 @@ __all__ = [
     "perron_vector",
     "BISECT_TOL_DEFAULT",
 ]
-
-BISECT_TOL_DEFAULT = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,16 +96,17 @@ def _bisect(above, tol: float) -> tuple[float, float]:
     """Bracket [lo, hi] of the beta where a decreasing predicate turns false.
 
     ``above`` holds at 0 (the caller checks).  hi doubles from 1 while
-    ``above(hi)``, raising NoConvergenceError only if it overflows; then
-    the bracket is halved while wider than ``tol`` and while its midpoint
-    still splits it (far out, one ulp of beta can exceed ``tol``).
+    ``above(hi)``, raising NoConvergenceError only if it overflows; the
+    last doubling found ``above(hi / 2)``, so bisection starts from
+    [hi / 2, hi] and halves it while wider than ``tol`` and while its
+    midpoint still splits it (far out, one ulp of beta can exceed ``tol``).
     """
     hi = 1.0
     while above(hi):
         hi *= 2.0
         if math.isinf(hi):
             raise NoConvergenceError("failed to bracket the root")
-    lo = 0.0
+    lo = 0.5 * hi if hi > 1.0 else 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -100,26 +122,29 @@ def beta_c(
     model: SystemModel,
     tol: float = BISECT_TOL_DEFAULT,
 ) -> CriticalReport:
-    """Locate the critical inverse temperature by bisection on r(beta) = 1.
+    """The critical inverse temperature: the largest certified class root.
 
     r(0) >= 1 always (row sums of A are at least 1) and r decreases to 0,
-    so a bracket always exists.  When r(0) is already ~1 the system is
-    permutation-like: beta_c is clamped to 0 and flagged.
+    so a root always exists.  When r(0) is already ~1 the system is
+    permutation-like: beta_c is clamped to 0 and flagged.  The reported
+    bracket is [max lo, max hi] over the classes, and ``tol`` bounds the
+    last Newton step.
     """
-    r0 = spectral_radius(model, 0.0)
-    if r0 <= 1.0 + tol:
+    roots = [c for c in class_roots(model, tol) if c.beta is not None]
+    if spectral_radius(model, 0.0) <= 1.0 + tol or not roots:
         return CriticalReport(
             beta_c=0.0, interval_open_at_left=True, coincide=True,
             perron_at_critical=None, permutation_like=True, bracket_width=0.0,
         )
-    lo, hi = _bisect(lambda b: spectral_radius(model, b) >= 1.0, tol)
-    bc = 0.5 * (lo + hi)
+    top = max(roots, key=lambda c: c.beta)
+    lo = max(c.lo for c in roots)
+    hi = max(c.hi for c in roots)
 
     perron = None
     if properties(model).irreducible:
-        perron = perron_vector(model, bc)
+        perron = perron_vector(model, top.beta, start=top.pair)
     return CriticalReport(
-        beta_c=bc, interval_open_at_left=True, coincide=True,
+        beta_c=top.beta, interval_open_at_left=True, coincide=True,
         perron_at_critical=perron, permutation_like=False, bracket_width=hi - lo,
     )
 
@@ -155,38 +180,15 @@ def abscissa_estimate(
     return AbscissaEstimate(estimate=est, residual=g(est))
 
 
-def perron_vector(model: SystemModel, beta: float) -> np.ndarray:
+def perron_vector(model: SystemModel, beta: float, start: PerronPair | None = None) -> np.ndarray:
     """Strictly positive dominant eigenvector of the transfer matrix.
 
     Normalized so that sum_x N(x)^-beta v_x = 1 (the normalization carried
     by critical KMS states); requires an irreducible matrix, which makes the
-    vector unique and strictly positive.
+    vector unique and strictly positive.  ``start`` warm-starts the Perron
+    pair (see :func:`partition.perron_pair`).
     """
     if not properties(model).irreducible:
         raise NotIrreducibleError("the Perron vector needs an irreducible matrix")
-    entries = transfer_matrix(model, beta).entries
-    vals, vecs = np.linalg.eig(entries)
-    r = float(np.abs(vals).max())
-    # The dominant eigenvalue of an irreducible nonnegative matrix is real
-    # and simple; pick it among the peripheral eigenvalues.
-    candidates = [
-        i for i in range(len(vals))
-        if abs(abs(vals[i]) - r) <= 1e-9 * max(r, 1.0) and abs(vals[i].imag) <= 1e-9 * max(r, 1.0)
-    ]
-    if not candidates:
-        raise NoConvergenceError("no real peripheral eigenvalue found")
-    i = candidates[int(np.argmax([vals[i].real for i in candidates]))]
-    v = vecs[:, i].real
-    if v.sum() < 0:
-        v = -v
-    if v.min() < -1e-9 * abs(v).max():
-        raise NoConvergenceError("dominant eigenvector is not sign-definite")
-    v = np.clip(v, 0.0, None)
-    scale = float(model.weights(beta) @ v)
-    if scale <= 0:
-        raise NoConvergenceError("degenerate eigenvector normalization")
-    v = v / scale
-    residual = np.abs(entries @ v - r * v).max() / max(abs(v).max(), 1.0)
-    if residual > 1e-8:
-        raise NoConvergenceError(f"eigenvector residual {residual} too large")
-    return v
+    pair = perron_pair(transfer_matrix(model, beta).entries, start)
+    return pair.v / float(model.weights(beta) @ pair.v)

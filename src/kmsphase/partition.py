@@ -7,6 +7,13 @@ I - M evaluates every partition function at once.  The solve is only
 meaningful when the spectral radius of M is below 1; divergence is decided
 by the spectral radius (computed here, by power iteration), never by
 whether the solve happens to succeed.
+
+M is block-triangular in the strong classes C of A, so r(beta) is the
+largest class radius r_C(beta) = r(M_CC).  :func:`class_roots` keeps, per
+model, each class's root of r_C(beta) = 1 with a certified enclosure
+[lo, hi] (Newton on log r_C, see :func:`_class_root`).  A series
+restricted to an ancestor set is convergent when beta lies above hi for
+every class in the set; inside an enclosure it counts as divergent.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,20 +31,43 @@ from .model import SystemModel, ColumnSpace, column_space
 __all__ = [
     "TransferMatrix",
     "PartitionReport",
+    "PerronPair",
+    "ClassRoot",
     "transfer_matrix",
     "matrix_spectral_radius",
     "spectral_radius",
+    "perron_pair",
+    "class_roots",
     "evaluate",
     "z_gamma",
     "restricted_fixed_target",
     "restricted_fixed_pairs",
     "geometric_bound",
     "CONVERGENCE_MARGIN_DEFAULT",
+    "BISECT_TOL_DEFAULT",
 ]
 
 CONVERGENCE_MARGIN_DEFAULT = 1e-9
 POWER_TOL_DEFAULT = 1e-12
 POWER_MAXITER_DEFAULT = 100_000
+# Newton stops once its certified enclosure of a root is narrower than this;
+# the name is kept from the bisection it replaced (printed as
+# ``settings.bisect_tol``).
+BISECT_TOL_DEFAULT = 1e-10
+# The power iterations take the Collatz-Wielandt bounds every CHECK_STEPS
+# steps (the Perron pair stretches that interval, up to MAX_BLOCK, to the
+# contraction it has seen) and take the gap to be rounding once
+# STAGNATION_CHECKS checks in a row have not shrunk it.
+CHECK_STEPS = 4
+STAGNATION_CHECKS = 3
+MAX_BLOCK = 32
+# Newton on log r computes the Perron pair to a relative gap of
+# INEXACT_FACTOR * f^2, f being the previous iterate's log r, until that
+# falls below POWER_TOL_DEFAULT (see :func:`_class_root`).
+INEXACT_FACTOR = 1e-1
+# Power steps a restricted series spends looking for a Collatz-Wielandt bound
+# below 1 before it reads the class roots (see :func:`_certified_below_one`).
+QUICK_STEPS = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,37 +109,52 @@ def transfer_matrix(model: SystemModel, beta: float) -> TransferMatrix:
     return TransferMatrix(beta=float(beta), entries=model.matrix * model.weights(beta))
 
 
-def _power_radius(entries: np.ndarray, tol: float, maxiter: int) -> float:
-    """Spectral radius by power iteration from the all-ones vector.
+def _power_radius(entries: np.ndarray, shift: float, tol: float, maxiter: int) -> float:
+    """Spectral radius by power iteration on shift * I + M from the all-ones vector.
 
-    Raises NoConvergenceError when the Rayleigh drift stalls (imprimitive
-    matrices make the iterates oscillate) or the iteration budget is spent.
-    The stall check compares drift across windows so oscillating inputs
-    fail fast instead of burning the full budget.
+    Returns the Collatz-Wielandt bound max(Mv/v), which is at least r for
+    every positive v and never grows under the iteration, once min(Mv/v)
+    meets it within ``tol``.  With a shift the bound decreases to r, so
+    when the gap stops shrinking for ``STAGNATION_CHECKS`` checks (rounding,
+    or a reducible M whose lower bound stays below r) the bound is
+    returned.  Without one, a gap that stops shrinking may be a periodic
+    class oscillating, so NoConvergenceError is raised; it is raised too
+    when the bound's decrease stalls (tied top classes of a reducible M,
+    compared across windows of checks so such inputs fail fast) or the
+    budget is spent.  The bounds are taken every ``CHECK_STEPS`` steps.
     """
-    m = entries.shape[0]
-    v = np.ones(m)
-    lam = 0.0
-    window = 100
+    v = np.ones(entries.shape[0])
+    best_gap, best_upper, stale = math.inf, math.inf, 0
+    window = 25      # checks, CHECK_STEPS steps apart
     prev_window_drift = math.inf
     window_drift = math.inf
-    for it in range(1, maxiter + 1):
-        w = entries @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        w /= norm
-        drift = abs(norm - lam)
-        lam = norm
-        v = w
-        window_drift = min(window_drift, drift)
-        if drift <= tol * max(1.0, lam):
-            return lam
-        if it % window == 0:
-            if it >= 2 * window and window_drift > 0.5 * prev_window_drift:
+    for check in range(1, maxiter // CHECK_STEPS + 2):
+        mv = entries @ v
+        ratios = mv / v
+        upper = float(ratios.max())
+        gap = upper - float(ratios.min())
+        if gap <= tol * upper:
+            return upper
+        if upper < best_upper:
+            window_drift = min(window_drift, best_upper - upper)
+            best_upper = upper
+        if gap < best_gap:
+            best_gap, stale = gap, 0
+        else:
+            stale += 1
+            if stale >= STAGNATION_CHECKS:
+                if shift:
+                    return best_upper
+                raise NoConvergenceError("power iteration oscillates")
+        if check % window == 0:
+            if check >= 2 * window and window_drift > 0.5 * prev_window_drift:
                 raise NoConvergenceError("power iteration stalled")
             prev_window_drift = window_drift
             window_drift = math.inf
+        v = mv + shift * v
+        for _ in range(CHECK_STEPS - 1):
+            v = entries @ v + shift * v
+        v /= v.max()
     raise NoConvergenceError("power iteration did not converge")
 
 
@@ -119,15 +165,90 @@ def matrix_spectral_radius(
 ) -> float:
     """Spectral radius of a raw nonnegative matrix.
 
-    Power iteration first; on stall (e.g. a 2-cycle, where the iteration
-    oscillates) fall back to the full eigenvalue computation.
+    Power iteration first.  When a periodic class makes it oscillate,
+    iterate on I + M instead, which makes every irreducible class
+    primitive; only if that stalls too (tied top classes of a reducible
+    matrix) fall back to the full eigenvalue computation.  The value is a
+    Collatz-Wielandt upper bound on r, within ``tol`` of it.
     """
     if not entries.any():
         return 0.0
-    try:
-        return _power_radius(entries, tol, maxiter)
-    except NoConvergenceError:
-        return float(np.abs(np.linalg.eigvals(entries)).max())
+    for shift in (0.0, 1.0):
+        try:
+            return _power_radius(entries, shift, tol, maxiter)
+        except NoConvergenceError:
+            pass
+    return float(np.abs(np.linalg.eigvals(entries)).max())
+
+
+class PerronPair(NamedTuple):
+    """Perron root of an irreducible nonnegative matrix M with its certificate.
+
+    ``v`` and ``u`` are the right and left Perron vectors, strictly positive
+    with largest entry 1.  ``lower`` and ``upper`` are the Collatz-Wielandt
+    bounds min(Mv/v) <= r <= max(Mv/v), valid for every positive v (up to
+    the rounding of one product); ``r`` is the two-sided Rayleigh quotient
+    u'Mv / u'v clipped into them.
+    """
+
+    r: float
+    v: np.ndarray
+    u: np.ndarray
+    lower: float
+    upper: float
+
+
+def perron_pair(
+    entries: np.ndarray,
+    start: PerronPair | None = None,
+    tol: float = POWER_TOL_DEFAULT,
+    maxiter: int = POWER_MAXITER_DEFAULT,
+) -> PerronPair:
+    """Perron root and vectors of an irreducible nonnegative matrix M.
+
+    Power iteration on I + M, which is primitive whenever M is irreducible,
+    so it converges whatever the period of M and needs no fallback; both
+    vectors start from ``start`` (all ones by default).  In exact arithmetic
+    the Collatz-Wielandt bounds tighten monotonically under the iteration.
+    At each check it stops if the right and left gaps are both within
+    ``tol`` of r, or if the larger gap has not shrunk for
+    ``STAGNATION_CHECKS`` checks: what is left then is rounding.  Otherwise
+    it runs as many steps as the contraction since the last check says
+    the gap needs to reach ``tol`` (``CHECK_STEPS`` at first and after a
+    check that did not shrink it, at most ``MAX_BLOCK``).
+    """
+    m = entries.shape[0]
+    v = np.ones(m) if start is None else start.v
+    u = np.ones(m) if start is None else start.u
+    best, stale, block, steps = math.inf, 0, CHECK_STEPS, 0
+    while steps < maxiter:
+        mv, um = entries @ v, u @ entries
+        ratios, left = mv / v, um / u
+        lower, upper = float(ratios.min()), float(ratios.max())
+        gap = max(upper - lower, float(left.max() - left.min()))
+        if gap <= tol * upper:
+            break
+        if gap < best:
+            if best < math.inf:
+                # as many steps as the last block's contraction needs to reach tol
+                needed = block * math.log(tol * upper / gap) / math.log(gap / best)
+                block = min(MAX_BLOCK, max(1, math.ceil(needed)))
+            best, stale = gap, 0
+        else:
+            stale, block = stale + 1, CHECK_STEPS
+            if stale >= STAGNATION_CHECKS:
+                break
+        v, u = mv + v, um + u
+        for _ in range(block - 1):
+            v += entries @ v
+            u += u @ entries
+        v /= v.max()
+        u /= u.max()
+        steps += block
+    else:
+        raise NoConvergenceError("Perron pair did not converge")
+    r = float(u @ mv) / float(u @ v)
+    return PerronPair(min(max(r, lower), upper), v, u, lower, upper)
 
 
 def spectral_radius(
@@ -138,6 +259,88 @@ def spectral_radius(
 ) -> float:
     """Dominant-eigenvalue modulus of the transfer matrix at beta."""
     return matrix_spectral_radius(transfer_matrix(model, beta).entries, tol, maxiter)
+
+
+@dataclass(frozen=True, eq=False)
+class ClassRoot:
+    """The root of r_C(beta) = 1 for one strong class C, with its enclosure.
+
+    ``beta`` is None when a Collatz-Wielandt bound shows r(A_CC) <= 1 + tol
+    (a single cycle, or a letter with no loop): then r_C(beta) < 1 for
+    every beta > hi, hi being ~0.
+    Otherwise the root lies in [lo, hi] and r_C(beta) < 1 for every
+    beta > hi.  ``pair`` is the Perron pair at the last Newton iterate, a
+    warm start for the vectors at ``beta``.
+    """
+
+    generators: np.ndarray
+    beta: float | None
+    lo: float
+    hi: float
+    pair: PerronPair | None
+
+
+def _class_root(model: SystemModel, idx: np.ndarray, tol: float) -> ClassRoot:
+    """Newton on f(beta) = log r_C(beta) for the class on generators ``idx``.
+
+    Every entry of M_CC is log-linear in beta, so f is convex (Kingman,
+    "A convexity property of positive matrices", 1961) and Newton started
+    left of the root climbs to it monotonically.  It starts at beta = 0;
+    the slope there is at least -log N_max, so the first step already
+    reaches the certified left end log r(A_CC) / log N_max.  The slope is
+    f' = -u'(M diag log N)v / (r u'v) from the Perron pair.  Far from the
+    root the pair is computed only as accurately as the step needs
+    (inexact Newton, ``INEXACT_FACTOR``).  Newton stops, on a pair of full
+    accuracy, once the enclosure below is narrower than ``tol`` (so the
+    step, which stays inside it, is too) or than twice the spread of the
+    radius's own certificate (energies near 1 make log r flat, so its
+    rounding moves beta by more than ``tol``).
+
+    The enclosure comes from the Collatz-Wielandt bounds lower <= r <=
+    upper at the last iterate beta: M_CC(beta + t) <= M_CC(beta) N_min^-t
+    entrywise, so r_C(beta + t) <= upper N_min^-t, and likewise from below,
+    which gives lo = beta - max(0, -log lower) / log N_min and
+    hi = beta + max(0, log upper) / log N_min, padded for the rounding of
+    the products behind the bounds.
+    """
+    sub = model.matrix[np.ix_(idx, idx)].astype(float)
+    if not sub.any():
+        return ClassRoot(idx, None, 0.0, 0.0, None)
+    log_n = np.log(model.energies[idx])
+    log_min = float(log_n.min())
+    pad = (len(idx) + 3) * np.finfo(float).eps
+    beta, pair, f = 0.0, None, math.inf
+    while True:
+        entries = sub * model.weights(beta)[idx]
+        pair_tol = max(POWER_TOL_DEFAULT, min(INEXACT_FACTOR, INEXACT_FACTOR * f * f))
+        pair = perron_pair(entries, pair, pair_tol)
+        # the lower bound is 0 only when weights underflow far out
+        low = math.log(pair.lower * (1.0 - pad)) if pair.lower > 0.0 else -math.inf
+        high = math.log(pair.upper * (1.0 + pad))
+        if beta == 0.0 and pair.upper <= 1.0 + tol:
+            return ClassRoot(idx, None, 0.0, float(np.nextafter(max(0.0, high) / log_min, math.inf)), None)
+        f = math.log(pair.r)
+        slope = -float(pair.u @ (entries @ (log_n * pair.v))) / (pair.r * float(pair.u @ pair.v))
+        step = -f / slope
+        lo = float(np.nextafter(beta - max(0.0, -low) / log_min, -math.inf))
+        hi = float(np.nextafter(beta + max(0.0, high) / log_min, math.inf))
+        if pair_tol == POWER_TOL_DEFAULT and hi - lo <= max(tol, 2.0 * (high - low) / log_min):
+            return ClassRoot(idx, min(max(beta + step, lo), hi), lo, hi, pair)
+        beta += step
+
+
+def class_roots(model: SystemModel, tol: float = BISECT_TOL_DEFAULT) -> tuple[ClassRoot, ...]:
+    """Certified roots of r_C(beta) = 1, one per strong class, indexed by class label.
+
+    Computed once per model and tolerance and kept on the model.
+    """
+    key = ("class_roots", tol)
+    if key not in model.derived:
+        ncomp, labels = model.strong_components
+        model.derived[key] = tuple(
+            _class_root(model, np.flatnonzero(labels == c), tol) for c in range(ncomp)
+        )
+    return model.derived[key]
 
 
 def evaluate(
@@ -202,6 +405,23 @@ def _ancestors(matrix: np.ndarray, targets: np.ndarray) -> np.ndarray:
         reach = grown
 
 
+def _certified_below_one(entries: np.ndarray) -> bool:
+    """Whether a Collatz-Wielandt bound shows r(M) < 1 within ``QUICK_STEPS`` steps.
+
+    max(Mv/v) >= r for every positive v, also for reducible M, so one bound
+    below 1 (padded for rounding) settles convergence; power steps on
+    I + M tighten it.  False only means no bound was found.
+    """
+    pad = (entries.shape[0] + 3) * np.finfo(float).eps
+    v = np.ones(entries.shape[0])
+    for _ in range(QUICK_STEPS):
+        mv = entries @ v
+        if float((mv / v).max()) * (1.0 + pad) < 1.0:
+            return True
+        v = mv + v
+    return False
+
+
 @lru_cache(maxsize=1)
 def _restricted_resolvent(model: SystemModel, beta: float, u_key: bytes) -> np.ndarray | None:
     """Z_xy(beta) on the ancestor set U (rows and columns in U), or None if it diverges.
@@ -209,12 +429,19 @@ def _restricted_resolvent(model: SystemModel, beta: float, u_key: bytes) -> np.n
     One entry, keyed by model identity (models compare by identity), beta
     and U: the d extreme states of one temperature share one U whenever
     their targets share ancestors, so each column point costs a slice, not
-    a solve.  The spectral radius still decides convergence once per key.
+    a solve.  The series converge when r(M_UU) < 1.  Well above every root
+    a Collatz-Wielandt bound at beta certifies that at once; otherwise U,
+    a union of strong classes, converges when beta lies above the certified
+    enclosure of every class root in it (:func:`class_roots`), so at a root
+    itself the series diverge.
     """
     u = np.frombuffer(u_key, dtype=np.intp)
     sub = transfer_matrix(model, beta).entries[np.ix_(u, u)]
-    if matrix_spectral_radius(sub) >= 1.0:
-        return None
+    if not _certified_below_one(sub):
+        _, labels = model.strong_components
+        roots = class_roots(model)
+        if any(beta <= roots[c].hi for c in np.unique(labels[u])):
+            return None
     resolvent = np.linalg.solve(np.eye(len(u)) - sub, np.eye(len(u)))
     z_xy_sub = model.weights(beta)[u, None] * resolvent
     z_xy_sub.setflags(write=False)
@@ -228,9 +455,10 @@ def restricted_fixed_pairs(
 
     Words ending in x only use letters with a path into x, so the series
     for the targets converge exactly when the transfer matrix restricted
-    to the union of their ancestor sets has spectral radius below 1; the
-    restricted linear solve then evaluates them even when the full matrix
-    is supercritical (relevant for reducible matrices).  Returns the
+    to the union of their ancestor sets has spectral radius below 1 (read
+    off the certified class roots); the restricted linear solve then
+    evaluates them even when the full matrix is supercritical (relevant
+    for reducible matrices).  Returns the
     ancestor set and the (m, len(targets)) array of Z_ax values; rows
     outside the ancestor set are zero, since no word from there reaches a
     target.  The restricted resolvent is solved once per (model, beta,

@@ -4,9 +4,9 @@ The smoke configurations of the three workloads run every job with
 tracing on.  A run fails if a traced layer records no call, so this also
 guards the call structure the per-layer metrics read: `classify_ta`
 building each extreme state through `finite_type_state`, which goes
-through `restricted_fixed_pairs`; on temperatures, `beta_c` and
-`oa_beta_scan` reaching `matrix_spectral_radius` (defined in `partition`,
-re-exported by `critical`), plus `kms_oa`, `build_star` and
+through `restricted_fixed_pairs`; on temperatures, `beta_c` reaching
+`matrix_spectral_radius` (defined in `partition`, re-exported by
+`critical`) through its r(0) probe, plus `kms_oa`, `build_star` and
 `truncated_model`; and, on certify, `words.shell_sum` (reached through the
 `oracle` subcommand, since `abscissa_estimate` replays its own word tree),
 `is_subinvariant`, `abscissa_estimate`, `decompose` and `cooling`.

@@ -8,6 +8,7 @@ from scipy.sparse.csgraph import connected_components
 
 from kmsphase import (
     abscissa_estimate,
+    build_star,
     beta_c,
     build_model,
     evaluate,
@@ -16,9 +17,12 @@ from kmsphase import (
     perron_vector,
     spectral_radius,
     transfer_matrix,
+    truncated_model,
     words,
 )
+from kmsphase import critical, partition
 from kmsphase.critical import BISECT_TOL_DEFAULT, _bisect, matrix_spectral_radius
+from kmsphase.partition import class_roots
 from kmsphase.errors import NoConvergenceError, NotIrreducibleError
 
 from conftest import (
@@ -40,7 +44,8 @@ class TestSpectralRadius:
             assert spectral_radius(m, beta) == pytest.approx(2.0 ** (1 - beta), rel=1e-10)
 
     def test_two_cycle_uses_fallback(self):
-        # the permutation matrix makes plain power iteration oscillate
+        # the permutation matrix makes plain power iteration oscillate; the
+        # iteration on I + M converges instead
         m = cycle_model()
         assert spectral_radius(m, 1.0) == pytest.approx(0.5, rel=1e-10)
 
@@ -141,8 +146,10 @@ class TestPerronVector:
 
 # --- the three bisection loops the shared bracket replaced ------------------
 #
-# Kept as references: `_bisect` must reproduce each of them bit for bit
-# wherever they terminated (their 1e6 caps aside).
+# Kept as references.  `_bisect` must reproduce the abscissa loop bit for bit
+# wherever it terminated (its 1e6 cap aside); beta_c and the quotient
+# temperatures now come from Newton, which must land inside the bisection's
+# bracket with a certified enclosure that overlaps it.
 
 def beta_c_reference(model, tol=BISECT_TOL_DEFAULT):
     """(beta_c, bracket_width) by the old doubling-then-bisection loop."""
@@ -164,7 +171,7 @@ def beta_c_reference(model, tol=BISECT_TOL_DEFAULT):
 
 
 def oa_betas_reference(model, bisect_tol=1e-10):
-    """Simplex betas of `oa_beta_scan` by the old per-component loop."""
+    """(beta, bracket_width) of each simplex of `oa_beta_scan` by the old per-component loop."""
     ncomp, labels = connected_components(model.matrix, directed=True, connection="strong")
     candidates = []
     for comp in range(ncomp):
@@ -189,13 +196,13 @@ def oa_betas_reference(model, bisect_tol=1e-10):
                 lo = mid
             else:
                 hi = mid
-        candidates.append(0.5 * (lo + hi))
+        candidates.append((0.5 * (lo + hi), hi - lo))
     candidates.sort()
     deduped = []
-    for b in candidates:
-        if not deduped or abs(b - deduped[-1]) > 1e-9:
-            deduped.append(b)
-    return [b for b in deduped if kms_oa(model, b).extreme_vectors]
+    for b, width in candidates:
+        if not deduped or abs(b - deduped[-1][0]) > 1e-9:
+            deduped.append((b, width))
+    return [(b, width) for b, width in deduped if kms_oa(model, b).extreme_vectors]
 
 
 def abscissa_reference(model, L, cap=words.WORD_CAP_DEFAULT):
@@ -255,17 +262,35 @@ def _hex(x):
     return float(x).hex()
 
 
+def _overlaps(lo, hi, center, width):
+    return lo <= center + 0.5 * width and center - 0.5 * width <= hi
+
+
 class TestSharedBracketMatchesOldLoops:
+    # The beta_c and quotient-temperature tests keep the node ids of the
+    # bitwise comparisons they replace; they compare enclosures now.
     @pytest.mark.parametrize("name,model", REFERENCE_MODELS, ids=[n for n, _ in REFERENCE_MODELS])
     def test_beta_c_bitwise(self, name, model):
         rep = beta_c(model)
         want_bc, want_width = beta_c_reference(model)
-        assert (_hex(rep.beta_c), _hex(rep.bracket_width)) == (_hex(want_bc), _hex(want_width))
+        if want_width == 0.0:
+            assert rep.permutation_like and rep.beta_c == 0.0 and rep.bracket_width == 0.0
+            return
+        roots = [c for c in class_roots(model) if c.beta is not None]
+        lo, hi = max(c.lo for c in roots), max(c.hi for c in roots)
+        assert abs(rep.beta_c - want_bc) <= want_width
+        assert lo <= rep.beta_c <= hi and rep.bracket_width == hi - lo
+        assert _overlaps(lo, hi, want_bc, want_width)
 
     @pytest.mark.parametrize("name,model", REFERENCE_MODELS, ids=[n for n, _ in REFERENCE_MODELS])
     def test_oa_scan_betas_bitwise(self, name, model):
-        got = [_hex(s.beta) for s in oa_beta_scan(model).simplices]
-        assert got == [_hex(b) for b in oa_betas_reference(model)]
+        got = [s.beta for s in oa_beta_scan(model).simplices]
+        want = oa_betas_reference(model)
+        assert len(got) == len(want)
+        for b, (want_b, want_width) in zip(got, want):
+            root = next(c for c in class_roots(model) if c.beta == b)
+            assert abs(b - want_b) <= want_width
+            assert _overlaps(root.lo, root.hi, want_b, want_width)
 
     @pytest.mark.parametrize("name,model", REFERENCE_MODELS, ids=[n for n, _ in REFERENCE_MODELS])
     def test_abscissa_bitwise(self, name, model):
@@ -303,11 +328,77 @@ class TestNearOneEnergies:
         assert est.estimate == pytest.approx(self._analytic(), rel=1e-2)
 
 
+def _newton_models():
+    """Factories (each call builds a fresh model, so no root table is cached):
+    period-2 star truncations, random irreducible models for m = 2..400 and
+    the golden mean at N = 1 + 1e-9."""
+    star = build_star("default")
+    out = {f"star{K}": (lambda K=K: truncated_model(star, K)) for K in (32, 128, 256)}
+    rng = np.random.default_rng(20261018)
+    for m in (2, 3, 5, 8, 16, 32, 64, 128, 256, 400):
+        model = random_irreducible(rng, m, non_permutation=True, energy_range=(1.5, 4.0))
+        out[f"random{m}"] = lambda a=model.matrix, n=model.energies: build_model(a, n)
+    out["golden-near-one"] = lambda: golden_mean_model(1.0 + 1e-9)
+    return out
+
+
+NEWTON_MODELS = _newton_models()
+
+
+class TestNewtonRoots:
+    @pytest.mark.parametrize("name", list(NEWTON_MODELS))
+    def test_few_pair_evaluations_and_no_eigvals(self, name, monkeypatch):
+        model = NEWTON_MODELS[name]()
+        counts = {"pairs": 0, "eigvals": 0}
+        real_pair, real_eigvals = partition.perron_pair, np.linalg.eigvals
+
+        def pair(*args, **kwargs):
+            counts["pairs"] += 1
+            return real_pair(*args, **kwargs)
+
+        def eigvals(*args, **kwargs):
+            counts["eigvals"] += 1
+            return real_eigvals(*args, **kwargs)
+
+        monkeypatch.setattr(partition, "perron_pair", pair)
+        monkeypatch.setattr(critical, "perron_pair", pair)
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        rep = beta_c(model)
+        assert not rep.permutation_like and rep.perron_at_critical is not None
+        assert counts["pairs"] <= 10
+        assert counts["eigvals"] == 0
+
+    @pytest.mark.parametrize("name", list(NEWTON_MODELS))
+    def test_dense_eigvals_confirm_enclosure(self, name):
+        model = NEWTON_MODELS[name]()
+        (root,) = class_roots(model)
+        assert root.lo <= root.beta <= root.hi
+
+        def radius(beta):
+            return float(np.abs(np.linalg.eigvals(transfer_matrix(model, beta).entries)).max())
+
+        assert radius(root.lo - 1e-9) > 1.0 > radius(root.hi + 1e-9)
+        rep = beta_c(model)
+        assert (rep.beta_c, rep.bracket_width) == (root.beta, root.hi - root.lo)
+
+
 class TestBisect:
     def test_stops_when_the_midpoint_no_longer_splits(self):
         root = 3.0e9
         lo, hi = _bisect(lambda b: b < root, 1e-10)
         assert lo < root <= hi and np.nextafter(lo, math.inf) == hi
+
+    def test_starts_from_the_last_doubling(self):
+        # hi doubles 1 -> 2 -> 4; above(2) already held, so it is never asked again
+        asked = []
+
+        def above(b):
+            asked.append(b)
+            return b < 3.0
+
+        lo, hi = _bisect(above, 1e-10)
+        assert lo < 3.0 <= hi and asked[:4] == [1.0, 2.0, 4.0, 3.0]
+        assert asked.count(2.0) == 1
 
     def test_raises_only_on_overflow(self):
         with pytest.raises(NoConvergenceError):

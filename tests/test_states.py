@@ -28,6 +28,7 @@ from kmsphase.errors import (
     NotSubinvariantError,
     ZeroMeasureError,
 )
+from kmsphase.partition import class_roots, z_gamma
 from kmsphase.states import FINITE, TypeTag
 
 from conftest import coexistence_models, full_model, golden_mean_model, random_irreducible
@@ -312,3 +313,31 @@ class TestCooling:
         )
         with pytest.raises(NotSubinvariantError):
             cooling(m, 0.3, lowered, bc)
+
+
+class TestQuotientTemperatureNormalizers:
+    """At a quotient temperature the critical block's series diverge: the
+    reported root lies inside its block's certified enclosure, where no
+    restricted series counts as convergent."""
+
+    def test_critical_block_deltas_diverge(self):
+        seen = 0
+        for model in coexistence_models():
+            space = column_space(model)
+            _, labels = model.strong_components
+            roots = class_roots(model)
+            for simplex in oa_beta_scan(model).simplices:
+                beta = simplex.beta
+                critical = {c for c, root in enumerate(roots)
+                            if root.beta is not None and root.lo <= beta <= root.hi}
+                assert critical
+                for point in range(space.d):
+                    z = z_gamma(model, beta, [float(c == point) for c in range(space.d)], space=space)
+                    assert z > 0.0
+                    members = [x for x, bit in enumerate(space.points[point]) if bit]
+                    if {int(labels[x]) for x in members} <= critical:
+                        seen += 1
+                        assert math.isinf(z)
+                        with pytest.raises(DivergentNormalizerError):
+                            finite_type_state(model, beta, RootMeasure.delta(space, point))
+        assert seen
