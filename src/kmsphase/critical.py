@@ -39,7 +39,6 @@ from .errors import NoConvergenceError, NotIrreducibleError, DegenerateShellsErr
 from .model import SystemModel, properties
 from .partition import (
     BISECT_TOL_DEFAULT,
-    PerronPair,
     class_roots,
     matrix_spectral_radius,
     perron_pair,
@@ -57,6 +56,10 @@ __all__ = [
     "perron_vector",
     "BISECT_TOL_DEFAULT",
 ]
+
+
+# Relative width of the Collatz-Wielandt bounds a Perron vector may carry.
+PERRON_VECTOR_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,8 +133,10 @@ def beta_c(
     bracket is [max lo, max hi] over the classes, and ``tol`` bounds the
     last Newton step.
     """
-    roots = [c for c in class_roots(model, tol) if c.beta is not None]
-    if spectral_radius(model, 0.0) <= 1.0 + tol or not roots:
+    roots = []
+    if spectral_radius(model, 0.0) > 1.0 + tol:
+        roots = [c for c in class_roots(model, tol) if c.beta is not None]
+    if not roots:
         return CriticalReport(
             beta_c=0.0, interval_open_at_left=True, coincide=True,
             perron_at_critical=None, permutation_like=True, bracket_width=0.0,
@@ -142,7 +147,7 @@ def beta_c(
 
     perron = None
     if properties(model).irreducible:
-        perron = perron_vector(model, top.beta, start=top.pair)
+        perron = perron_vector(model, top.beta)
     return CriticalReport(
         beta_c=top.beta, interval_open_at_left=True, coincide=True,
         perron_at_critical=perron, permutation_like=False, bracket_width=hi - lo,
@@ -180,15 +185,20 @@ def abscissa_estimate(
     return AbscissaEstimate(estimate=est, residual=g(est))
 
 
-def perron_vector(model: SystemModel, beta: float, start: PerronPair | None = None) -> np.ndarray:
+def perron_vector(model: SystemModel, beta: float) -> np.ndarray:
     """Strictly positive dominant eigenvector of the transfer matrix.
 
     Normalized so that sum_x N(x)^-beta v_x = 1 (the normalization carried
     by critical KMS states); requires an irreducible matrix, which makes the
-    vector unique and strictly positive.  ``start`` warm-starts the Perron
-    pair (see :func:`partition.perron_pair`).
+    vector unique and strictly positive.  The vector comes from
+    :func:`partition.perron_pair`; NoConvergenceError is raised when its
+    Collatz-Wielandt bounds are more than ``PERRON_VECTOR_TOL`` apart
+    relative to r, since then Mv = rv holds no better than that.
     """
     if not properties(model).irreducible:
         raise NotIrreducibleError("the Perron vector needs an irreducible matrix")
-    pair = perron_pair(transfer_matrix(model, beta).entries, start)
+    pair = perron_pair(transfer_matrix(model, beta).entries)
+    if pair.upper - pair.lower > PERRON_VECTOR_TOL * pair.upper:
+        raise NoConvergenceError(
+            f"Perron vector bounds [{pair.lower!r}, {pair.upper!r}] did not meet")
     return pair.v / float(model.weights(beta) @ pair.v)

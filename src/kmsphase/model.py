@@ -42,8 +42,8 @@ class SystemModel:
     Generators are the integer indices 0..m-1; external labels, when given,
     are carried along purely for reporting.  The column space and the
     structural properties never change for a frozen model, so each is built
-    on first use and kept (see :func:`column_space`, :func:`properties`,
-    :attr:`strong_components` and :attr:`derived`).
+    on first use and kept (see :func:`column_space`, :func:`properties` and
+    :attr:`strong_components`).
     """
 
     matrix: np.ndarray          # (m, m) int8, entries 0/1, no zero row
@@ -74,13 +74,6 @@ class SystemModel:
         ncomp, labels = connected_components(self.matrix, directed=True, connection="strong")
         labels.setflags(write=False)
         return ncomp, labels
-
-    @cached_property
-    def derived(self) -> dict:
-        """Memo for values other layers derive from the frozen model, such as
-        the per-class root table of :func:`partition.class_roots`: each is
-        computed once and dropped with the model."""
-        return {}
 
     @cached_property
     def _properties(self) -> "PropertyReport":

@@ -9,7 +9,8 @@ by the spectral radius (computed here, by power iteration), never by
 whether the solve happens to succeed.
 
 M is block-triangular in the strong classes C of A, so r(beta) is the
-largest class radius r_C(beta) = r(M_CC).  :func:`class_roots` keeps, per
+largest class radius r_C(beta) = r(M_CC); :func:`spectral_radius` and
+:func:`evaluate` compute it so.  :func:`class_roots` keeps, per
 model, each class's root of r_C(beta) = 1 with a certified enclosure
 [lo, hi] (Newton on log r_C, see :func:`_class_root`).  A series
 restricted to an ancestor set is convergent when beta lies above hi for
@@ -19,6 +20,7 @@ every class in the set; inside an enclosure it counts as divergent.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -54,9 +56,9 @@ POWER_MAXITER_DEFAULT = 100_000
 # the name is kept from the bisection it replaced (printed as
 # ``settings.bisect_tol``).
 BISECT_TOL_DEFAULT = 1e-10
-# The power iterations take the Collatz-Wielandt bounds every CHECK_STEPS
-# steps (the Perron pair stretches that interval, up to MAX_BLOCK, to the
-# contraction it has seen) and take the gap to be rounding once
+# The power iteration takes the Collatz-Wielandt bounds every CHECK_STEPS
+# steps at first, stretches that interval, up to MAX_BLOCK, to the
+# contraction it has seen, and takes the gap to be rounding once
 # STAGNATION_CHECKS checks in a row have not shrunk it.
 CHECK_STEPS = 4
 STAGNATION_CHECKS = 3
@@ -65,9 +67,7 @@ MAX_BLOCK = 32
 # INEXACT_FACTOR * f^2, f being the previous iterate's log r, until that
 # falls below POWER_TOL_DEFAULT (see :func:`_class_root`).
 INEXACT_FACTOR = 1e-1
-# Power steps a restricted series spends looking for a Collatz-Wielandt bound
-# below 1 before it reads the class roots (see :func:`_certified_below_one`).
-QUICK_STEPS = 16
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,52 +109,59 @@ def transfer_matrix(model: SystemModel, beta: float) -> TransferMatrix:
     return TransferMatrix(beta=float(beta), entries=model.matrix * model.weights(beta))
 
 
-def _power_radius(entries: np.ndarray, shift: float, tol: float, maxiter: int) -> float:
-    """Spectral radius by power iteration on shift * I + M from the all-ones vector.
+def _power_iteration(
+    entries: np.ndarray, v: np.ndarray, u: np.ndarray | None, tol: float, maxiter: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, float, float]:
+    """Power iteration on I + M for the right vector v and, unless u is None, the left u.
 
-    Returns the Collatz-Wielandt bound max(Mv/v), which is at least r for
-    every positive v and never grows under the iteration, once min(Mv/v)
-    meets it within ``tol``.  With a shift the bound decreases to r, so
-    when the gap stops shrinking for ``STAGNATION_CHECKS`` checks (rounding,
-    or a reducible M whose lower bound stays below r) the bound is
-    returned.  Without one, a gap that stops shrinking may be a periodic
-    class oscillating, so NoConvergenceError is raised; it is raised too
-    when the bound's decrease stalls (tied top classes of a reducible M,
-    compared across windows of checks so such inputs fail fast) or the
-    budget is spent.  The bounds are taken every ``CHECK_STEPS`` steps.
+    I + M is primitive whenever M is irreducible, so the iterates converge
+    whatever the period of M.  Returns (v, Mv, u, lower, upper), with the
+    Collatz-Wielandt bounds lower = min(Mv/v) <= r <= max(Mv/v) = upper,
+    valid for every positive v (up to the rounding of one product).  In
+    exact arithmetic they tighten monotonically under the iteration.  At
+    each check it stops if the right gap (and the left one) is within
+    ``tol`` of upper, or if the larger gap has not shrunk for
+    ``STAGNATION_CHECKS`` checks: what is left then is rounding, or for a
+    reducible M a lower bound held below r by a class of smaller radius.
+    Otherwise it runs as many steps as the contraction since the last
+    check says the gap needs to reach ``tol`` (``CHECK_STEPS`` at first and
+    after a check that did not shrink it, at most ``MAX_BLOCK``).  Raises
+    NoConvergenceError once ``maxiter`` steps are spent.
     """
-    v = np.ones(entries.shape[0])
-    best_gap, best_upper, stale = math.inf, math.inf, 0
-    window = 25      # checks, CHECK_STEPS steps apart
-    prev_window_drift = math.inf
-    window_drift = math.inf
-    for check in range(1, maxiter // CHECK_STEPS + 2):
+    best, stale, block, steps = math.inf, 0, CHECK_STEPS, 0
+    while steps < maxiter:
         mv = entries @ v
         ratios = mv / v
-        upper = float(ratios.max())
-        gap = upper - float(ratios.min())
+        lower, upper = float(ratios.min()), float(ratios.max())
+        gap = upper - lower
+        if u is not None:
+            um = u @ entries
+            left = um / u
+            gap = max(gap, float(left.max() - left.min()))
         if gap <= tol * upper:
-            return upper
-        if upper < best_upper:
-            window_drift = min(window_drift, best_upper - upper)
-            best_upper = upper
-        if gap < best_gap:
-            best_gap, stale = gap, 0
+            return v, mv, u, lower, upper
+        gap /= upper
+        if gap < best:
+            if best < math.inf:
+                # as many steps as the last block's contraction needs to reach
+                # tol (or one ulp: no gap below that is reached anyway)
+                needed = block * math.log(max(tol, _EPS) / gap) / math.log(gap / best)
+                block = min(MAX_BLOCK, max(1, math.ceil(needed)))
+            best, stale = gap, 0
         else:
-            stale += 1
+            stale, block = stale + 1, CHECK_STEPS
             if stale >= STAGNATION_CHECKS:
-                if shift:
-                    return best_upper
-                raise NoConvergenceError("power iteration oscillates")
-        if check % window == 0:
-            if check >= 2 * window and window_drift > 0.5 * prev_window_drift:
-                raise NoConvergenceError("power iteration stalled")
-            prev_window_drift = window_drift
-            window_drift = math.inf
-        v = mv + shift * v
-        for _ in range(CHECK_STEPS - 1):
-            v = entries @ v + shift * v
+                return v, mv, u, lower, upper
+        v = mv + v
+        for _ in range(block - 1):
+            v += entries @ v
         v /= v.max()
+        if u is not None:
+            u = um + u
+            for _ in range(block - 1):
+                u += u @ entries
+            u /= u.max()
+        steps += block
     raise NoConvergenceError("power iteration did not converge")
 
 
@@ -165,20 +172,20 @@ def matrix_spectral_radius(
 ) -> float:
     """Spectral radius of a raw nonnegative matrix.
 
-    Power iteration first.  When a periodic class makes it oscillate,
-    iterate on I + M instead, which makes every irreducible class
-    primitive; only if that stalls too (tied top classes of a reducible
-    matrix) fall back to the full eigenvalue computation.  The value is a
-    Collatz-Wielandt upper bound on r, within ``tol`` of it.
+    The Collatz-Wielandt upper bound max(Mv/v) of the power iteration on
+    I + M (see :func:`_power_iteration`), within ``tol`` of r for an
+    irreducible M.  For a reducible M the upper bound still decreases to
+    r and is returned once the bounds stop tightening; two classes of the
+    same radius, one reaching the other, slow that to a crawl, and when
+    the step budget runs out the eigenvalues decide.  :func:`spectral_radius`
+    avoids that by taking a model's strong classes one at a time.
     """
     if not entries.any():
         return 0.0
-    for shift in (0.0, 1.0):
-        try:
-            return _power_radius(entries, shift, tol, maxiter)
-        except NoConvergenceError:
-            pass
-    return float(np.abs(np.linalg.eigvals(entries)).max())
+    try:
+        return _power_iteration(entries, np.ones(entries.shape[0]), None, tol, maxiter)[4]
+    except NoConvergenceError:
+        return float(np.abs(np.linalg.eigvals(entries)).max())
 
 
 class PerronPair(NamedTuple):
@@ -188,7 +195,9 @@ class PerronPair(NamedTuple):
     with largest entry 1.  ``lower`` and ``upper`` are the Collatz-Wielandt
     bounds min(Mv/v) <= r <= max(Mv/v), valid for every positive v (up to
     the rounding of one product); ``r`` is the two-sided Rayleigh quotient
-    u'Mv / u'v clipped into them.
+    u'Mv / u'v clipped into them.  The iteration may stop at rounding with
+    [lower, upper] wider than asked, so callers that need the vector to a
+    given accuracy check the width.
     """
 
     r: float
@@ -206,47 +215,14 @@ def perron_pair(
 ) -> PerronPair:
     """Perron root and vectors of an irreducible nonnegative matrix M.
 
-    Power iteration on I + M, which is primitive whenever M is irreducible,
-    so it converges whatever the period of M and needs no fallback; both
-    vectors start from ``start`` (all ones by default).  In exact arithmetic
-    the Collatz-Wielandt bounds tighten monotonically under the iteration.
-    At each check it stops if the right and left gaps are both within
-    ``tol`` of r, or if the larger gap has not shrunk for
-    ``STAGNATION_CHECKS`` checks: what is left then is rounding.  Otherwise
-    it runs as many steps as the contraction since the last check says
-    the gap needs to reach ``tol`` (``CHECK_STEPS`` at first and after a
-    check that did not shrink it, at most ``MAX_BLOCK``).
+    Power iteration on I + M (:func:`_power_iteration`), which needs no
+    stall detector and no eigenvalue fallback; both vectors start from
+    ``start`` (all ones by default).
     """
     m = entries.shape[0]
     v = np.ones(m) if start is None else start.v
     u = np.ones(m) if start is None else start.u
-    best, stale, block, steps = math.inf, 0, CHECK_STEPS, 0
-    while steps < maxiter:
-        mv, um = entries @ v, u @ entries
-        ratios, left = mv / v, um / u
-        lower, upper = float(ratios.min()), float(ratios.max())
-        gap = max(upper - lower, float(left.max() - left.min()))
-        if gap <= tol * upper:
-            break
-        if gap < best:
-            if best < math.inf:
-                # as many steps as the last block's contraction needs to reach tol
-                needed = block * math.log(tol * upper / gap) / math.log(gap / best)
-                block = min(MAX_BLOCK, max(1, math.ceil(needed)))
-            best, stale = gap, 0
-        else:
-            stale, block = stale + 1, CHECK_STEPS
-            if stale >= STAGNATION_CHECKS:
-                break
-        v, u = mv + v, um + u
-        for _ in range(block - 1):
-            v += entries @ v
-            u += u @ entries
-        v /= v.max()
-        u /= u.max()
-        steps += block
-    else:
-        raise NoConvergenceError("Perron pair did not converge")
+    v, mv, u, lower, upper = _power_iteration(entries, v, u, tol, maxiter)
     r = float(u @ mv) / float(u @ v)
     return PerronPair(min(max(r, lower), upper), v, u, lower, upper)
 
@@ -258,7 +234,34 @@ def spectral_radius(
     maxiter: int = POWER_MAXITER_DEFAULT,
 ) -> float:
     """Dominant-eigenvalue modulus of the transfer matrix at beta."""
-    return matrix_spectral_radius(transfer_matrix(model, beta).entries, tol, maxiter)
+    return _class_radius(model, transfer_matrix(model, beta).entries, tol, maxiter)
+
+
+def _class_radius(
+    model: SystemModel,
+    entries: np.ndarray,
+    tol: float = POWER_TOL_DEFAULT,
+    maxiter: int = POWER_MAXITER_DEFAULT,
+) -> float:
+    """r(M) as the largest r(M_CC) over the strong classes C of the model.
+
+    M is block-triangular in the classes, and on each irreducible block
+    the power iteration closes its Collatz-Wielandt gap, so no two classes
+    of equal radius can stall it.  A class of one letter is its diagonal entry.
+    """
+    ncomp, labels = model.strong_components
+    if ncomp == 1:
+        return matrix_spectral_radius(entries, tol, maxiter)
+    sizes = np.bincount(labels)
+    r = float(entries.diagonal()[sizes[labels] == 1].max(initial=0.0))
+    for c in np.flatnonzero(sizes > 1):
+        idx = np.flatnonzero(labels == c)
+        r = max(r, matrix_spectral_radius(entries[np.ix_(idx, idx)], tol, maxiter))
+    return r
+
+
+# class_roots' tables, keyed by model identity (models compare by identity)
+_CLASS_ROOTS: "weakref.WeakKeyDictionary[SystemModel, dict]" = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,15 +272,13 @@ class ClassRoot:
     (a single cycle, or a letter with no loop): then r_C(beta) < 1 for
     every beta > hi, hi being ~0.
     Otherwise the root lies in [lo, hi] and r_C(beta) < 1 for every
-    beta > hi.  ``pair`` is the Perron pair at the last Newton iterate, a
-    warm start for the vectors at ``beta``.
+    beta > hi.
     """
 
     generators: np.ndarray
     beta: float | None
     lo: float
     hi: float
-    pair: PerronPair | None
 
 
 def _class_root(model: SystemModel, idx: np.ndarray, tol: float) -> ClassRoot:
@@ -305,10 +306,10 @@ def _class_root(model: SystemModel, idx: np.ndarray, tol: float) -> ClassRoot:
     """
     sub = model.matrix[np.ix_(idx, idx)].astype(float)
     if not sub.any():
-        return ClassRoot(idx, None, 0.0, 0.0, None)
+        return ClassRoot(idx, None, 0.0, 0.0)
     log_n = np.log(model.energies[idx])
     log_min = float(log_n.min())
-    pad = (len(idx) + 3) * np.finfo(float).eps
+    pad = (len(idx) + 3) * _EPS
     beta, pair, f = 0.0, None, math.inf
     while True:
         entries = sub * model.weights(beta)[idx]
@@ -318,29 +319,29 @@ def _class_root(model: SystemModel, idx: np.ndarray, tol: float) -> ClassRoot:
         low = math.log(pair.lower * (1.0 - pad)) if pair.lower > 0.0 else -math.inf
         high = math.log(pair.upper * (1.0 + pad))
         if beta == 0.0 and pair.upper <= 1.0 + tol:
-            return ClassRoot(idx, None, 0.0, float(np.nextafter(max(0.0, high) / log_min, math.inf)), None)
+            return ClassRoot(idx, None, 0.0, float(np.nextafter(max(0.0, high) / log_min, math.inf)))
         f = math.log(pair.r)
         slope = -float(pair.u @ (entries @ (log_n * pair.v))) / (pair.r * float(pair.u @ pair.v))
         step = -f / slope
         lo = float(np.nextafter(beta - max(0.0, -low) / log_min, -math.inf))
         hi = float(np.nextafter(beta + max(0.0, high) / log_min, math.inf))
         if pair_tol == POWER_TOL_DEFAULT and hi - lo <= max(tol, 2.0 * (high - low) / log_min):
-            return ClassRoot(idx, min(max(beta + step, lo), hi), lo, hi, pair)
+            return ClassRoot(idx, min(max(beta + step, lo), hi), lo, hi)
         beta += step
 
 
 def class_roots(model: SystemModel, tol: float = BISECT_TOL_DEFAULT) -> tuple[ClassRoot, ...]:
     """Certified roots of r_C(beta) = 1, one per strong class, indexed by class label.
 
-    Computed once per model and tolerance and kept on the model.
+    Computed once per model and tolerance, and dropped with the model.
     """
-    key = ("class_roots", tol)
-    if key not in model.derived:
+    table = _CLASS_ROOTS.setdefault(model, {})
+    if tol not in table:
         ncomp, labels = model.strong_components
-        model.derived[key] = tuple(
+        table[tol] = tuple(
             _class_root(model, np.flatnonzero(labels == c), tol) for c in range(ncomp)
         )
-    return model.derived[key]
+    return table[tol]
 
 
 def evaluate(
@@ -365,7 +366,7 @@ def evaluate(
         )
     nw = model.weights(beta)
     tm = model.matrix * nw               # the transfer matrix, from the same weights
-    r = matrix_spectral_radius(tm)
+    r = _class_radius(model, tm)
     if r >= 1.0:
         return PartitionReport(
             beta=beta, spectral_radius=r, convergent=False, z_total=math.inf,
@@ -405,23 +406,6 @@ def _ancestors(matrix: np.ndarray, targets: np.ndarray) -> np.ndarray:
         reach = grown
 
 
-def _certified_below_one(entries: np.ndarray) -> bool:
-    """Whether a Collatz-Wielandt bound shows r(M) < 1 within ``QUICK_STEPS`` steps.
-
-    max(Mv/v) >= r for every positive v, also for reducible M, so one bound
-    below 1 (padded for rounding) settles convergence; power steps on
-    I + M tighten it.  False only means no bound was found.
-    """
-    pad = (entries.shape[0] + 3) * np.finfo(float).eps
-    v = np.ones(entries.shape[0])
-    for _ in range(QUICK_STEPS):
-        mv = entries @ v
-        if float((mv / v).max()) * (1.0 + pad) < 1.0:
-            return True
-        v = mv + v
-    return False
-
-
 @lru_cache(maxsize=1)
 def _restricted_resolvent(model: SystemModel, beta: float, u_key: bytes) -> np.ndarray | None:
     """Z_xy(beta) on the ancestor set U (rows and columns in U), or None if it diverges.
@@ -429,19 +413,17 @@ def _restricted_resolvent(model: SystemModel, beta: float, u_key: bytes) -> np.n
     One entry, keyed by model identity (models compare by identity), beta
     and U: the d extreme states of one temperature share one U whenever
     their targets share ancestors, so each column point costs a slice, not
-    a solve.  The series converge when r(M_UU) < 1.  Well above every root
-    a Collatz-Wielandt bound at beta certifies that at once; otherwise U,
-    a union of strong classes, converges when beta lies above the certified
-    enclosure of every class root in it (:func:`class_roots`), so at a root
-    itself the series diverge.
+    a solve.  The series converge when r(M_UU) < 1.  U is a union of strong
+    classes, so that holds when beta lies above the certified enclosure of
+    every class root in it (:func:`class_roots`); at a root itself the
+    series diverge.
     """
     u = np.frombuffer(u_key, dtype=np.intp)
+    _, labels = model.strong_components
+    roots = class_roots(model)
+    if any(beta <= roots[c].hi for c in np.unique(labels[u])):
+        return None
     sub = transfer_matrix(model, beta).entries[np.ix_(u, u)]
-    if not _certified_below_one(sub):
-        _, labels = model.strong_components
-        roots = class_roots(model)
-        if any(beta <= roots[c].hi for c in np.unique(labels[u])):
-            return None
     resolvent = np.linalg.solve(np.eye(len(u)) - sub, np.eye(len(u)))
     z_xy_sub = model.weights(beta)[u, None] * resolvent
     z_xy_sub.setflags(write=False)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -56,6 +58,38 @@ class TestSpectralRadius:
 
     def test_zero_at_ground(self):
         assert spectral_radius(golden_mean_model(), math.inf) == 0.0
+
+    def test_one_iteration_per_class(self, monkeypatch):
+        # two golden-mean blocks, the first feeding the second, tie at every
+        # beta: on the whole matrix the upper bound would creep to r like 1/k;
+        # class by class each block converges at once and no eigvals is needed
+        tied = build_model(
+            [[1, 1, 1, 0], [1, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, 0]], [2.0, 3.0, 2.0, 3.0])
+        calls = {"iterations": 0, "eigvals": 0}
+        real_iteration, real_eigvals = partition._power_iteration, np.linalg.eigvals
+
+        def iteration(*args, **kwargs):
+            calls["iterations"] += 1
+            return real_iteration(*args, **kwargs)
+
+        def eigvals(*args, **kwargs):
+            calls["eigvals"] += 1
+            return real_eigvals(*args, **kwargs)
+
+        monkeypatch.setattr(partition, "_power_iteration", iteration)
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        for model in [tied, *coexistence_models()]:
+            _, labels = model.strong_components
+            nontrivial = int((np.bincount(labels) > 1).sum())
+            for beta in (0.0, 0.4, 1.3):
+                calls["iterations"] = 0
+                r = spectral_radius(model, beta)
+                assert calls == {"iterations": nontrivial, "eigvals": 0}
+                want = np.abs(real_eigvals(transfer_matrix(model, beta).entries)).max()
+                assert r == pytest.approx(want, rel=1e-11)
+
+    def test_raw_tied_matrix_falls_back_to_eigvals(self):
+        assert matrix_spectral_radius(np.array([[1.0, 1.0], [0.0, 1.0]])) == pytest.approx(1.0, abs=1e-12)
 
     def test_strictly_decreasing_in_beta(self, rng):
         for _ in range(5):
@@ -142,6 +176,28 @@ class TestPerronVector:
         m = build_model([[1, 1], [0, 1]], [2.0, 2.0])
         with pytest.raises(NotIrreducibleError):
             perron_vector(m, 1.0)
+
+    def test_rejects_bounds_that_did_not_meet(self, rng, monkeypatch):
+        # a pair stopped early, as the stagnation exit may, must not pass as a Perron vector
+        m = random_irreducible(rng, 6, non_permutation=True, energy_range=(1.5, 4.0))
+        real_pair = partition.perron_pair
+        loose = real_pair(transfer_matrix(m, 0.5).entries, tol=1e-4)
+        assert loose.upper - loose.lower > critical.PERRON_VECTOR_TOL * loose.upper
+        monkeypatch.setattr(critical, "perron_pair", lambda entries: real_pair(entries, tol=1e-4))
+        with pytest.raises(NoConvergenceError):
+            perron_vector(m, 0.5)
+
+    def test_stagnation_exit_reports_its_own_bounds(self, rng):
+        # tol = 0 is never met, so the iteration ends at the stagnation exit
+        m = random_irreducible(rng, 8, non_permutation=True, energy_range=(1.5, 4.0))
+        entries = transfer_matrix(m, 0.7).entries
+        pair = partition.perron_pair(entries, tol=0.0)
+        ratios = (entries @ pair.v) / pair.v
+        assert (pair.lower, pair.upper) == (ratios.min(), ratios.max())
+        assert pair.lower <= pair.r <= pair.upper
+        assert pair.upper - pair.lower <= 1e-13 * pair.upper
+        with pytest.raises(NoConvergenceError):
+            partition.perron_pair(entries, tol=0.0, maxiter=8)
 
 
 # --- the three bisection loops the shared bracket replaced ------------------
@@ -380,6 +436,16 @@ class TestNewtonRoots:
         assert radius(root.lo - 1e-9) > 1.0 > radius(root.hi + 1e-9)
         rep = beta_c(model)
         assert (rep.beta_c, rep.bracket_width) == (root.beta, root.hi - root.lo)
+
+
+    def test_table_kept_per_model_and_dropped_with_it(self):
+        model = NEWTON_MODELS["random8"]()
+        table = class_roots(model)
+        assert class_roots(model) is table
+        ref = weakref.ref(model)
+        del model
+        gc.collect()
+        assert ref() is None
 
 
 class TestBisect:
