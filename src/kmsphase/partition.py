@@ -67,6 +67,9 @@ MAX_BLOCK = 32
 # INEXACT_FACTOR * f^2, f being the previous iterate's log r, until that
 # falls below POWER_TOL_DEFAULT (see :func:`_class_root`).
 INEXACT_FACTOR = 1e-1
+# Power steps a restricted series spends looking for a Collatz-Wielandt bound
+# below 1 before it reads the class roots (see :func:`_certified_below_one`).
+QUICK_STEPS = 16
 _EPS = float(np.finfo(float).eps)
 
 
@@ -406,6 +409,23 @@ def _ancestors(matrix: np.ndarray, targets: np.ndarray) -> np.ndarray:
         reach = grown
 
 
+def _certified_below_one(entries: np.ndarray) -> bool:
+    """Whether a Collatz-Wielandt bound shows r(M) < 1 within ``QUICK_STEPS`` steps.
+
+    max(Mv/v) >= r for every positive v, also for reducible M, so one bound
+    below 1 (padded for rounding) settles convergence; power steps on
+    I + M tighten it.  False only means no bound was found.
+    """
+    pad = (entries.shape[0] + 3) * _EPS
+    v = np.ones(entries.shape[0])
+    for _ in range(QUICK_STEPS):
+        mv = entries @ v
+        if float((mv / v).max()) * (1.0 + pad) < 1.0:
+            return True
+        v = mv + v
+    return False
+
+
 @lru_cache(maxsize=1)
 def _restricted_resolvent(model: SystemModel, beta: float, u_key: bytes) -> np.ndarray | None:
     """Z_xy(beta) on the ancestor set U (rows and columns in U), or None if it diverges.
@@ -413,17 +433,21 @@ def _restricted_resolvent(model: SystemModel, beta: float, u_key: bytes) -> np.n
     One entry, keyed by model identity (models compare by identity), beta
     and U: the d extreme states of one temperature share one U whenever
     their targets share ancestors, so each column point costs a slice, not
-    a solve.  The series converge when r(M_UU) < 1.  U is a union of strong
-    classes, so that holds when beta lies above the certified enclosure of
-    every class root in it (:func:`class_roots`); at a root itself the
-    series diverge.
+    a solve.  The series converge when r(M_UU) < 1.  Well above every root
+    a Collatz-Wielandt bound at beta certifies that within a step or two,
+    and the class roots are not needed (this keeps a state checked once on
+    a fresh model from paying for the table).  Otherwise U, a union of
+    strong classes, converges when beta lies above the certified
+    enclosure of every class root in it (:func:`class_roots`), so at a
+    root itself the series diverge.
     """
     u = np.frombuffer(u_key, dtype=np.intp)
-    _, labels = model.strong_components
-    roots = class_roots(model)
-    if any(beta <= roots[c].hi for c in np.unique(labels[u])):
-        return None
     sub = transfer_matrix(model, beta).entries[np.ix_(u, u)]
+    if not _certified_below_one(sub):
+        _, labels = model.strong_components
+        roots = class_roots(model)
+        if any(beta <= roots[c].hi for c in np.unique(labels[u])):
+            return None
     resolvent = np.linalg.solve(np.eye(len(u)) - sub, np.eye(len(u)))
     z_xy_sub = model.weights(beta)[u, None] * resolvent
     z_xy_sub.setflags(write=False)
