@@ -8,24 +8,35 @@ masses on the column space.  Ground states (beta = +inf) form the same
 simplex of root measures.
 
 On the Cuntz-Krieger quotient the KMS_beta states exist exactly when the
-transfer matrix has a nonnegative fixed vector with eigenvalue 1, and they
-form the simplex of such vectors normalized by sum N(x)^-beta v_x = 1;
-irreducibility is not required there.
+transfer matrix M has a nonnegative fixed vector, and they form the
+simplex of such vectors normalized by sum N(x)^-beta v_x = 1;
+irreducibility is not required there.  The extreme vectors are given by
+the Frobenius-Victory theorem (Schneider, Linear Algebra Appl. 1986; an
+Huef, Laca, Raeburn and Sims, "KMS states on the C*-algebras of reducible
+graphs", Ergodic Theory Dynam. Systems 2015): one per strong class C with
+r_C(beta) = 1 whose other ancestor classes all have r < 1, namely the
+Perron vector of M_CC extended to the ancestors of C by a restricted
+solve.  Since every r_C is strictly decreasing in beta, the quotient
+temperatures are among the class roots.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .critical import BISECT_TOL_DEFAULT, CriticalReport, beta_c as compute_beta_c
+from .critical import (
+    BISECT_TOL_DEFAULT,
+    CriticalReport,
+    _certified_vector,
+    beta_c as compute_beta_c,
+)
 from .errors import NotIrreducibleError, ZeroColumnError
 from .invariance import invariant_state_from_fixed_point, is_subinvariant
 from .model import SystemModel, column_space, properties
-from .partition import class_roots, transfer_matrix
+from .partition import _ancestors, class_roots, perron_pair, transfer_matrix
 from .states import QState, RootMeasure, finite_type_state, ground_state
 
 __all__ = [
@@ -40,11 +51,6 @@ __all__ = [
 ]
 
 EIG_ONE_TOL_DEFAULT = 1e-8
-NULLSPACE_RTOL_DEFAULT = 1e-9
-MAX_FIXED_MULTIPLICITY = 4
-# Grid matrices per batched eigvals call: bounds a class's (batch, k, k)
-# stack to 2^20 entries.
-GRID_BATCH_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -76,6 +82,13 @@ class OaSimplex:
 
 @dataclass(frozen=True)
 class ScanReport:
+    """The non-empty quotient simplices, in increasing beta.
+
+    ``grid_flags`` is always empty and keeps the shape of the printed
+    report: r_C is strictly decreasing, so a nonnegative fixed vector can
+    exist only at a class root, and the scan evaluates every class root.
+    """
+
     simplices: tuple[OaSimplex, ...]
     grid_flags: tuple[float, ...]
 
@@ -140,151 +153,87 @@ def classify_ta(
     )
 
 
-def _nonnegative_fixed_extremes(
-    entries: np.ndarray,
-    nweights: np.ndarray,
-    eig_tol: float,
-    null_rtol: float,
-) -> list[np.ndarray]:
-    """Extreme points of {v >= 0 : Mv = v, nweights . v = 1}.
-
-    The fixed space is parametrized by the near-null singular vectors of
-    I - M; its intersection with the nonnegative orthant is a cone whose
-    extreme rays are pinned by dim-1 active sign constraints, so vertex
-    enumeration over row subsets suffices for the supported multiplicities.
-    """
-    m = entries.shape[0]
-    vals = np.linalg.eigvals(entries)
-    if np.abs(vals - 1.0).min() >= eig_tol:
-        return []
-    mat = np.eye(m) - entries
-    _, svals, vh = np.linalg.svd(mat)
-    thresh = null_rtol * max(float(np.linalg.norm(entries, 2)), 1.0)
-    k = int((svals < thresh).sum())
-    if k == 0:
-        return []
-    if k > MAX_FIXED_MULTIPLICITY:
-        raise ValueError(f"fixed-space multiplicity {k} exceeds the supported cap")
-    basis = vh[m - k:].T  # (m, k)
-
-    out: list[np.ndarray] = []
-    if k == 1:
-        v = basis[:, 0]
-        pos, neg = float(max(v.max(), 0.0)), float(max(-v.min(), 0.0))
-        if min(pos, neg) > 1e-8 * max(pos, neg):
-            return []
-        if neg > pos:
-            v = -v
-        v = np.clip(v, 0.0, None)
-        scale = float(nweights @ v)
-        if scale <= 0:
-            return []
-        out.append(v / scale)
-    else:
-        e = basis.T @ nweights  # normalization functional in coefficient space
-        seen: set[tuple[float, ...]] = set()
-        for rows in combinations(range(m), k - 1):
-            sys_mat = np.vstack([basis[list(rows), :], e[None, :]])
-            rhs = np.zeros(k)
-            rhs[-1] = 1.0
-            try:
-                coef = np.linalg.solve(sys_mat, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            v = basis @ coef
-            if v.min() < -1e-8 * max(abs(v).max(), 1.0):
-                continue
-            v = np.clip(v, 0.0, None)
-            scale = float(nweights @ v)
-            if scale <= 0:
-                continue
-            v = v / scale
-            key = tuple(np.round(v, 9))
-            if key not in seen:
-                seen.add(key)
-                out.append(v)
-        out.sort(key=lambda u: tuple(np.round(u, 9)))
-    return out
+def _require_no_zero_column(model: SystemModel) -> None:
+    if not properties(model).no_zero_column:
+        raise ZeroColumnError(int(np.flatnonzero(~model.matrix.any(axis=0))[0]))
 
 
-def kms_oa(
-    model: SystemModel,
-    beta: float,
-    eig_tol: float = EIG_ONE_TOL_DEFAULT,
-    null_rtol: float = NULLSPACE_RTOL_DEFAULT,
-) -> OaSimplex:
+def kms_oa(model: SystemModel, beta: float) -> OaSimplex:
     """KMS_beta simplex of the quotient algebra, as extreme fixed vectors.
 
     Requires no identically zero columns; irreducibility is not needed, so
-    reducible systems may produce several distinct KMS temperatures.
+    reducible systems may produce several distinct KMS temperatures.  Each
+    strong class C is above, critical or below as r_C(beta) is above 1, within
+    ``EIG_ONE_TOL_DEFAULT`` of it, or below (a letter alone is its diagonal
+    entry, otherwise :func:`partition.perron_pair` of M_CC).  By the
+    Frobenius-Victory theorem a critical class whose other ancestor classes
+    are all below gives one extreme vector, and nothing else does: the
+    Perron vector v_C of M_CC on C, v_U' = (I - M_U'U')^-1 M_U'C v_C on the
+    rest U' of the ancestors of C (converging, as every class in U' is
+    below), zero elsewhere, normalized by sum_x N(x)^-beta v_x = 1.  A
+    critical class's Perron pair raises NoConvergenceError when its
+    Collatz-Wielandt bounds did not meet (as :func:`critical.perron_vector`).
+    The vectors are sorted by their entries rounded to 9 digits.
     """
     if not (0 < beta < math.inf):
         raise ValueError("quotient KMS states are computed for finite positive beta")
-    props = properties(model)
-    if not props.no_zero_column:
-        col = int(np.flatnonzero(~model.matrix.any(axis=0))[0])
-        raise ZeroColumnError(col)
+    _require_no_zero_column(model)
     entries = transfer_matrix(model, beta).entries
+    ncomp, labels = model.strong_components
+    members = [np.flatnonzero(labels == c) for c in range(ncomp)]
+    radii = np.empty(ncomp)
+    pairs = {}
+    for c, idx in enumerate(members):
+        if len(idx) == 1:
+            radii[c] = entries[idx[0], idx[0]]
+        else:
+            pairs[c] = perron_pair(entries[np.ix_(idx, idx)])
+            radii[c] = pairs[c].r
+    below = radii < 1.0 - EIG_ONE_TOL_DEFAULT
     nweights = model.weights(beta)
-    vectors = _nonnegative_fixed_extremes(entries, nweights, eig_tol, null_rtol)
+
+    vectors = []
+    for c in np.flatnonzero(np.abs(radii - 1.0) <= EIG_ONE_TOL_DEFAULT):
+        idx = members[c]
+        ancestors = _ancestors(model.matrix, idx)
+        rest = ancestors[labels[ancestors] != c]
+        if not below[labels[rest]].all():
+            continue
+        v = np.zeros(model.m)
+        v[idx] = _certified_vector(pairs[c]) if c in pairs else 1.0
+        if rest.size:
+            v[rest] = np.linalg.solve(
+                np.eye(rest.size) - entries[np.ix_(rest, rest)],
+                entries[np.ix_(rest, idx)] @ v[idx],
+            )
+        vectors.append(v / float(nweights @ v))
+    vectors.sort(key=lambda u: tuple(np.round(u, 9)))
     return OaSimplex(
         beta=float(beta),
         extreme_vectors=tuple(tuple(float(x) for x in v) for v in vectors),
     )
 
 
-def oa_beta_scan(
-    model: SystemModel,
-    bisect_tol: float = BISECT_TOL_DEFAULT,
-    grid_points: int = 200,
-) -> ScanReport:
+def oa_beta_scan(model: SystemModel, bisect_tol: float = BISECT_TOL_DEFAULT) -> ScanReport:
     """Locate every beta carrying a KMS state on the quotient.
 
-    Candidates are the roots of r_C(beta) = 1 over the strongly connected
-    components C (a nonnegative fixed vector must be supported on a
-    component at criticality), read from :func:`partition.class_roots`;
-    each candidate is then verified by :func:`kms_oa`.  A residual grid
-    scan flags any eigenvalue-1 sighting away from the candidates.  M is
-    block-triangular in the components, so its spectrum is the union of
-    theirs: the grid takes the eigenvalues of each component's stack of
-    grid matrices at once.
+    A class's r_C(beta) is strictly decreasing, so by the rule of
+    :func:`kms_oa` a nonnegative fixed vector can exist only at a root of
+    r_C(beta) = 1.  The candidates are those roots, read from
+    :func:`partition.class_roots` (``bisect_tol`` is its tolerance), sorted,
+    with roots within 1e-9 of the previous one merged; each is kept when
+    :func:`kms_oa` finds a vector there.
     """
-    props = properties(model)
-    if not props.no_zero_column:
-        col = int(np.flatnonzero(~model.matrix.any(axis=0))[0])
-        raise ZeroColumnError(col)
-    roots = class_roots(model, bisect_tol)
-
-    candidates = sorted(c.beta for c in roots if c.beta is not None)
+    _require_no_zero_column(model)
+    candidates = sorted(c.beta for c in class_roots(model, bisect_tol) if c.beta is not None)
     deduped: list[float] = []
     for b in candidates:
         if not deduped or abs(b - deduped[-1]) > 1e-9:
             deduped.append(b)
-
     simplices = tuple(
         s for s in (kms_oa(model, b) for b in deduped) if s.extreme_vectors
     )
-
-    flags: list[float] = []
-    if deduped:
-        grid = np.linspace(1e-3, 1.25 * max(deduped) + 1.0, grid_points)
-        near_one = np.zeros(grid_points, dtype=bool)
-        for root in roots:
-            idx = root.generators
-            sub = model.matrix[np.ix_(idx, idx)]
-            if not sub.any():
-                continue
-            weights = model.energies[idx][None, :] ** -grid[:, None]    # (grid, k)
-            batch = max(1, GRID_BATCH_ENTRIES // len(idx) ** 2)
-            for start in range(0, grid_points, batch):
-                stack = sub[None, :, :] * weights[start:start + batch, None, :]
-                vals = np.linalg.eigvals(stack)
-                near_one[start:start + batch] |= np.abs(vals - 1.0).min(axis=1) < EIG_ONE_TOL_DEFAULT
-        flags = [
-            float(b) for b, hit in zip(grid, near_one)
-            if hit and all(abs(b - c) > 1e-6 for c in deduped)
-        ]
-    return ScanReport(simplices=simplices, grid_flags=tuple(flags))
+    return ScanReport(simplices=simplices, grid_flags=())
 
 
 def factors_through_oa(model: SystemModel, beta: float, state: QState) -> bool:

@@ -39,6 +39,7 @@ from .errors import NoConvergenceError, NotIrreducibleError, DegenerateShellsErr
 from .model import SystemModel, properties
 from .partition import (
     BISECT_TOL_DEFAULT,
+    PerronPair,
     class_roots,
     matrix_spectral_radius,
     perron_pair,
@@ -197,8 +198,15 @@ def perron_vector(model: SystemModel, beta: float) -> np.ndarray:
     """
     if not properties(model).irreducible:
         raise NotIrreducibleError("the Perron vector needs an irreducible matrix")
-    pair = perron_pair(transfer_matrix(model, beta).entries)
+    v = _certified_vector(perron_pair(transfer_matrix(model, beta).entries))
+    return v / float(model.weights(beta) @ v)
+
+
+def _certified_vector(pair: PerronPair) -> np.ndarray:
+    """The right vector of ``pair``, or NoConvergenceError when its
+    Collatz-Wielandt bounds are more than ``PERRON_VECTOR_TOL`` apart
+    relative to r."""
     if pair.upper - pair.lower > PERRON_VECTOR_TOL * pair.upper:
         raise NoConvergenceError(
             f"Perron vector bounds [{pair.lower!r}, {pair.upper!r}] did not meet")
-    return pair.v / float(model.weights(beta) @ pair.v)
+    return pair.v

@@ -171,8 +171,7 @@ def finite_type_state(model: SystemModel, beta: float, gamma: RootMeasure) -> QS
         w_first = z_ax @ mass[needed]
         z += float(z_ax.sum(axis=0) @ mass[needed])
     atoms = np.asarray(gamma.weights, dtype=float).copy()
-    for a, c in enumerate(space.column_of):
-        atoms[c] += w_first[a]
+    np.add.at(atoms, np.asarray(space.column_of), w_first)   # adds in generator order
     atoms /= z
     return qstate_from_atoms(space, beta, atoms, FINITE)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -18,9 +19,13 @@ from kmsphase import (
     kms_oa,
     oa_beta_scan,
 )
-from kmsphase.errors import NotIrreducibleError, ZeroColumnError
+from kmsphase import classify, critical, partition
+from kmsphase.errors import NoConvergenceError, NotIrreducibleError, ZeroColumnError
+from kmsphase.partition import class_roots, transfer_matrix
 
 from conftest import (
+    block_model as blocks_of,
+    coexistence_models,
     cycle_model,
     full_model,
     golden_mean_model,
@@ -35,6 +40,147 @@ def block_model(sizes, energy=math.e):
     blocks = [np.ones((s, s), dtype=int) for s in sizes]
     a = block_diag(*blocks).astype(int)
     return build_model(a, [energy] * a.shape[0])
+
+
+def fixed_extremes_reference(entries, nweights, eig_tol=1e-8, null_rtol=1e-9):
+    """Extreme points of {v >= 0 : Mv = v, nweights . v = 1}, by the former SVD route.
+
+    The fixed space is parametrized by the near-null singular vectors of
+    I - M; its intersection with the nonnegative orthant is a cone whose
+    extreme rays are pinned by dim-1 active sign constraints, so vertex
+    enumeration over row subsets finds them (C(m, k - 1) solves for a
+    fixed space of dimension k).
+    """
+    m = entries.shape[0]
+    vals = np.linalg.eigvals(entries)
+    if np.abs(vals - 1.0).min() >= eig_tol:
+        return []
+    mat = np.eye(m) - entries
+    _, svals, vh = np.linalg.svd(mat)
+    thresh = null_rtol * max(float(np.linalg.norm(entries, 2)), 1.0)
+    k = int((svals < thresh).sum())
+    if k == 0:
+        return []
+    basis = vh[m - k:].T  # (m, k)
+
+    out = []
+    if k == 1:
+        v = basis[:, 0]
+        pos, neg = float(max(v.max(), 0.0)), float(max(-v.min(), 0.0))
+        if min(pos, neg) > 1e-8 * max(pos, neg):
+            return []
+        if neg > pos:
+            v = -v
+        v = np.clip(v, 0.0, None)
+        scale = float(nweights @ v)
+        if scale <= 0:
+            return []
+        out.append(v / scale)
+    else:
+        e = basis.T @ nweights  # normalization functional in coefficient space
+        seen = set()
+        for rows in combinations(range(m), k - 1):
+            sys_mat = np.vstack([basis[list(rows), :], e[None, :]])
+            rhs = np.zeros(k)
+            rhs[-1] = 1.0
+            try:
+                coef = np.linalg.solve(sys_mat, rhs)
+            except np.linalg.LinAlgError:
+                continue
+            v = basis @ coef
+            if v.min() < -1e-8 * max(abs(v).max(), 1.0):
+                continue
+            v = np.clip(v, 0.0, None)
+            scale = float(nweights @ v)
+            if scale <= 0:
+                continue
+            v = v / scale
+            key = tuple(np.round(v, 9))
+            if key not in seen:
+                seen.add(key)
+                out.append(v)
+        out.sort(key=lambda u: tuple(np.round(u, 9)))
+    return out
+
+
+def assert_same_vectors(simplex, want, tol=1e-9):
+    got = [np.asarray(v) for v in simplex.extreme_vectors]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= tol
+
+
+TEMPERATURE_BLOCKS = ((6, 6), (6, 10), (8, 16), (8, 8, 8), (10, 10, 10),
+                      (12, 24), (12, 12, 12), (14, 14, 14), (16, 16, 16))
+
+
+def block_triangular(rng, sizes):
+    """Irreducible diagonal blocks, with one to three links from each block to later ones."""
+    blocks = [random_irreducible(rng, s, non_permutation=True, energy_range=(1.5, 4.0))
+              for s in sizes]
+    a = block_diag(*(b.matrix for b in blocks)).astype(int)
+    starts = np.cumsum((0,) + sizes[:-1])
+    for i in range(len(sizes) - 1):
+        for _ in range(int(rng.integers(1, 4))):
+            j = int(rng.integers(i + 1, len(sizes)))
+            a[starts[i] + rng.integers(sizes[i]), starts[j] + rng.integers(sizes[j])] = 1
+    return build_model(a, np.concatenate([b.energies for b in blocks]))
+
+
+GOLDEN = [[0, 1], [1, 1]]
+
+
+def linked_golden_blocks():
+    """Two golden-mean blocks (N = e) with the link 1 -> 2: tied roots, the
+    upstream block critical and an ancestor of the downstream one."""
+    a = np.zeros((4, 4), dtype=int)
+    a[:2, :2] = a[2:, 2:] = GOLDEN
+    a[1, 2] = 1
+    return build_model(a, [math.e] * 4)
+
+
+class TestFrobeniusVictory:
+    """kms_oa against the SVD vertex enumeration, at and off every class root."""
+
+    @staticmethod
+    def check(model):
+        roots = sorted(c.beta for c in class_roots(model) if c.beta is not None)
+        assert roots
+        for b in roots:
+            want = fixed_extremes_reference(transfer_matrix(model, b).entries, model.weights(b))
+            assert_same_vectors(kms_oa(model, b), want)
+        off = [0.5 * roots[0], roots[-1] + 0.5]
+        off += [0.5 * (lo + hi) for lo, hi in zip(roots, roots[1:]) if hi - lo > 1e-6]
+        off += [b + t for b in roots for t in (-1e-6, 1e-6)]
+        for b in off:
+            assert kms_oa(model, b).extreme_vectors == ()
+            assert fixed_extremes_reference(transfer_matrix(model, b).entries, model.weights(b)) == []
+
+    @pytest.mark.parametrize("seed", [1, 7919])
+    @pytest.mark.parametrize("sizes", TEMPERATURE_BLOCKS)
+    def test_block_triangular(self, seed, sizes):
+        model = block_triangular(np.random.default_rng((seed, sum(sizes), len(sizes))), sizes)
+        assert model.strong_components[0] == len(sizes)
+        self.check(model)
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_coexistence(self, index):
+        self.check(coexistence_models()[index])
+
+    def test_disjoint_golden_blocks(self):
+        model = blocks_of((GOLDEN, math.e), (GOLDEN, math.e))
+        self.check(model)
+        assert len(kms_oa(model, math.log(PHI)).extreme_vectors) == 2
+
+    def test_linked_golden_blocks_upstream_only(self):
+        model = linked_golden_blocks()
+        self.check(model)
+        (v,) = kms_oa(model, math.log(PHI)).extreme_vectors
+        assert min(v[:2]) > 0 and v[2:] == (0.0, 0.0)
+
+    def test_random_irreducible(self, rng):
+        for m in range(3, 13):
+            self.check(random_irreducible(rng, m, non_permutation=True, energy_range=(1.5, 4.0)))
 
 
 class TestClassifyTa:
@@ -121,10 +267,41 @@ class TestKmsOa:
         supports = {tuple(np.asarray(v) > 1e-9) for v in simplex.extreme_vectors}
         assert supports == {(True, True, False, False), (False, False, True, True)}
 
-    def test_multiplicity_beyond_cap_rejected(self):
+    def test_five_equal_blocks_give_five_vectors(self):
+        # multiplicity 5: one Perron vector per block, no cap on the dimension
         m = block_model([2, 2, 2, 2, 2])
-        with pytest.raises(ValueError):
-            kms_oa(m, math.log(2.0))
+        simplex = kms_oa(m, math.log(2.0))
+        assert len(simplex.extreme_vectors) == 5
+        supports = set()
+        for v in map(np.asarray, simplex.extreme_vectors):
+            (block,) = {int(x) // 2 for x in np.flatnonzero(v)}
+            supports.add(block)
+            assert v[2 * block:2 * block + 2] == pytest.approx((1.0, 1.0), rel=1e-12)
+        assert supports == set(range(5))
+        want = fixed_extremes_reference(transfer_matrix(m, simplex.beta).entries, m.weights(simplex.beta))
+        assert_same_vectors(simplex, want)
+
+    def test_acceptance_window_is_eig_one_tol(self):
+        # |r - 1| <= EIG_ONE_TOL_DEFAULT decides; the SVD threshold of the
+        # reference is tighter and already refuses ln 3 + 1e-9
+        m = full_model(3, energy=math.e)
+        near, far = math.log(3.0) + 1e-9, math.log(3.0) + 1e-7
+        assert len(kms_oa(m, near).extreme_vectors) == 1
+        assert fixed_extremes_reference(transfer_matrix(m, near).entries, m.weights(near)) == []
+        assert kms_oa(m, far).extreme_vectors == ()
+        assert fixed_extremes_reference(transfer_matrix(m, far).entries, m.weights(far)) == []
+
+    def test_rejects_perron_bounds_that_did_not_meet(self, rng, monkeypatch):
+        # a critical class's pair stopped early must not pass as its Perron vector
+        m = random_irreducible(rng, 6, non_permutation=True, energy_range=(1.5, 4.0))
+        bc = beta_c(m).beta_c
+        real_pair = partition.perron_pair
+        loose = real_pair(transfer_matrix(m, bc).entries, tol=1e-4)
+        assert loose.upper - loose.lower > critical.PERRON_VECTOR_TOL * loose.upper
+        assert abs(loose.r - 1.0) <= classify.EIG_ONE_TOL_DEFAULT
+        monkeypatch.setattr(classify, "perron_pair", lambda entries: real_pair(entries, tol=1e-4))
+        with pytest.raises(NoConvergenceError):
+            kms_oa(m, bc)
 
     def test_vectors_are_normalized_fixed_points(self, rng):
         for _ in range(5):

@@ -96,6 +96,17 @@ class TestKmsAndOa:
         out = json.loads(capsys.readouterr().out)
         assert len(out["scan"]["simplices"]) == 1
 
+    def test_oa_five_equal_blocks(self, capsys):
+        # a fixed space of dimension 5 at ln 2: one vector per full 2 x 2 block
+        model = {"matrix": np.kron(np.eye(5, dtype=int), np.ones((2, 2), dtype=int)).tolist(),
+                 "energies": [math.e] * 10}
+        assert main(["oa", "--model-json", json.dumps(model), "--beta", "0.6931471805599453"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        vectors = json.loads(captured.out)["simplex"]["extreme_vectors"]
+        assert len(vectors) == 5
+        assert sorted(tuple(np.flatnonzero(v) // 2) for v in vectors) == [(b, b) for b in range(5)]
+
 
 class TestCheckState:
     def test_bitstring_atoms(self, golden_file, tmp_path, capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from kmsphase import (
@@ -28,10 +29,16 @@ from kmsphase.errors import (
     NotSubinvariantError,
     ZeroMeasureError,
 )
-from kmsphase.partition import class_roots, z_gamma
+from kmsphase.partition import class_roots, restricted_fixed_pairs, z_gamma
 from kmsphase.states import FINITE, TypeTag
 
-from conftest import coexistence_models, full_model, golden_mean_model, random_irreducible
+from conftest import (
+    coexistence_models,
+    full_model,
+    golden_mean_model,
+    random_duplicate_columns_model,
+    random_irreducible,
+)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -75,8 +82,6 @@ class TestFiniteTypeState:
     def test_reducible_block_state_in_partial_regime(self):
         # a root measure on the subcritical block of a reducible matrix
         # still generates a valid finite-type state
-        import numpy as np
-
         a = np.zeros((5, 5), dtype=int)
         a[:2, :2] = 1
         a[2:, 2:] = 1
@@ -94,6 +99,25 @@ class TestFiniteTypeState:
             finite_type_state(
                 m, beta, RootMeasure.delta(space, space.points.index((0, 0, 1, 1, 1)))
             )
+
+    @pytest.mark.parametrize("m,k", [(5, 2), (6, 3), (8, 3), (9, 5)])
+    def test_atoms_bitwise_equal_to_generator_loop(self, m, k, rng):
+        # the atoms as once summed: one generator at a time, in index order
+        model = random_duplicate_columns_model(rng, m, k)
+        space = column_space(model)
+        beta = beta_c(model).beta_c + 0.6
+        for _ in range(5):
+            gamma = RootMeasure(tuple(rng.uniform(0.0, 1.0, space.d)))
+            mass = gamma.mass_per_generator(space)
+            needed = np.flatnonzero(mass > 0)
+            _, z_ax = restricted_fixed_pairs(model, beta, needed)
+            w_first = z_ax @ mass[needed]
+            atoms = np.asarray(gamma.weights, dtype=float).copy()
+            for a, c in enumerate(space.column_of):
+                atoms[c] += w_first[a]
+            atoms /= gamma.total + float(z_ax.sum(axis=0) @ mass[needed])
+            st = finite_type_state(model, beta, gamma)
+            assert [x.hex() for x in st.atom_masses] == [float(x).hex() for x in atoms]
 
     def test_q_values_match_direct_stem_sum(self, rng):
         for _ in range(4):
