@@ -27,12 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critical import (
-    BISECT_TOL_DEFAULT,
-    CriticalReport,
-    _certified_vector,
-    beta_c as compute_beta_c,
-)
+from .critical import CriticalReport, _certified_vector, beta_c as compute_beta_c
 from .errors import NotIrreducibleError, ZeroColumnError
 from .invariance import invariant_state_from_fixed_point, is_subinvariant
 from .model import SystemModel, column_space, properties
@@ -214,18 +209,18 @@ def kms_oa(model: SystemModel, beta: float) -> OaSimplex:
     )
 
 
-def oa_beta_scan(model: SystemModel, bisect_tol: float = BISECT_TOL_DEFAULT) -> ScanReport:
+def oa_beta_scan(model: SystemModel) -> ScanReport:
     """Locate every beta carrying a KMS state on the quotient.
 
     A class's r_C(beta) is strictly decreasing, so by the rule of
     :func:`kms_oa` a nonnegative fixed vector can exist only at a root of
     r_C(beta) = 1.  The candidates are those roots, read from
-    :func:`partition.class_roots` (``bisect_tol`` is its tolerance), sorted,
-    with roots within 1e-9 of the previous one merged; each is kept when
-    :func:`kms_oa` finds a vector there.
+    :func:`partition.class_roots`, sorted, with roots within 1e-9 of the
+    previous one merged; each is kept when :func:`kms_oa` finds a vector
+    there.
     """
     _require_no_zero_column(model)
-    candidates = sorted(c.beta for c in class_roots(model, bisect_tol) if c.beta is not None)
+    candidates = sorted(c.beta for c in class_roots(model) if c.beta is not None)
     deduped: list[float] = []
     for b in candidates:
         if not deduped or abs(b - deduped[-1]) > 1e-9:

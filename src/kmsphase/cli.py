@@ -118,7 +118,11 @@ def load_model(path: str | None, inline: str | None) -> model_mod.SystemModel:
     if (path is None) == (inline is None):
         raise ConfigParseError("provide exactly one of --model or --model-json")
     try:
-        raw = json.loads(inline) if inline else json.load(open(path))
+        if inline:
+            raw = json.loads(inline)
+        else:
+            with open(path) as fh:
+                raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigParseError(f"cannot read model: {exc}") from exc
     if not isinstance(raw, dict) or "matrix" not in raw or "energies" not in raw:
@@ -131,7 +135,8 @@ def load_model(path: str | None, inline: str | None) -> model_mod.SystemModel:
 
 def load_state(path: str, space: model_mod.ColumnSpace, beta_override: float | None):
     try:
-        raw = json.load(open(path))
+        with open(path) as fh:
+            raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigParseError(f"cannot read state: {exc}") from exc
     beta = beta_override if beta_override is not None else raw.get("beta")
@@ -310,10 +315,14 @@ def _cmd_star(args) -> int:
 
 def _cmd_oracle(args) -> int:
     m = load_model(args.model, args.model_json)
+    if args.max_length < 0:
+        raise ConfigParseError("--max-length must be nonnegative")
     counts = words._shell_counts(m, args.max_length)
+    # every row before the header, so that a rejected input prints no CSV
+    sums = [words.shell_sum(m, args.beta, n, source=args.source, target=args.target, cap=args.cap)
+            for n in range(args.max_length + 1)]
     print("n,count,shell_sum")
-    for n in range(args.max_length + 1):
-        s = words.shell_sum(m, args.beta, n, source=args.source, target=args.target, cap=args.cap)
+    for n, s in enumerate(sums):
         print(f"{n},{counts[n]},{s:.17g}")
     return 0
 

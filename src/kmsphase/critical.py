@@ -122,21 +122,17 @@ def _bisect(above, tol: float) -> tuple[float, float]:
     return lo, hi
 
 
-def beta_c(
-    model: SystemModel,
-    tol: float = BISECT_TOL_DEFAULT,
-) -> CriticalReport:
+def beta_c(model: SystemModel) -> CriticalReport:
     """The critical inverse temperature: the largest certified class root.
 
     r(0) >= 1 always (row sums of A are at least 1) and r decreases to 0,
-    so a root always exists.  When r(0) is already ~1 the system is
-    permutation-like: beta_c is clamped to 0 and flagged.  The reported
-    bracket is [max lo, max hi] over the classes, and ``tol`` bounds the
-    last Newton step.
+    so a root exists unless r(0) = 1.  That happens exactly when no class
+    has a root (every class a single cycle or a single letter, see
+    :class:`partition.ClassRoot`); the system is then permutation-like:
+    beta_c is clamped to 0 and flagged.  The reported bracket is
+    [max lo, max hi] over the classes.
     """
-    roots = []
-    if spectral_radius(model, 0.0) > 1.0 + tol:
-        roots = [c for c in class_roots(model, tol) if c.beta is not None]
+    roots = [c for c in class_roots(model) if c.beta is not None]
     if not roots:
         return CriticalReport(
             beta_c=0.0, interval_open_at_left=True, coincide=True,

@@ -46,6 +46,8 @@ __all__ = [
 
 GAP_TOL_DEFAULT = 1e-10
 EXHAUSTIVE_MAX_M = 12
+# Relative transfer-matrix residual a fixed point may carry.
+FIXED_POINT_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -156,17 +158,12 @@ def _members(mask) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def invariant_state_from_fixed_point(
-    model: SystemModel,
-    beta: float,
-    v,
-    rtol: float = 1e-9,
-) -> QState:
+def invariant_state_from_fixed_point(model: SystemModel, beta: float, v) -> QState:
     """The invariant state whose generator values are the fixed point v.
 
-    Requires v >= 0, (A N^-beta) v = v within rtol, and the normalization
-    sum_x N(x)^-beta v_x = 1.  The atoms place N(z)^-beta v_z at the column
-    of each generator z.
+    Requires v >= 0, (A N^-beta) v = v within ``FIXED_POINT_RTOL``, and the
+    normalization sum_x N(x)^-beta v_x = 1.  The atoms place N(z)^-beta v_z
+    at the column of each generator z.
     """
     if not (0 < beta < math.inf):
         raise ValueError("invariant states need finite positive beta")
@@ -181,7 +178,7 @@ def invariant_state_from_fixed_point(
         raise NotNormalizedError(f"sum N(x)^-beta v_x = {norm}, expected 1")
     entries = transfer_matrix(model, beta).entries
     residual = float(np.abs(entries @ v - v).max())
-    if residual > rtol * max(1.0, float(np.abs(v).max())):
+    if residual > FIXED_POINT_RTOL * max(1.0, float(np.abs(v).max())):
         raise NotFixedPointError(f"transfer-matrix residual {residual}")
 
     space = column_space(model)

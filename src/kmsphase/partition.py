@@ -113,7 +113,7 @@ def transfer_matrix(model: SystemModel, beta: float) -> TransferMatrix:
 
 
 def _power_iteration(
-    entries: np.ndarray, v: np.ndarray, u: np.ndarray | None, tol: float, maxiter: int
+    entries: np.ndarray, v: np.ndarray, u: np.ndarray | None, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, float, float]:
     """Power iteration on I + M for the right vector v and, unless u is None, the left u.
 
@@ -129,10 +129,10 @@ def _power_iteration(
     Otherwise it runs as many steps as the contraction since the last
     check says the gap needs to reach ``tol`` (``CHECK_STEPS`` at first and
     after a check that did not shrink it, at most ``MAX_BLOCK``).  Raises
-    NoConvergenceError once ``maxiter`` steps are spent.
+    NoConvergenceError once ``POWER_MAXITER_DEFAULT`` steps are spent.
     """
     best, stale, block, steps = math.inf, 0, CHECK_STEPS, 0
-    while steps < maxiter:
+    while steps < POWER_MAXITER_DEFAULT:
         mv = entries @ v
         ratios = mv / v
         lower, upper = float(ratios.min()), float(ratios.max())
@@ -168,25 +168,22 @@ def _power_iteration(
     raise NoConvergenceError("power iteration did not converge")
 
 
-def matrix_spectral_radius(
-    entries: np.ndarray,
-    tol: float = POWER_TOL_DEFAULT,
-    maxiter: int = POWER_MAXITER_DEFAULT,
-) -> float:
+def matrix_spectral_radius(entries: np.ndarray) -> float:
     """Spectral radius of a raw nonnegative matrix.
 
     The Collatz-Wielandt upper bound max(Mv/v) of the power iteration on
-    I + M (see :func:`_power_iteration`), within ``tol`` of r for an
-    irreducible M.  For a reducible M the upper bound still decreases to
-    r and is returned once the bounds stop tightening; two classes of the
-    same radius, one reaching the other, slow that to a crawl, and when
-    the step budget runs out the eigenvalues decide.  :func:`spectral_radius`
-    avoids that by taking a model's strong classes one at a time.
+    I + M (see :func:`_power_iteration`), within ``POWER_TOL_DEFAULT`` of r
+    for an irreducible M.  For a reducible M the upper bound still
+    decreases to r and is returned once the bounds stop tightening; two
+    classes of the same radius, one reaching the other, slow that to a
+    crawl, and when the step budget runs out the eigenvalues decide.
+    :func:`spectral_radius` avoids that by taking a model's strong classes
+    one at a time.
     """
     if not entries.any():
         return 0.0
     try:
-        return _power_iteration(entries, np.ones(entries.shape[0]), None, tol, maxiter)[4]
+        return _power_iteration(entries, np.ones(entries.shape[0]), None, POWER_TOL_DEFAULT)[4]
     except NoConvergenceError:
         return float(np.abs(np.linalg.eigvals(entries)).max())
 
@@ -214,7 +211,6 @@ def perron_pair(
     entries: np.ndarray,
     start: PerronPair | None = None,
     tol: float = POWER_TOL_DEFAULT,
-    maxiter: int = POWER_MAXITER_DEFAULT,
 ) -> PerronPair:
     """Perron root and vectors of an irreducible nonnegative matrix M.
 
@@ -225,27 +221,17 @@ def perron_pair(
     m = entries.shape[0]
     v = np.ones(m) if start is None else start.v
     u = np.ones(m) if start is None else start.u
-    v, mv, u, lower, upper = _power_iteration(entries, v, u, tol, maxiter)
+    v, mv, u, lower, upper = _power_iteration(entries, v, u, tol)
     r = float(u @ mv) / float(u @ v)
     return PerronPair(min(max(r, lower), upper), v, u, lower, upper)
 
 
-def spectral_radius(
-    model: SystemModel,
-    beta: float,
-    tol: float = POWER_TOL_DEFAULT,
-    maxiter: int = POWER_MAXITER_DEFAULT,
-) -> float:
+def spectral_radius(model: SystemModel, beta: float) -> float:
     """Dominant-eigenvalue modulus of the transfer matrix at beta."""
-    return _class_radius(model, transfer_matrix(model, beta).entries, tol, maxiter)
+    return _class_radius(model, transfer_matrix(model, beta).entries)
 
 
-def _class_radius(
-    model: SystemModel,
-    entries: np.ndarray,
-    tol: float = POWER_TOL_DEFAULT,
-    maxiter: int = POWER_MAXITER_DEFAULT,
-) -> float:
+def _class_radius(model: SystemModel, entries: np.ndarray) -> float:
     """r(M) as the largest r(M_CC) over the strong classes C of the model.
 
     M is block-triangular in the classes, and on each irreducible block
@@ -254,26 +240,28 @@ def _class_radius(
     """
     ncomp, labels = model.strong_components
     if ncomp == 1:
-        return matrix_spectral_radius(entries, tol, maxiter)
+        return matrix_spectral_radius(entries)
     sizes = np.bincount(labels)
     r = float(entries.diagonal()[sizes[labels] == 1].max(initial=0.0))
     for c in np.flatnonzero(sizes > 1):
         idx = np.flatnonzero(labels == c)
-        r = max(r, matrix_spectral_radius(entries[np.ix_(idx, idx)], tol, maxiter))
+        r = max(r, matrix_spectral_radius(entries[np.ix_(idx, idx)]))
     return r
 
 
 # class_roots' tables, keyed by model identity (models compare by identity)
-_CLASS_ROOTS: "weakref.WeakKeyDictionary[SystemModel, dict]" = weakref.WeakKeyDictionary()
+_CLASS_ROOTS: "weakref.WeakKeyDictionary[SystemModel, tuple[ClassRoot, ...]]" = (
+    weakref.WeakKeyDictionary())
 
 
 @dataclass(frozen=True, eq=False)
 class ClassRoot:
     """The root of r_C(beta) = 1 for one strong class C, with its enclosure.
 
-    ``beta`` is None when a Collatz-Wielandt bound shows r(A_CC) <= 1 + tol
-    (a single cycle, or a letter with no loop): then r_C(beta) < 1 for
-    every beta > hi, hi being ~0.
+    ``beta`` is None when the Collatz-Wielandt bound of the all-ones vector
+    shows r(A_CC) <= 1 + ``BISECT_TOL_DEFAULT`` (a single cycle or a single
+    letter, where that bound is exact): then r_C(beta) < 1 for every
+    beta > hi, hi being ~0.
     Otherwise the root lies in [lo, hi] and r_C(beta) < 1 for every
     beta > hi.
     """
@@ -284,7 +272,7 @@ class ClassRoot:
     hi: float
 
 
-def _class_root(model: SystemModel, idx: np.ndarray, tol: float) -> ClassRoot:
+def _class_root(model: SystemModel, idx: np.ndarray) -> ClassRoot:
     """Newton on f(beta) = log r_C(beta) for the class on generators ``idx``.
 
     Every entry of M_CC is log-linear in beta, so f is convex (Kingman,
@@ -295,10 +283,10 @@ def _class_root(model: SystemModel, idx: np.ndarray, tol: float) -> ClassRoot:
     f' = -u'(M diag log N)v / (r u'v) from the Perron pair.  Far from the
     root the pair is computed only as accurately as the step needs
     (inexact Newton, ``INEXACT_FACTOR``).  Newton stops, on a pair of full
-    accuracy, once the enclosure below is narrower than ``tol`` (so the
-    step, which stays inside it, is too) or than twice the spread of the
-    radius's own certificate (energies near 1 make log r flat, so its
-    rounding moves beta by more than ``tol``).
+    accuracy, once the enclosure below is narrower than
+    ``BISECT_TOL_DEFAULT`` (so the step, which stays inside it, is too) or
+    than twice the spread of the radius's own certificate (energies near 1
+    make log r flat, so its rounding moves beta by more than that).
 
     The enclosure comes from the Collatz-Wielandt bounds lower <= r <=
     upper at the last iterate beta: M_CC(beta + t) <= M_CC(beta) N_min^-t
@@ -321,30 +309,30 @@ def _class_root(model: SystemModel, idx: np.ndarray, tol: float) -> ClassRoot:
         # the lower bound is 0 only when weights underflow far out
         low = math.log(pair.lower * (1.0 - pad)) if pair.lower > 0.0 else -math.inf
         high = math.log(pair.upper * (1.0 + pad))
-        if beta == 0.0 and pair.upper <= 1.0 + tol:
+        if beta == 0.0 and pair.upper <= 1.0 + BISECT_TOL_DEFAULT:
             return ClassRoot(idx, None, 0.0, float(np.nextafter(max(0.0, high) / log_min, math.inf)))
         f = math.log(pair.r)
         slope = -float(pair.u @ (entries @ (log_n * pair.v))) / (pair.r * float(pair.u @ pair.v))
         step = -f / slope
         lo = float(np.nextafter(beta - max(0.0, -low) / log_min, -math.inf))
         hi = float(np.nextafter(beta + max(0.0, high) / log_min, math.inf))
-        if pair_tol == POWER_TOL_DEFAULT and hi - lo <= max(tol, 2.0 * (high - low) / log_min):
+        width = max(BISECT_TOL_DEFAULT, 2.0 * (high - low) / log_min)
+        if pair_tol == POWER_TOL_DEFAULT and hi - lo <= width:
             return ClassRoot(idx, min(max(beta + step, lo), hi), lo, hi)
         beta += step
 
 
-def class_roots(model: SystemModel, tol: float = BISECT_TOL_DEFAULT) -> tuple[ClassRoot, ...]:
+def class_roots(model: SystemModel) -> tuple[ClassRoot, ...]:
     """Certified roots of r_C(beta) = 1, one per strong class, indexed by class label.
 
-    Computed once per model and tolerance, and dropped with the model.
+    Computed once per model, and dropped with the model.
     """
-    table = _CLASS_ROOTS.setdefault(model, {})
-    if tol not in table:
+    table = _CLASS_ROOTS.get(model)
+    if table is None:
         ncomp, labels = model.strong_components
-        table[tol] = tuple(
-            _class_root(model, np.flatnonzero(labels == c), tol) for c in range(ncomp)
-        )
-    return table[tol]
+        table = _CLASS_ROOTS[model] = tuple(
+            _class_root(model, np.flatnonzero(labels == c)) for c in range(ncomp))
+    return table
 
 
 def evaluate(

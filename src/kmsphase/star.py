@@ -152,24 +152,19 @@ def build_star(
         if family != "default":
             raise ValueError(f"unknown family {family!r}")
         if drop is None:
-            drop = _minimal_default_drop(head_count)
-            if drop is None:
+            found = _minimal_default_drop(head_count)
+            if found is None:
                 raise ConditionDaggerFailsError(None)
-        raw = np.arange(drop + 1, drop + head_count + 1, dtype=float)
-        head = _default_term(raw)
-        if head[0] < 2.0:
-            raise EnergyBelowTwoError(1, float(head[0]))
-        first_omitted = drop + head_count + 1
-        lo_t, hi_t = _tail_bounds(1.0, 1.0, first_omitted)
-        head_sum = float(np.sum(1.0 / head))
-        z_lo, z_hi = head_sum + lo_t, head_sum + hi_t
-        if not z_hi < 2.0:
-            needed = _minimal_default_drop(head_count)
-            raise ConditionDaggerFailsError(needed)
+            drop, head, bounds = found
+        else:
+            head, bounds = _default_head(drop, head_count)
+            if not bounds[1] < 2.0:
+                found = _minimal_default_drop(head_count)
+                raise ConditionDaggerFailsError(None if found is None else found[0])
         return StarSystem(
             kind="default", drop=drop, beta_bar=1.0, head=head, n0_energy=2.0,
-            first_omitted=first_omitted, abscissa_verified=True,
-            zeta_at_abscissa_bounds=(z_lo, z_hi),
+            first_omitted=drop + head_count + 1, abscissa_verified=True,
+            zeta_at_abscissa_bounds=bounds,
         )
 
     terms = np.asarray(list(family), dtype=float)
@@ -193,15 +188,31 @@ def build_star(
     )
 
 
-def _minimal_default_drop(head_count: int) -> int | None:
+def _default_head(drop: int, head_count: int) -> tuple[np.ndarray, tuple[float, float]]:
+    """The default family's head after ``drop`` terms, with its certified
+    bounds on zeta(1).
+
+    Raises EnergyBelowTwoError when N_1 < 2, checked before the head is built.
+    """
+    first = float(_default_term(float(drop + 1)))
+    if first < 2.0:
+        raise EnergyBelowTwoError(1, first)
+    head = _default_term(np.arange(drop + 1, drop + head_count + 1, dtype=float))
+    lo_t, hi_t = _tail_bounds(1.0, 1.0, drop + head_count + 1)
+    head_sum = float(np.sum(1.0 / head))
+    return head, (head_sum + lo_t, head_sum + hi_t)
+
+
+def _minimal_default_drop(head_count: int) -> tuple[int, np.ndarray, tuple[float, float]] | None:
+    """(drop, head, zeta(1) bounds) at the least drop meeting N_1 >= 2 and
+    the normalization condition, or None when no drop up to _MAX_AUTO_DROP does."""
     for d in range(_MAX_AUTO_DROP + 1):
-        raw = np.arange(d + 1, d + head_count + 1, dtype=float)
-        head = _default_term(raw)
-        if head[0] < 2.0:
+        try:
+            head, bounds = _default_head(d, head_count)
+        except EnergyBelowTwoError:
             continue
-        _, hi_t = _tail_bounds(1.0, 1.0, d + head_count + 1)
-        if float(np.sum(1.0 / head)) + hi_t < 2.0:
-            return d
+        if bounds[1] < 2.0:
+            return d, head, bounds
     return None
 
 

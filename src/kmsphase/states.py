@@ -47,6 +47,11 @@ __all__ = [
 ]
 
 DEFECT_CLAMP_DEFAULT = 1e-12
+# A defect below -DEFECT_TOL breaks subinvariance; a finite fraction within
+# DEFECT_TOL of 0 or 1 leaves out the finite or the infinite part.
+DEFECT_TOL = 1e-9
+# Infinite-stem shells checked against their bound after cooling.
+COOLING_CHECK_SHELLS = 20
 
 
 @dataclass(frozen=True)
@@ -228,13 +233,13 @@ class Decomposition:
 INVARIANT_TOL = 1e-10
 
 
-def _defects(model: SystemModel, space: ColumnSpace, beta: float, state: QState,
-             clamp: float, tol: float) -> np.ndarray:
+def _defects(model: SystemModel, space: ColumnSpace, beta: float, state: QState) -> np.ndarray:
     """Per-atom defect: atom mass minus the inflow sum_{z with column c} N(z)^-beta q_z.
 
-    Nonnegative exactly when the state is subinvariant at beta; entries
-    within ``clamp`` of zero are flattened to absorb float noise at exact
-    invariance points.  The invariance gap tolerance then applies atom by
+    Nonnegative exactly when the state is subinvariant at beta (up to
+    ``DEFECT_TOL``); entries within ``DEFECT_CLAMP_DEFAULT`` of zero are
+    flattened to absorb float noise at exact invariance points.  The
+    invariance gap tolerance then applies atom by
     atom: every defect inside it counts as an invariant atom and is zeroed,
     whether or not other atoms carry a real defect.  Near criticality the
     normalizer blows up like 1/(1 - r), so eigen-gap noise left in any
@@ -242,22 +247,16 @@ def _defects(model: SystemModel, space: ColumnSpace, beta: float, state: QState,
     """
     inflow = space.push(model.weights(beta) * state.q)
     d = state.atoms - inflow
-    d[np.abs(d) < clamp] = 0.0
+    d[np.abs(d) < DEFECT_CLAMP_DEFAULT] = 0.0
     for c, v in enumerate(d):
-        if v < -tol:
+        if v < -DEFECT_TOL:
             raise NegativeDefectError(c, float(v))
     d = np.clip(d, 0.0, None)
     d[d <= INVARIANT_TOL] = 0.0
     return d
 
 
-def decompose(
-    model: SystemModel,
-    beta: float,
-    state: QState,
-    clamp: float = DEFECT_CLAMP_DEFAULT,
-    tol: float = 1e-9,
-) -> Decomposition:
+def decompose(model: SystemModel, beta: float, state: QState) -> Decomposition:
     """Recover the root measure and type split of a subinvariant state.
 
     The defect vector is exactly the restriction of the underlying measure
@@ -270,7 +269,7 @@ def decompose(
     the fraction or push it past 1.
     """
     space = column_space(model)
-    d = _defects(model, space, beta, state, clamp, tol)
+    d = _defects(model, space, beta, state)
     gamma_fin = RootMeasure(weights=tuple(float(v) for v in d))
     fraction = z_gamma(model, beta, d, space=space)
     if math.isinf(fraction):
@@ -282,7 +281,7 @@ def decompose(
     fraction = min(fraction, 1.0)
 
     fin_state = None
-    if fraction > tol:
+    if fraction > DEFECT_TOL:
         if math.isinf(beta):
             fin_state = ground_state(model, gamma_fin)
         else:
@@ -291,7 +290,7 @@ def decompose(
     inf_state = None
     fp_residual = None
     qn_residual = None
-    if fraction < 1.0 - tol:
+    if fraction < 1.0 - DEFECT_TOL:
         fin_atoms = fin_state.atoms if fin_state is not None else np.zeros(space.d)
         rem = (state.atoms - fraction * fin_atoms) / (1.0 - fraction)
         rem = np.clip(rem, 0.0, None)
@@ -326,25 +325,20 @@ def decompose(
     )
 
 
-def cooling(
-    model: SystemModel,
-    beta: float,
-    state: QState,
-    beta_prime: float,
-    check_shells: int = 20,
-) -> QState:
+def cooling(model: SystemModel, beta: float, state: QState, beta_prime: float) -> QState:
     """Transport a subinvariant state at beta to beta_prime > beta.
 
     The result is the unique beta_prime-scaling state with the same
     restriction data; lowering the temperature always makes it finite
     type, with infinite-stem shells bounded by R^(-n delta) for
-    R = min N(x) and delta = beta_prime - beta.
+    R = min N(x) and delta = beta_prime - beta, checked on the first
+    ``COOLING_CHECK_SHELLS`` shells.
     """
     if beta_prime < beta:
         raise ValueError("cooling requires beta_prime >= beta")
     space = column_space(model)
     try:
-        _defects(model, space, beta, state, DEFECT_CLAMP_DEFAULT, 1e-9)
+        _defects(model, space, beta, state)
     except NegativeDefectError as exc:
         raise NotSubinvariantError(f"input state is not subinvariant at beta={beta}") from exc
     if beta_prime == beta:
@@ -360,7 +354,7 @@ def cooling(
 
     delta = beta_prime - beta
     r_min = float(model.energies.min())
-    shells = omega_infinity_mass(model, beta_prime, cooled, check_shells)
+    shells = omega_infinity_mass(model, beta_prime, cooled, COOLING_CHECK_SHELLS)
     for n, s in enumerate(shells, start=1):
         bound = r_min ** (-n * delta)
         if s > bound * (1.0 + 1e-9) + 1e-12:

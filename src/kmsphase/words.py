@@ -13,10 +13,11 @@ order.  Replaying the tree at a beta gives each word its own weight, the
 left-to-right product w(parent) * N(letter)^-beta; one tree serves any
 number of betas and every level up to its depth.  The sum of a shell is
 fixed bit for bit: each last-letter group is summed exactly rounded
-(``math.fsum``, so the order inside a group does not matter), empty groups
-are skipped, and the groups are combined with Kahan compensation in
-ascending letter order, so that shells of mixed magnitude combine at
-~1e-16 relative accuracy.
+(``math.fsum``, so the order inside a group does not matter), and the
+group sums are combined by one more ``fsum``, as are the shells of a
+partial series.  The groups stay because one ``fsum`` over a whole shell
+builds a list of every word in it, which measured slower on shells of
+millions of words.
 """
 
 from __future__ import annotations
@@ -46,22 +47,6 @@ class AdmissibleWord:
 
     def weight(self, beta: float) -> float:
         return float(np.exp(-beta * self.weight_exponent))
-
-
-class Kahan:
-    """Compensated accumulator for float sums."""
-
-    __slots__ = ("total", "_c")
-
-    def __init__(self):
-        self.total = 0.0
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        y = x - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t
 
 
 def enumerate_words(model: SystemModel, n: int, cap: int = WORD_CAP_DEFAULT) -> list[AdmissibleWord]:
@@ -181,12 +166,15 @@ def _shell_sums(
             w *= nw[level.letters]  # w(parent) * N(letter)^-beta, in place
         if n < first:
             continue
-        acc = Kahan()
-        for y, start, stop in level.groups:
-            if target is None or y == target:
-                acc.add(fsum(w[start:stop].tolist()))
-        out.append(acc.total)
+        out.append(fsum(fsum(w[start:stop].tolist())
+                        for y, start, stop in level.groups if target is None or y == target))
     return out
+
+
+def _check_ends(model: SystemModel, source: int | None, target: int | None) -> None:
+    for name, x in (("source", source), ("target", target)):
+        if x is not None and not 0 <= x < model.m:
+            raise ValueError(f"{name} must be a letter in 0..{model.m - 1}, got {x}")
 
 
 def shell_sum(
@@ -201,10 +189,12 @@ def shell_sum(
 
     ``source``/``target`` restrict to words with that first/last letter.
     For n = 0 the value is 1 when both constraints are absent (the empty
-    word) and 0 otherwise.
+    word) and 0 otherwise.  Raises ValueError for a source or target
+    outside the alphabet.
     """
     if n < 0:
         raise ValueError("shell index must be nonnegative")
+    _check_ends(model, source, target)
     if n == 0:
         return 1.0 if source is None and target is None else 0.0
     tree = _word_tree(model, n, source, cap)
@@ -223,16 +213,15 @@ def partial_series(
 
     The length-0 term (the empty word, weight 1) belongs only to the
     unconstrained series; the fixed-source/fixed-target series start at n=1.
+    Raises ValueError for a source or target outside the alphabet.
     """
     if L < 0:
         raise ValueError("truncation length must be nonnegative")
+    _check_ends(model, source, target)
     for total_words in accumulate(_shell_counts(model, L)[1:]):
         if total_words > cap:
             raise LengthTooLargeError(total_words, cap)
-    acc = Kahan()
-    if source is None and target is None:
-        acc.add(1.0)
+    shells = [1.0] if source is None and target is None else []
     if L > 0:
-        for value in _shell_sums(model, _word_tree(model, L, source, cap), beta, target=target):
-            acc.add(value)
-    return acc.total
+        shells += _shell_sums(model, _word_tree(model, L, source, cap), beta, target=target)
+    return fsum(shells)

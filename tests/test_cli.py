@@ -133,6 +133,14 @@ class TestOracle:
         assert [int(r[1]) for r in rows] == [1, 2, 4, 8]
         assert float(rows[2][2]) == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("extra", [["--source", "5"], ["--source", "-1"], ["--target", "7"],
+                                       ["--max-length", "-3"]])
+    def test_out_of_range_input_exits_one(self, golden_file, capsys, extra):
+        argv = ["oracle", "--model", golden_file, "--beta", "1.0", "--max-length", "3", *extra]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
 
 class TestStarCommand:
     def test_star_report(self, capsys):

@@ -111,8 +111,23 @@ class TestBetaC:
         assert rep.coincide and rep.interval_open_at_left and not rep.permutation_like
 
     def test_permutation_clamped_to_zero(self):
-        rep = beta_c(cycle_model())
-        assert rep.beta_c == 0.0 and rep.permutation_like
+        two_cycles = build_model([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+                                 [2.0, 3.0, 2.5, 4.0])
+        for model in (cycle_model(), two_cycles, build_model([[1]], [3.0])):
+            rep = beta_c(model)
+            assert (rep.beta_c, rep.bracket_width, rep.permutation_like) == (0.0, 0.0, True)
+
+    def test_no_radius_probe(self, rng, monkeypatch):
+        # the class roots decide every model; no r(A) is computed beside them
+        calls = []
+        real = partition.matrix_spectral_radius
+        monkeypatch.setattr(partition, "matrix_spectral_radius",
+                            lambda entries: calls.append(entries.shape) or real(entries))
+        models = [golden_mean_model(), *coexistence_models(),
+                  random_irreducible(rng, 6, non_permutation=True, energy_range=(1.5, 4.0))]
+        for model in models:
+            assert not beta_c(model).permutation_like
+        assert calls == []
 
     def test_radius_one_at_critical(self, rng):
         for _ in range(5):
@@ -187,7 +202,7 @@ class TestPerronVector:
         with pytest.raises(NoConvergenceError):
             perron_vector(m, 0.5)
 
-    def test_stagnation_exit_reports_its_own_bounds(self, rng):
+    def test_stagnation_exit_reports_its_own_bounds(self, rng, monkeypatch):
         # tol = 0 is never met, so the iteration ends at the stagnation exit
         m = random_irreducible(rng, 8, non_permutation=True, energy_range=(1.5, 4.0))
         entries = transfer_matrix(m, 0.7).entries
@@ -196,8 +211,9 @@ class TestPerronVector:
         assert (pair.lower, pair.upper) == (ratios.min(), ratios.max())
         assert pair.lower <= pair.r <= pair.upper
         assert pair.upper - pair.lower <= 1e-13 * pair.upper
+        monkeypatch.setattr(partition, "POWER_MAXITER_DEFAULT", 8)
         with pytest.raises(NoConvergenceError):
-            partition.perron_pair(entries, tol=0.0, maxiter=8)
+            partition.perron_pair(entries, tol=0.0)
 
 
 # --- the three bisection loops the shared bracket replaced ------------------
@@ -442,6 +458,7 @@ class TestNewtonRoots:
         model = NEWTON_MODELS["random8"]()
         table = class_roots(model)
         assert class_roots(model) is table
+        assert partition._CLASS_ROOTS[model] is table
         ref = weakref.ref(model)
         del model
         gc.collect()

@@ -20,6 +20,7 @@ from kmsphase.errors import (
     ConditionDaggerFailsError,
     EnergyBelowTwoError,
 )
+from kmsphase import star as star_mod
 from kmsphase.star import StarSystem, z0_truncation_bound, zeta_enclosure, zeta_value
 
 
@@ -35,6 +36,14 @@ class TestBuildStar:
         lo, hi = s.zeta_at_abscissa_bounds
         assert lo <= hi < 2.0 ** s.beta_bar
         assert hi - lo < 1e-6
+
+    def test_auto_drop_builds_the_head_once(self, monkeypatch):
+        sizes = []
+        real = star_mod._default_term
+        monkeypatch.setattr(star_mod, "_default_term",
+                            lambda j: sizes.append(np.size(j)) or real(j))
+        s = build_star("default", head_count=1000)
+        assert s.drop == 1 and sizes.count(1000) == 1
 
     def test_drop_zero_fails_on_energy(self):
         with pytest.raises(EnergyBelowTwoError) as err:

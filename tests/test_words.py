@@ -9,7 +9,7 @@ import pytest
 from kmsphase import build_model, enumerate_words, partial_series, shell_sum
 from kmsphase.critical import abscissa_estimate
 from kmsphase.errors import DegenerateShellsError, LengthTooLargeError, NoConvergenceError
-from kmsphase.words import Kahan, _shell_count
+from kmsphase.words import _shell_count
 
 from conftest import cycle_model, full_model, golden_mean_model, random_irreducible, random_matrix
 
@@ -118,6 +118,14 @@ class TestPartialSeries:
             partial_series(full_model(5), 2.0, 12, cap=10_000)
 
 
+@pytest.mark.parametrize("series", [shell_sum, partial_series])
+@pytest.mark.parametrize("n", [0, 3])
+@pytest.mark.parametrize("ends", [{"source": 5}, {"source": -1}, {"target": 7}, {"target": 2}])
+def test_letters_outside_the_alphabet_rejected(series, n, ends):
+    with pytest.raises(ValueError, match="must be a letter in 0..1"):
+        series(golden_mean_model(), 1.0, n, **ends)
+
+
 # --- the word tree against the per-call frontier it replaced ---------------
 
 def _shell_weights_reference(model, beta, n, source):
@@ -144,25 +152,18 @@ def shell_sum_reference(model, beta, n, source=None, target=None, cap=10_000_000
     if count > cap:
         raise LengthTooLargeError(count, cap)
     frontier = _shell_weights_reference(model, beta, n, source)
-    acc = Kahan()
-    for y in sorted(frontier):
-        if target is not None and y != target:
-            continue
-        acc.add(fsum(frontier[y].tolist()))
-    return acc.total
+    return fsum(fsum(frontier[y].tolist()) for y in sorted(frontier) if target in (None, y))
 
 
 def partial_series_reference(model, beta, L, source=None, target=None, cap=10_000_000):
-    acc = Kahan()
-    if source is None and target is None:
-        acc.add(1.0)
+    shells = [1.0] if source is None and target is None else []
     total_words = 0
     for n in range(1, L + 1):
         total_words += _shell_count(model, n)
         if total_words > cap:
             raise LengthTooLargeError(total_words, cap)
-        acc.add(shell_sum_reference(model, beta, n, source=source, target=target, cap=cap))
-    return acc.total
+        shells.append(shell_sum_reference(model, beta, n, source=source, target=target, cap=cap))
+    return fsum(shells)
 
 
 def abscissa_reference(model, L, cap=10_000_000):
