@@ -4,7 +4,9 @@ A system is a pair (A, N): a 0-1 transition matrix A over m generators with
 no identically zero rows, and energies N(x) > 1 per generator.  All other
 modules consume the validated :class:`SystemModel` produced here, together
 with the column space of ``A`` (its set of distinct columns), which indexes
-the atoms of every state the toolkit manipulates.
+the atoms of every state the toolkit manipulates, and the strong classes of
+``A``, found by one iterative linear-time search (Tarjan's algorithm), which
+carry the critical temperatures.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DimensionMismatchError,
@@ -71,7 +72,7 @@ class SystemModel:
     @cached_property
     def strong_components(self) -> tuple[int, np.ndarray]:
         """Strongly connected components: their number and a read-only label per generator."""
-        ncomp, labels = connected_components(self.matrix, directed=True, connection="strong")
+        ncomp, labels = _strong_components(self.matrix)
         labels.setflags(write=False)
         return ncomp, labels
 
@@ -101,17 +102,70 @@ class SystemModel:
 
     @cached_property
     def _column_space(self) -> "ColumnSpace":
-        cols = [tuple(int(b) for b in self.matrix[:, z]) for z in range(self.m)]
-        points = tuple(sorted(set(cols)))
-        index = {c: i for i, c in enumerate(points)}
-        column_of = tuple(index[c] for c in cols)
-        zero = tuple([0] * self.m)
+        # np.unique sorts the rows of A^T lexicographically, as tuples sort.
+        points, column_of = np.unique(self.matrix.T, axis=0, return_inverse=True)
         return ColumnSpace(
-            points=points,
-            column_of=column_of,
+            points=tuple(map(tuple, points.tolist())),
+            column_of=tuple(column_of.reshape(-1).tolist()),
             d=len(points),
-            contains_zero=zero in index,
+            contains_zero=not points[0].any(),
         )
+
+
+def _strong_components(matrix: np.ndarray) -> tuple[int, np.ndarray]:
+    """Strongly connected components of the graph with an edge x -> y where matrix[x, y] != 0.
+
+    Tarjan's algorithm ("Depth-first search and linear graph algorithms",
+    SIAM J. Comput. 1972): one depth-first search, linear in the number of
+    edges, kept on an explicit path so that no recursion limit is reached.
+    A visited vertex stays on ``stack`` until its component closes, and
+    only edges into ``stack`` can lower ``low``.  Returns the number of
+    components and a label per vertex; labels count the components in the
+    order they close, sinks of the condensation first.
+    """
+    m = matrix.shape[0]
+    index = [-1] * m    # preorder number, -1 until visited
+    low = [0] * m       # least preorder number reached on the stack
+    labels = [-1] * m   # -1 until the component closes
+    stack: list[int] = []
+    path: list = []     # the search path: each vertex with its unscanned successors
+    ncomp = order = 0
+
+    def enter(v: int) -> None:
+        nonlocal order
+        index[v] = low[v] = order
+        order += 1
+        stack.append(v)
+        # A memoryview makes each successor a Python int only when it is
+        # scanned; lists of them would hold all ~m^2 ints of a dense matrix
+        # at once, and their small-object arenas raised the peak memory of
+        # later work by about 2 MB at m = 400.
+        path.append((v, iter(memoryview(matrix[v].nonzero()[0]))))
+
+    for root in range(m):
+        if index[root] < 0:
+            enter(root)
+        while path:
+            v, successors = path[-1]
+            for w in successors:
+                if index[w] < 0:
+                    enter(w)
+                    break
+                if labels[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                path.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        labels[w] = ncomp
+                        if w == v:
+                            break
+                    ncomp += 1
+                if path:
+                    u = path[-1][0]
+                    low[u] = min(low[u], low[v])
+    return ncomp, np.array(labels, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -192,12 +246,12 @@ def build_model(
         raise DimensionMismatchError(
             f"energies must have length {a.shape[0]}, got shape {n.shape}"
         )
-    for i in range(a.shape[0]):
-        if not a[i].any():
-            raise ZeroRowError(i)
-    for i, v in enumerate(n):
-        if not (math.isfinite(v) and v > 1.0):
-            raise EnergyNotAboveOneError(i, float(v))
+    zero_rows = np.flatnonzero(~a.any(axis=1))
+    if zero_rows.size:
+        raise ZeroRowError(int(zero_rows[0]))
+    bad = np.flatnonzero(~(np.isfinite(n) & (n > 1.0)))
+    if bad.size:
+        raise EnergyNotAboveOneError(int(bad[0]), float(n[bad[0]]))
     if labels is not None:
         if len(labels) != a.shape[0]:
             raise DimensionMismatchError("labels must match the matrix dimension")

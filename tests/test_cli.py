@@ -3,6 +3,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -33,6 +36,29 @@ def full2_file(tmp_path):
 
 
 class TestAnalyze:
+    def test_scipy_not_loaded(self, tmp_path):
+        """numpy is the only runtime dependency: a fresh interpreter that
+        analyzes a reducible model, and so finds its strong classes, loads
+        no scipy module."""
+        path = tmp_path / "reducible.json"
+        path.write_text(json.dumps({"matrix": [[1, 1, 0], [1, 0, 1], [0, 0, 1]],
+                                    "energies": [2.0, 2.0, 2.0]}))
+        code = (
+            "import contextlib, io, json, sys\n"
+            "import kmsphase\n"
+            "from kmsphase import cli\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            f"    rc = cli.main(['analyze', '--model', {str(path)!r}])\n"
+            "print(rc, json.loads(out.getvalue())['properties']['irreducible'],\n"
+            "      sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        assert proc.stdout.strip() == "0 False []"
+
     def test_golden_mean_report(self, golden_file, capsys):
         assert main(["analyze", "--model", golden_file]) == 0
         out = json.loads(capsys.readouterr().out)

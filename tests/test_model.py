@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from kmsphase import a_xyz, build_model, column_space, properties
 from kmsphase.errors import DimensionMismatchError, EnergyNotAboveOneError, ZeroRowError
-from kmsphase.model import v_xy_points
+from kmsphase.model import _strong_components, v_xy_points
 
 from conftest import coexistence_models, full_model, golden_mean_model, random_matrix
 
@@ -25,6 +26,10 @@ class TestBuildModel:
         with pytest.raises(ZeroRowError) as err:
             build_model([[0, 0], [1, 1]], [2.0, 2.0])
         assert err.value.row == 0
+        # Two zero rows: the first is reported, before any energy is checked.
+        with pytest.raises(ZeroRowError) as err:
+            build_model([[1, 0, 0], [0, 0, 0], [0, 0, 0]], [0.5] * 3)
+        assert err.value.row == 1
 
     def test_energy_boundary_rejected(self):
         with pytest.raises(EnergyNotAboveOneError) as err:
@@ -33,6 +38,13 @@ class TestBuildModel:
         with pytest.raises(EnergyNotAboveOneError, match="finite and strictly greater than 1") as err:
             build_model([[1, 1], [1, 0]], [math.inf, 2.0])
         assert err.value.index == 0
+        # Two bad energies: the first is reported.
+        with pytest.raises(EnergyNotAboveOneError) as err:
+            build_model(np.ones((3, 3), dtype=int), [2.0, math.nan, 0.5])
+        assert err.value.index == 1 and math.isnan(err.value.value)
+        with pytest.raises(EnergyNotAboveOneError) as err:
+            build_model(np.ones((3, 3), dtype=int), [2.0, 1.0, -math.inf])
+        assert (err.value.index, err.value.value) == (1, 1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -117,6 +129,8 @@ class TestProperties:
                 reach = reach | (reach @ adj)
             assert np.array_equal(labels[:, None] == labels[None, :], reach & reach.T)
             assert len(set(labels.tolist())) == ncomp
+            assert set(labels.tolist()) == set(range(ncomp))
+            assert _same_partition((ncomp, labels), _scipy_components(a))
 
 
 def _mutual(a, m):
@@ -126,6 +140,61 @@ def _mutual(a, m):
     for _ in range(m):
         reach = reach | (reach @ adj)
     return bool(reach.all())
+
+
+def _scipy_components(a):
+    return connected_components(np.asarray(a), directed=True, connection="strong")
+
+
+def _same_partition(got, want):
+    """Same number of classes and the same partition; the numbering may differ."""
+    (n1, l1), (n2, l2) = got, want
+    return n1 == n2 and np.array_equal(l1[:, None] == l1[None, :], l2[:, None] == l2[None, :])
+
+
+def _graphs(rng, m):
+    """Random digraphs on m vertices of several shapes; rows may be zero."""
+    for p in (0.02, 0.1, 0.3, 0.7):
+        yield (rng.random((m, m)) < p).astype(np.int8)     # self-loops included
+    perm = rng.permutation(m)
+    yield np.triu(rng.random((m, m)) < 0.3, k=1)[np.ix_(perm, perm)].astype(np.int8)   # a DAG
+    # Up to five parts: disjoint cycles on a shuffled split, then random
+    # diagonal blocks on consecutive ranges, linked only to later blocks.
+    cuts = np.sort(rng.choice(np.arange(1, m), size=int(rng.integers(0, min(m, 5))), replace=False))
+    cycles = np.zeros((m, m), dtype=np.int8)
+    for cyc in np.split(rng.permutation(m), cuts):
+        cycles[cyc, np.roll(cyc, 1)] = 1
+    yield cycles
+    blocks = (rng.random((m, m)) < 0.05).astype(np.int8)
+    for lo, hi in zip(np.concatenate([[0], cuts]), np.concatenate([cuts, [m]])):
+        blocks[lo:, lo:hi] = 0
+        blocks[lo:hi, lo:hi] = random_matrix(rng, hi - lo)
+    yield blocks
+
+
+class TestStrongComponents:
+    def test_partition_matches_scipy(self):
+        rng = np.random.default_rng(2024)
+        for m in range(1, 61):
+            for a in _graphs(rng, m):
+                ncomp, labels = _strong_components(a)
+                assert _same_partition((ncomp, labels), _scipy_components(a))
+                # Labels count the classes as they close, sinks first, so no
+                # edge leads to a class of higher label.
+                x, y = np.nonzero(a)
+                assert (labels[x] >= labels[y]).all()
+
+    def test_long_cycle_and_chain(self):
+        # 3000 steps deep: a recursive search would exceed Python's recursion limit.
+        m = 3000
+        cycle = build_model(np.roll(np.eye(m, dtype=int), 1, axis=1), [2.0] * m)
+        ncomp, labels = cycle.strong_components
+        assert ncomp == 1 and not labels.any()
+        chain = np.eye(m, k=1, dtype=int)
+        chain[-1, -1] = 1
+        ncomp, labels = build_model(chain, [2.0] * m).strong_components
+        assert ncomp == m
+        assert np.array_equal(labels, np.arange(m)[::-1])
 
 
 class TestColumnSpace:
@@ -147,6 +216,23 @@ class TestColumnSpace:
         for z in range(m.m):
             expected = tuple(int(b) for b in m.matrix[:, z])
             assert space.points[space.column_of[z]] == expected
+
+    def test_matches_tuple_construction(self):
+        """The reference is the set of column tuples, sorted; zero columns included."""
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            mm = int(rng.integers(1, 25))
+            a = (rng.random((mm, mm)) < rng.uniform(0.05, 0.95)).astype(int)
+            a[np.arange(mm), rng.integers(0, mm, size=mm)] = 1         # no zero row
+            space = column_space(build_model(a, [2.0] * mm))
+            cols = [tuple(int(b) for b in a[:, z]) for z in range(mm)]
+            points = tuple(sorted(set(cols)))
+            assert space.points == points
+            assert space.column_of == tuple(points.index(c) for c in cols)
+            assert space.d == len(points)
+            assert space.contains_zero == ((0,) * mm in points)
+            assert all(type(b) is int for p in space.points for b in p)
+            assert all(type(c) is int for c in space.column_of)
 
     def test_structure_built_once_per_model(self):
         m = golden_mean_model()
