@@ -227,7 +227,7 @@ def _cmd_critical(args) -> int:
     m = load_model(args.model, args.model_json)
     crit = critical.beta_c(m)
     report = {"critical": crit, "settings": _settings(args)}
-    if args.abscissa_check:
+    if args.abscissa_check is not None:
         est = critical.abscissa_estimate(m, args.abscissa_check, cap=args.cap)
         report["abscissa_estimate"] = {"estimate": est.estimate, "residual": est.residual}
     print(dumps(report))

@@ -23,7 +23,10 @@ replaced) or at the rounding floor of the radius.
 
 :func:`_bisect` remains only for the shell-ratio root of
 :func:`abscissa_estimate`, whose function is enumerative and has no
-derivative at hand.
+derivative at hand.  Its predicate, the sign of S_L - S_{L-1}, is read
+from certified brackets of plain numpy shell sums and falls back to the
+exactly rounded sums only where the brackets overlap, so the bisection
+takes the path the exact sums give at the cost of about four exact sums.
 """
 
 from __future__ import annotations
@@ -162,24 +165,52 @@ def abscissa_estimate(
     shell_sum(beta, L) / shell_sum(beta, L-1) = 1: below the abscissa the
     shells grow, above they shrink.  Purely enumerative, so it serves as an
     independent cross-check of :func:`beta_c`.  The words of lengths up to L
-    are enumerated once; each beta replays them, and both shell sums equal
-    :func:`words.shell_sum` bit for bit.
+    are enumerated once and replayed at each beta.  The bisection steps on
+    certified brackets of plain shell sums and takes the exact sums only
+    when the brackets overlap, so each of its decisions, and hence the
+    estimate, is the one the exact sums give; the exact sums at beta = 0
+    (one replay serves the empty-shell check and the early return) and at
+    the estimate equal :func:`words.shell_sum` bit for bit.
     """
     if L < 2:
         raise ValueError("need at least two shells")
     tree = words._word_tree(model, L, cap=cap)
-    if words._shell_sums(model, tree, 0.0, first=L)[0] == 0.0:
-        raise DegenerateShellsError("empty shell at beta = 0")
 
-    def g(b: float) -> float:
-        shorter, longer = words._shell_sums(model, tree, b, first=L - 1)
+    def exact(b: float) -> list[float]:
+        return words._shell_sums(model, tree, b, first=L - 1)
+
+    def g(shells: list[float]) -> float:
+        shorter, longer = shells
         return longer / shorter - 1.0
 
-    if g(0.0) <= 0.0:
-        return AbscissaEstimate(estimate=0.0, residual=g(0.0))
-    lo, hi = _bisect(lambda b: g(b) > 0.0, BISECT_TOL_DEFAULT)
+    def above(b: float) -> bool:
+        # Three facts decide the sign without the exact sums (u = 2^-53).
+        # (1) For positive finite floats, longer / shorter - 1.0 > 0 exactly
+        # when longer > shorter: longer is then at least shorter plus one of
+        # its ulps, so the quotient exceeds 1 + u and rounds above 1.
+        # (2) A plain sum of n nonnegative terms, in any order, lies within
+        # gamma_{n-1} T of their real sum T; additions that underflow are
+        # exact, so this holds under gradual underflow too.  (3) The fsum of
+        # group fsums lies within (2u + u^2) T of T.  words._shell_enclosures
+        # turns (2) and (3) into brackets of the exact shells, inflated by a
+        # few ulps for their own rounding, so disjoint brackets decide by
+        # (1).  A zero or non-finite plain sum gets [0, inf], and the exact g
+        # then runs as it always did, errors included.
+        (lo_s, hi_s), (lo_l, hi_l) = words._shell_enclosures(model, tree, b, first=L - 1)
+        if lo_l > hi_s:
+            return True
+        if hi_l < lo_s:
+            return False
+        return g(exact(b)) > 0.0
+
+    at_zero = exact(0.0)
+    if at_zero[1] == 0.0:
+        raise DegenerateShellsError("empty shell at beta = 0")
+    if g(at_zero) <= 0.0:
+        return AbscissaEstimate(estimate=0.0, residual=g(at_zero))
+    lo, hi = _bisect(above, BISECT_TOL_DEFAULT)
     est = 0.5 * (lo + hi)
-    return AbscissaEstimate(estimate=est, residual=g(est))
+    return AbscissaEstimate(estimate=est, residual=g(exact(est)))
 
 
 def perron_vector(model: SystemModel, beta: float) -> np.ndarray:

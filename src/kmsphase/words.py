@@ -18,13 +18,19 @@ group sums are combined by one more ``fsum``, as are the shells of a
 partial series.  The groups stay because one ``fsum`` over a whole shell
 builds a list of every word in it, which measured slower on shells of
 millions of words.
+
+Every value this module returns is such an exact sum.  Plain numpy sums
+only steer: ``_shell_enclosures`` brackets each exact shell sum from a
+plain ``w.sum()``, and the bisection of
+:func:`critical.abscissa_estimate` takes its steps on those brackets,
+replaying the exact sums only where two brackets overlap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import fsum, log
+from math import fsum, inf, log
 
 import numpy as np
 
@@ -145,6 +151,18 @@ def _word_tree(
     return tree
 
 
+def _replay(model: SystemModel, tree: list[_Level], beta: float):
+    """Each level of ``tree`` with the weights of its words at beta, level by level."""
+    nw = model.weights(beta)
+    for level in tree:
+        if level.parents is None:
+            w = nw[level.letters]
+        else:
+            w = w[level.parents]
+            w *= nw[level.letters]  # w(parent) * N(letter)^-beta, in place
+        yield level, w
+
+
 def _shell_sums(
     model: SystemModel,
     tree: list[_Level],
@@ -156,18 +174,48 @@ def _shell_sums(
 
     Each value equals :func:`shell_sum` of that length bit for bit.
     """
-    nw = model.weights(beta)
     out = []
-    for n, level in enumerate(tree, start=1):
-        if level.parents is None:
-            w = nw[level.letters]
-        else:
-            w = w[level.parents]
-            w *= nw[level.letters]  # w(parent) * N(letter)^-beta, in place
+    for n, (level, w) in enumerate(_replay(model, tree, beta), start=1):
         if n < first:
             continue
         out.append(fsum(fsum(w[start:stop].tolist())
                         for y, start, stop in level.groups if target is None or y == target))
+    return out
+
+
+def _shell_enclosures(
+    model: SystemModel,
+    tree: list[_Level],
+    beta: float,
+    first: int = 1,
+) -> list[tuple[float, float]]:
+    """Certified [lo, hi] around each :func:`_shell_sums` value of lengths
+    first..len(tree) at beta, from one replay and a plain ``w.sum()`` per shell.
+
+    A plain sum R of n nonnegative terms, in any order, lies within
+    gamma_{n-1} T of their real sum T, gamma_k = k u / (1 - k u) with u the
+    unit roundoff; additions that underflow are exact, so the bound holds
+    there too (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., section 4.2).  The fsum of the group fsums lies within
+    (2u + u^2) T of T.  So the exact value lies within rel * R of R, rel =
+    (gamma + 2u + u^2) / (1 - gamma); 8u more covers the rounding of rel and
+    of the two products, whose relative error stays below 2u even where
+    R (1 - rel) underflows.  A plain sum that is zero or not finite gets
+    [0, inf], which decides no comparison.
+    """
+    u = 2.0 ** -53
+    out = []
+    for n, (_, w) in enumerate(_replay(model, tree, beta), start=1):
+        if n < first:
+            continue
+        rough = float(w.sum())
+        if not 0.0 < rough < inf:
+            out.append((0.0, inf))
+            continue
+        k = (w.size - 1) * u
+        gamma = k / (1.0 - k)
+        rel = (gamma + 2.0 * u + u * u) / (1.0 - gamma) + 8.0 * u
+        out.append((rough * (1.0 - rel), rough * (1.0 + rel)))
     return out
 
 

@@ -198,6 +198,12 @@ class TestErrors:
         assert main(["analyze", "--model-json", model]) == 1
         assert "finite and strictly greater than 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("length", ["0", "1", "-3"])
+    def test_abscissa_check_below_two_exits_one(self, golden_file, capsys, length):
+        assert main(["critical", "--model", golden_file, "--abscissa-check", length]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "need at least two shells" in captured.err
+
 
 class TestSharedParser:
     def test_parser_built_once(self):

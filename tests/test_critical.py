@@ -164,6 +164,47 @@ class TestAbscissaEstimate:
             est = abscissa_estimate(m, 20)
             assert abs(est.estimate - beta_c(m).beta_c) <= 5e-2
 
+    @staticmethod
+    def _count_exact_sums(monkeypatch):
+        betas = []
+        original = words._shell_sums
+
+        def counted(model, tree, beta, *args, **kwargs):
+            betas.append(beta)
+            return original(model, tree, beta, *args, **kwargs)
+
+        monkeypatch.setattr(words, "_shell_sums", counted)
+        return betas
+
+    def test_exact_tie_defers_to_exact_sums(self, monkeypatch):
+        # Every word of full_model(2) weighs 2^-n at beta = 1, so S_n(1) = 1
+        # for every n: the brackets of S_L and S_{L-1} overlap and only the
+        # exact sums can say that g(1) = 0 is not above.
+        model, L = full_model(2), 10
+        tree = words._word_tree(model, L)
+        (lo_s, hi_s), (lo_l, hi_l) = words._shell_enclosures(model, tree, 1.0, first=L - 1)
+        assert lo_l <= hi_s and lo_s <= hi_l
+        want = abscissa_reference(model, L)
+        betas = self._count_exact_sums(monkeypatch)
+        est = abscissa_estimate(model, L)
+        assert 1.0 in betas
+        assert (_hex(est.estimate), _hex(est.residual)) == (_hex(want[0]), _hex(want[1]))
+
+    def test_few_exact_sums_on_certify_sized_models(self, monkeypatch):
+        # Models the size of the benchmark's certify models: m = 6..9 and
+        # about 10^4 words in shell L.  The bisection takes ~40 steps, the
+        # exact sums are needed only at 0, at the estimate and at the rare
+        # step whose brackets overlap.
+        rng = np.random.default_rng(400)
+        betas = self._count_exact_sums(monkeypatch)
+        for m_size in (6, 6, 7, 7, 8, 9, 9):
+            model = random_irreducible(rng, m_size, non_permutation=True, energy_range=(1.5, 4.0))
+            counts = words._shell_counts(model, 40)
+            L = min(range(2, 41), key=lambda n: abs(math.log(counts[n] / 1e4)))
+            betas.clear()
+            abscissa_estimate(model, L)
+            assert len(betas) <= 4, (m_size, L, betas)
+
 
 class TestPerronVector:
     def test_full_matrix_symmetric(self):

@@ -5,11 +5,13 @@ from math import fsum
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmsphase import build_model, enumerate_words, partial_series, shell_sum
 from kmsphase.critical import abscissa_estimate
 from kmsphase.errors import DegenerateShellsError, LengthTooLargeError, NoConvergenceError
-from kmsphase.words import _shell_count
+from kmsphase.words import _shell_count, _shell_enclosures, _shell_sums, _word_tree
 
 from conftest import cycle_model, full_model, golden_mean_model, random_irreducible, random_matrix
 
@@ -247,3 +249,27 @@ class TestWordTreeBitwise:
             with pytest.raises(LengthTooLargeError) as info:
                 call()
             assert (info.value.count, info.value.cap) == (count, 1000)
+
+
+class TestShellEnclosures:
+    # The brackets steer the abscissa bisection: each must hold the exact
+    # shell sum, be narrow enough to decide, and decide nothing when the
+    # plain sum is zero.  Energies up to e^7 at beta up to 60 underflow
+    # whole shells and leave others subnormal.
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6), st.integers(2, 8), st.floats(0.0, 60.0), st.integers(0, 10_000))
+    def test_bracket_holds_the_exact_sum(self, m_size, L, beta, seed):
+        rng = np.random.default_rng(seed)
+        model = build_model(random_matrix(rng, m_size), np.exp(rng.uniform(0.01, 7.0, m_size)))
+        while _shell_count(model, L) > 20_000:
+            L -= 1
+        tree = _word_tree(model, L)
+        exact = _shell_sums(model, tree, beta)
+        brackets = _shell_enclosures(model, tree, beta)
+        assert len(brackets) == len(exact) == L
+        for n, (value, (lo, hi)) in enumerate(zip(exact, brackets), start=1):
+            assert lo <= value <= hi, (n, value, lo, hi)
+            if value == 0.0:
+                assert (lo, hi) == (0.0, math.inf)
+            else:
+                assert 0.0 < lo and hi - lo <= 1e-10 * hi, (n, value, lo, hi)
