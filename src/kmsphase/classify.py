@@ -159,8 +159,9 @@ def kms_oa(model: SystemModel, beta: float) -> OaSimplex:
     Requires no identically zero columns; irreducibility is not needed, so
     reducible systems may produce several distinct KMS temperatures.  Each
     strong class C is above, critical or below as r_C(beta) is above 1, within
-    ``EIG_ONE_TOL_DEFAULT`` of it, or below (a letter alone is its diagonal
-    entry, otherwise :func:`partition.perron_pair` of M_CC).  By the
+    ``EIG_ONE_TOL_DEFAULT`` of it, or below, r_C being the root of
+    :func:`partition.perron_pair` of M_CC (exact for a letter alone: its
+    diagonal entry, with vectors [1.0]).  By the
     Frobenius-Victory theorem a critical class whose other ancestor classes
     are all below gives one extreme vector, and nothing else does: the
     Perron vector v_C of M_CC on C, v_U' = (I - M_U'U')^-1 M_U'C v_C on the
@@ -176,14 +177,8 @@ def kms_oa(model: SystemModel, beta: float) -> OaSimplex:
     entries = transfer_matrix(model, beta).entries
     ncomp, labels = model.strong_components
     members = [np.flatnonzero(labels == c) for c in range(ncomp)]
-    radii = np.empty(ncomp)
-    pairs = {}
-    for c, idx in enumerate(members):
-        if len(idx) == 1:
-            radii[c] = entries[idx[0], idx[0]]
-        else:
-            pairs[c] = perron_pair(entries[np.ix_(idx, idx)])
-            radii[c] = pairs[c].r
+    pairs = [perron_pair(entries[np.ix_(idx, idx)]) for idx in members]
+    radii = np.array([pair.r for pair in pairs])
     below = radii < 1.0 - EIG_ONE_TOL_DEFAULT
     nweights = model.weights(beta)
 
@@ -195,7 +190,7 @@ def kms_oa(model: SystemModel, beta: float) -> OaSimplex:
         if not below[labels[rest]].all():
             continue
         v = np.zeros(model.m)
-        v[idx] = _certified_vector(pairs[c]) if c in pairs else 1.0
+        v[idx] = _certified_vector(pairs[c])
         if rest.size:
             v[rest] = np.linalg.solve(
                 np.eye(rest.size) - entries[np.ix_(rest, rest)],

@@ -3,9 +3,12 @@
 For a finite matrix all three Dirichlet abscissas (unrestricted, fixed
 target, fixed source and target) coincide, and for irreducible A the
 common critical value beta_c is the unique root of r(beta) = 1, where
-r is the spectral radius of the transfer matrix (from :mod:`partition`).
-For reducible A, r is the largest radius of a strong class, so beta_c is
-the largest of the class roots.
+r is the spectral radius of the transfer matrix.  For reducible A, r is
+the largest radius of a strong class, so beta_c is the largest of the
+class roots.  :func:`matrix_spectral_radius` (from :mod:`partition`)
+computes r so for every matrix, class by class: a letter alone is its
+diagonal entry, any other block gets a power iteration, and a block
+whose iteration runs out of steps falls back to its eigenvalues.
 
 Each class root is found once per model by Newton on
 f(beta) = log r_C(beta) (:func:`partition.class_roots`).  Every entry of
@@ -170,7 +173,9 @@ def abscissa_estimate(
     when the brackets overlap, so each of its decisions, and hence the
     estimate, is the one the exact sums give; the exact sums at beta = 0
     (one replay serves the empty-shell check and the early return) and at
-    the estimate equal :func:`words.shell_sum` bit for bit.
+    the estimate equal :func:`words.shell_sum` bit for bit.  Raises
+    DegenerateShellsError when the longer shell is empty at beta = 0, or
+    when both shells underflow to 0 where their ratio is needed.
     """
     if L < 2:
         raise ValueError("need at least two shells")
@@ -181,6 +186,8 @@ def abscissa_estimate(
 
     def g(shells: list[float]) -> float:
         shorter, longer = shells
+        if shorter == 0.0:
+            raise DegenerateShellsError("both shells underflow to 0")
         return longer / shorter - 1.0
 
     def above(b: float) -> bool:

@@ -9,8 +9,13 @@ by the spectral radius (computed here, by power iteration), never by
 whether the solve happens to succeed.
 
 M is block-triangular in the strong classes C of A, so r(beta) is the
-largest class radius r_C(beta) = r(M_CC); :func:`spectral_radius` and
-:func:`evaluate` compute it so.  :func:`class_roots` keeps, per
+largest class radius r_C(beta) = r(M_CC).  One loop over the classes,
+:func:`matrix_spectral_radius`, computes it for every matrix: a class of
+one letter is its diagonal entry, any other block gets a power
+iteration, and a block whose iteration runs out of steps falls back to
+its eigenvalues.  :func:`spectral_radius` and :func:`evaluate` hand it
+the model's classes; a raw matrix gets those of its support.
+:func:`class_roots` keeps, per
 model, each class's root of r_C(beta) = 1 with a certified enclosure
 [lo, hi] (Newton on log r_C, see :func:`_class_root`).  A series
 restricted to an ancestor set is convergent when beta lies above hi for
@@ -28,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoConvergenceError
-from .model import SystemModel, ColumnSpace, column_space
+from .model import SystemModel, ColumnSpace, _strong_components, column_space
 
 __all__ = [
     "TransferMatrix",
@@ -42,7 +47,6 @@ __all__ = [
     "class_roots",
     "evaluate",
     "z_gamma",
-    "restricted_fixed_target",
     "restricted_fixed_pairs",
     "geometric_bound",
     "CONVERGENCE_MARGIN_DEFAULT",
@@ -168,24 +172,36 @@ def _power_iteration(
     raise NoConvergenceError("power iteration did not converge")
 
 
-def matrix_spectral_radius(entries: np.ndarray) -> float:
-    """Spectral radius of a raw nonnegative matrix.
+def matrix_spectral_radius(
+    entries: np.ndarray, components: tuple[int, np.ndarray] | None = None
+) -> float:
+    """Spectral radius of a nonnegative matrix M, the largest over its strong classes.
 
-    The Collatz-Wielandt upper bound max(Mv/v) of the power iteration on
-    I + M (see :func:`_power_iteration`), within ``POWER_TOL_DEFAULT`` of r
-    for an irreducible M.  For a reducible M the upper bound still
-    decreases to r and is returned once the bounds stop tightening; two
-    classes of the same radius, one reaching the other, slow that to a
-    crawl, and when the step budget runs out the eigenvalues decide.
-    :func:`spectral_radius` avoids that by taking a model's strong classes
-    one at a time.
+    M is block-triangular in the strong classes C of its support, so r(M)
+    is the largest r(M_CC).  A class of one letter is its diagonal entry;
+    any other block is irreducible, and its radius is the Collatz-Wielandt
+    upper bound max(Mv/v) of the power iteration on I + M_CC (see
+    :func:`_power_iteration`), within ``POWER_TOL_DEFAULT`` of r_C.  No two
+    classes of equal radius can stall it.  A block whose iteration spends
+    its step budget gets the largest modulus of its eigenvalues instead.
+    ``components`` is the (count, label per index) pair of the classes, as
+    :attr:`SystemModel.strong_components` holds it for a model's matrix;
+    None computes it from the support of ``entries``.
     """
-    if not entries.any():
-        return 0.0
-    try:
-        return _power_iteration(entries, np.ones(entries.shape[0]), None, POWER_TOL_DEFAULT)[4]
-    except NoConvergenceError:
-        return float(np.abs(np.linalg.eigvals(entries)).max())
+    ncomp, labels = _strong_components(entries) if components is None else components
+    sizes = np.bincount(labels)
+    r = float(entries.diagonal()[sizes[labels] == 1].max(initial=0.0))
+    for c in np.flatnonzero(sizes > 1):
+        idx = np.flatnonzero(labels == c)
+        # an irreducible M is its own block; a copy would cost about as
+        # much as its iteration
+        block = entries if ncomp == 1 else entries[np.ix_(idx, idx)]
+        try:
+            r_c = _power_iteration(block, np.ones(len(idx)), None, POWER_TOL_DEFAULT)[4]
+        except NoConvergenceError:
+            r_c = float(np.abs(np.linalg.eigvals(block)).max())
+        r = max(r, r_c)
+    return r
 
 
 class PerronPair(NamedTuple):
@@ -228,25 +244,7 @@ def perron_pair(
 
 def spectral_radius(model: SystemModel, beta: float) -> float:
     """Dominant-eigenvalue modulus of the transfer matrix at beta."""
-    return _class_radius(model, transfer_matrix(model, beta).entries)
-
-
-def _class_radius(model: SystemModel, entries: np.ndarray) -> float:
-    """r(M) as the largest r(M_CC) over the strong classes C of the model.
-
-    M is block-triangular in the classes, and on each irreducible block
-    the power iteration closes its Collatz-Wielandt gap, so no two classes
-    of equal radius can stall it.  A class of one letter is its diagonal entry.
-    """
-    ncomp, labels = model.strong_components
-    if ncomp == 1:
-        return matrix_spectral_radius(entries)
-    sizes = np.bincount(labels)
-    r = float(entries.diagonal()[sizes[labels] == 1].max(initial=0.0))
-    for c in np.flatnonzero(sizes > 1):
-        idx = np.flatnonzero(labels == c)
-        r = max(r, matrix_spectral_radius(entries[np.ix_(idx, idx)]))
-    return r
+    return matrix_spectral_radius(transfer_matrix(model, beta).entries, model.strong_components)
 
 
 # class_roots' tables, keyed by model identity (models compare by identity)
@@ -357,7 +355,7 @@ def evaluate(
         )
     nw = model.weights(beta)
     tm = model.matrix * nw               # the transfer matrix, from the same weights
-    r = _class_radius(model, tm)
+    r = matrix_spectral_radius(tm, model.strong_components)
     if r >= 1.0:
         return PartitionReport(
             beta=beta, spectral_radius=r, convergent=False, z_total=math.inf,
@@ -470,15 +468,6 @@ def restricted_fixed_pairs(
     return u, out
 
 
-def restricted_fixed_target(model: SystemModel, beta: float, targets) -> np.ndarray | None:
-    """Fixed-target values Z_x(beta) for the given targets, or None if any diverges."""
-    pairs = restricted_fixed_pairs(model, beta, targets)
-    if pairs is None:
-        return None
-    _, z_ax = pairs
-    return z_ax.sum(axis=0)
-
-
 def z_gamma(
     model: SystemModel,
     beta: float,
@@ -509,9 +498,10 @@ def z_gamma(
     needed = np.flatnonzero(mass_per_generator > 0)
     if needed.size == 0:
         return total
-    z_needed = restricted_fixed_target(model, beta, needed)
-    if z_needed is None:
+    pairs = restricted_fixed_pairs(model, beta, needed)
+    if pairs is None:
         return math.inf
+    z_needed = pairs[1].sum(axis=0)      # Z_x(beta) for the needed targets
     return total + float(z_needed @ mass_per_generator[needed])
 
 

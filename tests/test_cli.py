@@ -204,6 +204,15 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == "" and "need at least two shells" in captured.err
 
+    def test_underflowing_shells_exit_two(self, capsys):
+        # at beta = 1 every word of length 5 weighs 1e-750: both shells are 0
+        model = json.dumps({"matrix": [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+                            "energies": [1e150, 1e150, 1e150]})
+        assert main(["critical", "--model-json", model, "--abscissa-check", "6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numeric failure: both shells underflow to 0\n"
+
 
 class TestSharedParser:
     def test_parser_built_once(self):

@@ -87,9 +87,26 @@ class TestSpectralRadius:
                 assert calls == {"iterations": nontrivial, "eigvals": 0}
                 want = np.abs(real_eigvals(transfer_matrix(model, beta).entries)).max()
                 assert r == pytest.approx(want, rel=1e-11)
+        # raw matrices take the classes of their support: a tied pair of
+        # letters, and the tied golden blocks
+        raws = [(np.array([[1.0, 1.0], [0.0, 1.0]]), 0)]
+        raws += [(transfer_matrix(tied, beta).entries, 2) for beta in (0.0, 0.4, 1.3)]
+        for entries, nontrivial in raws:
+            calls["iterations"] = 0
+            r = matrix_spectral_radius(entries)
+            assert calls == {"iterations": nontrivial, "eigvals": 0}
+            assert r == pytest.approx(np.abs(real_eigvals(entries)).max(), rel=1e-12)
 
-    def test_raw_tied_matrix_falls_back_to_eigvals(self):
-        assert matrix_spectral_radius(np.array([[1.0, 1.0], [0.0, 1.0]])) == pytest.approx(1.0, abs=1e-12)
+    def test_block_out_of_steps_falls_back_to_eigvals(self, monkeypatch):
+        # a letter feeding a golden-mean block: four steps do not close the
+        # block's gap, so its eigenvalues give its radius
+        entries = np.array([[0.5, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 0.0]])
+        calls = []
+        real_eigvals = np.linalg.eigvals
+        monkeypatch.setattr(partition, "POWER_MAXITER_DEFAULT", 4)
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or real_eigvals(a))
+        assert matrix_spectral_radius(entries) == pytest.approx(PHI, rel=1e-12)
+        assert calls == [(2, 2)]
 
     def test_strictly_decreasing_in_beta(self, rng):
         for _ in range(5):
@@ -255,6 +272,11 @@ class TestPerronVector:
         monkeypatch.setattr(partition, "POWER_MAXITER_DEFAULT", 8)
         with pytest.raises(NoConvergenceError):
             partition.perron_pair(entries, tol=0.0)
+        # a 1x1 block is exact at the first check, whatever tol and budget
+        for a in (0.0, 0.37, 1e-300, 1.0 - 1e-10):
+            pair = partition.perron_pair(np.array([[a]]), tol=0.0)
+            assert (pair.r, pair.lower, pair.upper) == (a, a, a)
+            assert pair.v.tolist() == pair.u.tolist() == [1.0]
 
 
 # --- the three bisection loops the shared bracket replaced ------------------
