@@ -31,8 +31,8 @@ from .critical import CriticalReport, _certified_vector, beta_c as compute_beta_
 from .errors import NotIrreducibleError, ZeroColumnError
 from .invariance import invariant_state_from_fixed_point, is_subinvariant
 from .model import SystemModel, column_space, properties
-from .partition import _ancestors, class_roots, perron_pair, transfer_matrix
-from .states import QState, RootMeasure, finite_type_state, ground_state
+from .partition import class_roots, perron_pair, transfer_matrix
+from .states import FINITE, QState, RootMeasure, finite_type_state
 
 __all__ = [
     "PhaseRegime",
@@ -109,8 +109,11 @@ def classify_ta(
     dim = space.d - 1
 
     if math.isinf(beta):
+        # ground_state of the point mass at c: atoms the unit vector e_c, q
+        # its bit row (e_c @ bits adds only exact zeros), built all at once
         extremes = tuple(
-            ground_state(model, RootMeasure.delta(space, c)) for c in range(space.d)
+            QState(math.inf, tuple(atoms), tuple(q), FINITE)
+            for atoms, q in zip(np.eye(space.d).tolist(), space.bit_matrix().tolist())
         )
         return PhaseRegime(
             kind="ground", beta=beta, beta_critical=crit.beta_c,
@@ -185,7 +188,7 @@ def kms_oa(model: SystemModel, beta: float) -> OaSimplex:
     vectors = []
     for c in np.flatnonzero(np.abs(radii - 1.0) <= EIG_ONE_TOL_DEFAULT):
         idx = members[c]
-        ancestors = _ancestors(model.matrix, idx)
+        ancestors = model.ancestors(idx)
         rest = ancestors[labels[ancestors] != c]
         if not below[labels[rest]].all():
             continue

@@ -57,6 +57,20 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+_FLOAT_ONLY = {float}
+
+
+def _emit_list(items) -> str:
+    # A list of finite floats goes through one %-format, which prints each as
+    # format(x, ".17g") does; "inf" and "nan" are the only %g outputs with an
+    # "n", and they and every other type take the per-element path.
+    if items and set(map(type, items)) == _FLOAT_ONLY:
+        text = ", ".join(["%.17g"] * len(items)) % tuple(items)
+        if "n" not in text:
+            return "[" + text + "]"
+    return "[" + ", ".join(_emit(v) for v in items) + "]"
+
+
 def _emit_dict(items) -> str:
     keyed = {str(k): v for k, v in items}
     return "{" + ", ".join(f"{json.dumps(k)}: {_emit(keyed[k])}" for k in sorted(keyed)) + "}"
@@ -75,14 +89,14 @@ def _emit(o) -> str:
     if t is str:
         return json.dumps(o)
     if t is list or t is tuple:
-        return "[" + ", ".join(_emit(v) for v in o) + "]"
+        return _emit_list(o)
     if t is dict:
         return _emit_dict(o.items())
     # Less common types, in the order that decides what they print as.
     if dataclasses.is_dataclass(o) and not isinstance(o, type):
         return _emit_dict((f.name, getattr(o, f.name)) for f in dataclasses.fields(o))
     if isinstance(o, np.ndarray):
-        return "[" + ", ".join(_emit(v) for v in o.tolist()) + "]"
+        return _emit_list(o.tolist())
     if isinstance(o, (np.floating, np.integer)):
         item = o.item()
         if type(item) in (int, float):
@@ -91,7 +105,7 @@ def _emit(o) -> str:
     if isinstance(o, dict):
         return _emit_dict(o.items())
     if isinstance(o, (list, tuple)):
-        return "[" + ", ".join(_emit(v) for v in o) + "]"
+        return _emit_list(o)
     if isinstance(o, bool):
         return "true" if o else "false"
     if isinstance(o, int):

@@ -43,8 +43,8 @@ class SystemModel:
     Generators are the integer indices 0..m-1; external labels, when given,
     are carried along purely for reporting.  The column space and the
     structural properties never change for a frozen model, so each is built
-    on first use and kept (see :func:`column_space`, :func:`properties` and
-    :attr:`strong_components`).
+    on first use and kept (see :func:`column_space`, :func:`properties`,
+    :attr:`strong_components` and :attr:`class_ancestors`).
     """
 
     matrix: np.ndarray          # (m, m) int8, entries 0/1, no zero row
@@ -75,6 +75,33 @@ class SystemModel:
         ncomp, labels = _strong_components(self.matrix)
         labels.setflags(write=False)
         return ncomp, labels
+
+    @cached_property
+    def class_ancestors(self) -> np.ndarray:
+        """Read-only (n, n) table over the n strong classes: entry [c, a] says
+        class a has a path into class c (a == c included).
+
+        Tarjan's search closes the sinks of the condensation first, so every
+        edge between two classes runs from the higher label to the lower one,
+        and one sweep down from the highest label builds each row from rows
+        already built.
+        """
+        ncomp, labels = self.strong_components
+        src, dst = np.nonzero(self.matrix)
+        into = np.zeros((ncomp, ncomp), dtype=bool)
+        into[labels[dst], labels[src]] = True       # [c, a]: an edge from class a into c
+        table = np.zeros((ncomp, ncomp), dtype=bool)
+        for c in range(ncomp - 1, -1, -1):
+            row = table[np.flatnonzero(into[c, c + 1:]) + c + 1].any(axis=0)
+            row[c] = True
+            table[c] = row
+        table.setflags(write=False)
+        return table
+
+    def ancestors(self, targets) -> np.ndarray:
+        """Sorted indices with a directed path into ``targets`` (targets included)."""
+        _, labels = self.strong_components
+        return np.flatnonzero(self.class_ancestors[labels[targets]].any(axis=0)[labels])
 
     @cached_property
     def _properties(self) -> "PropertyReport":
@@ -217,13 +244,20 @@ class ColumnSpace:
         bits.setflags(write=False)
         return bits
 
+    @cached_property
+    def _column_of(self) -> np.ndarray:
+        """``column_of`` as a read-only index array, built once and shared."""
+        index = np.array(self.column_of, dtype=np.intp)
+        index.setflags(write=False)
+        return index
+
     def push(self, values) -> np.ndarray:
         """Per-point sums of a per-generator vector: out[c] = sum of values[z] over z with column c.
 
         Generators are added in index order, the same order as an explicit
         loop, so the sums are bitwise reproducible.
         """
-        return np.bincount(self.column_of, weights=values, minlength=self.d)
+        return np.bincount(self._column_of, weights=values, minlength=self.d)
 
 
 def build_model(

@@ -384,17 +384,6 @@ def evaluate(
     )
 
 
-def _ancestors(matrix: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Indices with a directed path into ``targets`` (targets included)."""
-    reach = np.zeros(matrix.shape[0], dtype=bool)
-    reach[targets] = True
-    while True:
-        grown = reach | matrix[:, reach].any(axis=1)
-        if (grown == reach).all():
-            return np.flatnonzero(reach)
-        reach = grown
-
-
 def _certified_below_one(entries: np.ndarray) -> bool:
     """Whether a Collatz-Wielandt bound shows r(M) < 1 within ``QUICK_STEPS`` steps.
 
@@ -451,20 +440,24 @@ def restricted_fixed_pairs(
     off the certified class roots); the restricted linear solve then
     evaluates them even when the full matrix is supercritical (relevant
     for reducible matrices).  Returns the
-    ancestor set and the (m, len(targets)) array of Z_ax values; rows
-    outside the ancestor set are zero, since no word from there reaches a
-    target.  The restricted resolvent is solved once per (model, beta,
-    ancestor set) and reused by consecutive calls that share it.
+    ancestor set (read off :attr:`SystemModel.class_ancestors`) and the
+    C-ordered (m, len(targets)) array of Z_ax values; rows outside the
+    ancestor set are zero, since no word from there reaches a target.  The
+    restricted resolvent is solved once per (model, beta, ancestor set) and
+    reused by consecutive calls that share it.
     """
-    targets = np.asarray(targets, dtype=int)
-    u = _ancestors(model.matrix, targets)
+    targets = np.asarray(targets, dtype=np.intp)
+    u = model.ancestors(targets)
     z_xy_sub = _restricted_resolvent(model, beta, u.tobytes())
     if z_xy_sub is None:
         return None
-    pos = {int(g): i for i, g in enumerate(u)}
+    # take, not z_xy_sub[:, cols]: that gather is F-ordered, and the callers'
+    # products and column sums would then add in another order
+    gathered = z_xy_sub.take(np.searchsorted(u, targets), axis=1)
+    if u.size == model.m:
+        return u, gathered
     out = np.zeros((model.m, len(targets)))
-    cols = [pos[int(t)] for t in targets]
-    out[u[:, None], np.arange(len(targets))[None, :]] = z_xy_sub[:, cols]
+    out[u] = gathered
     return u, out
 
 

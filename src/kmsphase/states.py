@@ -63,7 +63,9 @@ class RootMeasure:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        if any(w < 0 for w in self.weights):
+        if not all(map(math.isfinite, self.weights)):
+            raise ValueError("root-measure weights must be finite")
+        if min(self.weights, default=0.0) < 0:
             raise ValueError("root-measure weights must be nonnegative")
 
     @property
@@ -130,20 +132,31 @@ def qstate_from_atoms(
     type_tag: TypeTag,
     atol: float = 1e-9,
 ) -> QState:
-    """Build a QState from atom masses, deriving q_values by the bit rule."""
+    """Build a QState from atom masses, deriving q_values by the bit rule.
+
+    Raises ValueError for a NaN beta and for atoms that are not finite, not
+    one per column point, negative beyond ``atol`` or off a total of 1 by
+    more than ``atol``.
+    """
+    beta = float(beta)
+    if math.isnan(beta):
+        raise ValueError("beta must be a number, got nan")
     a = np.asarray(atoms, dtype=float)
     if a.shape != (space.d,):
         raise ValueError(f"need one atom mass per column point ({space.d})")
-    if (a < -atol).any():
+    # a NaN or infinite atom makes the plain sum NaN or infinite
+    if not math.isfinite(a.sum()):
+        raise ValueError(f"atom masses must be finite and sum to 1, got {a.sum()!r}")
+    if a.min() < -atol:
         raise ValueError("atom masses must be nonnegative")
-    a = np.clip(a, 0.0, None)
+    a = np.maximum(a, 0.0)
     if abs(a.sum() - 1.0) > atol:
         raise ValueError(f"atom masses must sum to 1, got {a.sum()!r}")
     q = a @ space.bit_matrix()
     return QState(
-        beta=float(beta),
-        atom_masses=tuple(float(v) for v in a),
-        q_values=tuple(float(v) for v in q),
+        beta=beta,
+        atom_masses=tuple(a.tolist()),
+        q_values=tuple(q.tolist()),
         type_tag=type_tag,
     )
 
@@ -161,22 +174,22 @@ def finite_type_state(model: SystemModel, beta: float, gamma: RootMeasure) -> QS
     """
     if not (0 < beta < math.inf):
         raise ValueError("finite-type states need finite positive beta; see ground_state")
-    if gamma.total == 0.0:
+    z = gamma.total
+    if z == 0.0:
         raise ZeroMeasureError("cannot normalize the zero measure")
     space = column_space(model)
     mass = gamma.mass_per_generator(space)          # gamma(Omega_e^x) per x
     needed = np.flatnonzero(mass > 0)
-    w_first = np.zeros(model.m)                     # W_a, indexed by first letter
-    z = gamma.total
+    atoms = np.array(gamma.weights, dtype=float)
     if needed.size:
         pairs = restricted_fixed_pairs(model, beta, needed)
         if pairs is None:
             raise DivergentNormalizerError(f"Z({beta}, gamma) diverges")
         _, z_ax = pairs
-        w_first = z_ax @ mass[needed]
-        z += float(z_ax.sum(axis=0) @ mass[needed])
-    atoms = np.asarray(gamma.weights, dtype=float).copy()
-    np.add.at(atoms, np.asarray(space.column_of), w_first)   # adds in generator order
+        mass = mass[needed]
+        # W_a, indexed by first letter, added in generator order
+        np.add.at(atoms, space._column_of, z_ax @ mass)
+        z += float(z_ax.sum(axis=0) @ mass)
     atoms /= z
     return qstate_from_atoms(space, beta, atoms, FINITE)
 

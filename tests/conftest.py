@@ -91,6 +91,21 @@ def random_irreducible(rng, m, non_permutation=False, max_row_ones=None,
     raise RuntimeError("failed to sample an irreducible model")
 
 
+def block_triangular(rng, sizes):
+    """Irreducible diagonal blocks, with one to three links from each block to later ones."""
+    blocks = [random_irreducible(rng, s, non_permutation=True, energy_range=(1.5, 4.0))
+              for s in sizes]
+    starts = np.cumsum((0,) + sizes[:-1])
+    a = np.zeros((sum(sizes), sum(sizes)), dtype=int)
+    for block, start in zip(blocks, starts):
+        a[start:start + block.m, start:start + block.m] = block.matrix
+    for i in range(len(sizes) - 1):
+        for _ in range(int(rng.integers(1, 4))):
+            j = int(rng.integers(i + 1, len(sizes)))
+            a[starts[i] + rng.integers(sizes[i]), starts[j] + rng.integers(sizes[j])] = 1
+    return build_model(a, np.concatenate([b.energies for b in blocks]))
+
+
 def random_duplicate_columns_model(rng, m, k, energy_range=(1.5, 4.0), max_tries=2000):
     """Random irreducible model whose matrix has exactly k distinct columns."""
     from kmsphase import column_space

@@ -25,6 +25,7 @@ from kmsphase.partition import class_roots, transfer_matrix
 
 from conftest import (
     block_model as blocks_of,
+    block_triangular,
     coexistence_models,
     cycle_model,
     full_model,
@@ -112,19 +113,6 @@ def assert_same_vectors(simplex, want, tol=1e-9):
 
 TEMPERATURE_BLOCKS = ((6, 6), (6, 10), (8, 16), (8, 8, 8), (10, 10, 10),
                       (12, 24), (12, 12, 12), (14, 14, 14), (16, 16, 16))
-
-
-def block_triangular(rng, sizes):
-    """Irreducible diagonal blocks, with one to three links from each block to later ones."""
-    blocks = [random_irreducible(rng, s, non_permutation=True, energy_range=(1.5, 4.0))
-              for s in sizes]
-    a = block_diag(*(b.matrix for b in blocks)).astype(int)
-    starts = np.cumsum((0,) + sizes[:-1])
-    for i in range(len(sizes) - 1):
-        for _ in range(int(rng.integers(1, 4))):
-            j = int(rng.integers(i + 1, len(sizes)))
-            a[starts[i] + rng.integers(sizes[i]), starts[j] + rng.integers(sizes[j])] = 1
-    return build_model(a, np.concatenate([b.energies for b in blocks]))
 
 
 GOLDEN = [[0, 1], [1, 1]]

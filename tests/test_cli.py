@@ -149,6 +149,20 @@ class TestCheckState:
         spath.write_text(json.dumps({"beta": 2.0, "atom_masses": {"00": 1.0}}))
         assert main(["check-state", "--model", golden_file, "--state", str(spath)]) == 1
 
+    @pytest.mark.parametrize("state,extra", [
+        ({"beta": 1.0, "atom_masses": [math.nan, 1.0]}, []),
+        ({"beta": 1.0, "atom_masses": [math.nan, 1.0]}, ["--exhaustive"]),
+        ({"beta": math.nan, "atom_masses": [0.5, 0.5]}, []),
+    ])
+    def test_nan_input_exits_one(self, tmp_path, capsys, state, extra):
+        spath = tmp_path / "state.json"
+        spath.write_text(json.dumps(state))     # json writes NaN, and reads it back
+        model = json.dumps({"matrix": [[1, 1], [1, 0]], "energies": [2, 2]})
+        argv = ["check-state", "--model-json", model, "--state", str(spath)] + extra
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
 
 class TestOracle:
     def test_csv_shells(self, full2_file, capsys):
@@ -375,6 +389,30 @@ class TestDumpsMatchesTwoPassReference:
         "quote \" and \u00e9",
     ])
     def test_values(self, obj):
+        assert dumps(obj) == dumps_reference(obj)
+
+    def test_float_lists_match_per_element_path(self):
+        """Lists of finite floats take one %-format; it must print what format(x, ".17g") does."""
+        patterns = np.random.default_rng(20261018).integers(0, 2 ** 64, size=120_000,
+                                                              dtype=np.uint64)
+        values = patterns.view(np.float64)
+        values = values[np.isfinite(values)].tolist()
+        values += [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e17, 1.7976931348623157e308,
+                   -1.7976931348623157e308, 2.2250738585072014e-308, 0.1, 1.0 / 3.0]
+        assert len(values) >= 100_000
+        want = "[" + ", ".join(format(v, ".17g") for v in values) + "]"
+        assert dumps(values) == want
+        assert dumps(tuple(values)) == want
+        assert dumps(np.array(values)) == want
+        assert dumps({"k": values[:1000]}) == dumps_reference({"k": values[:1000]})
+
+    @pytest.mark.parametrize("obj", [
+        [1.0, math.inf], [math.nan], [-math.inf, 2.5], (0.5, math.nan, 0.25),
+        [1, 2.0], [2.0, 10 ** 20], [True, 1.0], [1.0, False], [np.float64(1.5), 2.0],
+        [2.0, np.float64(np.nan)], [1.0, None], [1.0, "x"], [1.0, [2.0]], [], (),
+        np.array([1.0, np.inf, -0.0]), np.array([], dtype=float),
+    ])
+    def test_mixed_lists_fall_back(self, obj):
         assert dumps(obj) == dumps_reference(obj)
 
     @pytest.mark.parametrize("obj", [

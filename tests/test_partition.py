@@ -15,7 +15,7 @@ from kmsphase import (
     z_gamma,
 )
 from kmsphase.critical import beta_c
-from kmsphase.partition import _ancestors, _restricted_resolvent, restricted_fixed_pairs
+from kmsphase.partition import _restricted_resolvent, class_roots, restricted_fixed_pairs
 
 from conftest import (
     block_model,
@@ -191,13 +191,29 @@ class TestRestrictedFixedPairs:
                    for mm in (1, 2, 5, 12, 30) for _ in range(4)]
         for model in models:
             a = model.matrix
+            ncomp, labels = model.strong_components
+            table = model.class_ancestors
+            assert table.shape == (ncomp, ncomp) and not table.flags.writeable
+            for c in range(ncomp):
+                want = _ancestors_bfs(a, np.flatnonzero(labels == c))
+                assert np.array_equal(np.flatnonzero(table[c][labels]), want), (a.tolist(), c)
             target_sets = [[t] for t in range(model.m)]
             target_sets += [sorted(rng.choice(model.m, size=k, replace=False).tolist())
                             for k in range(1, model.m + 1)]
             for targets in target_sets:
-                got = _ancestors(a, np.asarray(targets))
+                got = model.ancestors(np.asarray(targets))
                 want = _ancestors_bfs(a, np.asarray(targets))
                 assert np.array_equal(got, want), (a.tolist(), targets)
+
+    def test_gather_is_c_ordered(self, rng):
+        """The callers' products and column sums depend on the memory order."""
+        chain = [[0, 1, 0], [0, 0, 1], [0, 0, 1]]
+        for model in (random_irreducible(rng, 9, non_permutation=True),
+                      block_model((chain, 2.0), ([[1]], 3.0), ([[0, 1], [1, 0]], 2.5))):
+            beta = max(root.hi for root in class_roots(model)) + 1.0
+            for targets in ([0, 2, 5], [1, 3], [5]):
+                _, z_ax = restricted_fixed_pairs(model, beta, targets)
+                assert z_ax.shape == (model.m, len(targets)) and z_ax.flags.c_contiguous
 
     def test_memo_holds_one_entry(self):
         m = golden_mean_model()

@@ -165,6 +165,26 @@ class TestFiniteTypeState:
         assert total <= z + 1e-12
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("weights", [(math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf)])
+    def test_root_measure_rejects_non_finite_weights(self, weights):
+        with pytest.raises(ValueError, match="finite"):
+            RootMeasure(weights)
+
+    def test_root_measure_still_rejects_negative_weights(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            RootMeasure((1.0, -0.5))
+
+    @pytest.mark.parametrize("atoms", [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf]])
+    def test_qstate_rejects_non_finite_atoms(self, atoms):
+        with pytest.raises(ValueError, match="finite"):
+            qstate_from_atoms(column_space(golden_mean_model()), 1.0, atoms, FINITE)
+
+    def test_qstate_rejects_nan_beta(self):
+        with pytest.raises(ValueError, match="beta"):
+            qstate_from_atoms(column_space(golden_mean_model()), math.nan, [0.5, 0.5], FINITE)
+
+
 class TestGroundState:
     def test_point_mass(self):
         m = golden_mean_model()
