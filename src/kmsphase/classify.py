@@ -236,6 +236,4 @@ def factors_through_oa(model: SystemModel, beta: float, state: QState) -> bool:
     restriction.  At beta = +inf the answer is always False: invariance
     there would force the state of the unit to vanish.
     """
-    if math.isinf(beta) and beta > 0:
-        return False
     return is_subinvariant(model, beta, state).invariant

@@ -283,7 +283,8 @@ def _cmd_check_state(args) -> int:
             "fixed_point_residual": dec.fixed_point_residual,
             "q_norm_residual": dec.q_norm_residual,
         }
-        report["factors_through_quotient"] = classify.factors_through_oa(m, state.beta, state)
+        # factors_through_oa is this invariance of the restriction
+        report["factors_through_quotient"] = verdict.invariant
         report["infinite_stem_mass"] = states.omega_infinity_mass(m, state.beta, state, 10)
     print(dumps(report))
     return 0

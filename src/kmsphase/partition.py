@@ -346,13 +346,6 @@ def evaluate(
     """
     if not (beta > 0):
         raise ValueError("partition functions are defined for beta > 0 or beta = +inf")
-    if math.isinf(beta):
-        m = model.m
-        return PartitionReport(
-            beta=beta, spectral_radius=0.0, convergent=True, z_total=1.0,
-            z_y=np.zeros(m), z_xy=np.zeros((m, m)),
-            near_critical=False, condition_estimate=1.0,
-        )
     nw = model.weights(beta)
     tm = model.matrix * nw               # the transfer matrix, from the same weights
     r = matrix_spectral_radius(tm, model.strong_components)
@@ -461,6 +454,33 @@ def restricted_fixed_pairs(
     return u, out
 
 
+def _finite_part(
+    model: SystemModel, space: ColumnSpace, beta: float, weights
+) -> tuple[np.ndarray, float] | None:
+    """(atoms, stems) of the finite-type part of a root measure gamma, unnormalized.
+
+    Stems of positive length put their weight at the column of their first
+    letter: atoms[c] = gamma[c] + sum_{a with column c} W_a, where
+    W_a = sum_x Z_ax(beta) gamma(points containing x), and stems =
+    sum_x Z_x(beta) gamma(points containing x), so Z(beta, gamma) is
+    gamma's total plus stems.  None exactly when a series carrying mass
+    diverges.  At beta = +inf every weight is 0, and so are the stems.
+    """
+    atoms = np.array(weights, dtype=float)
+    mass = space.bit_matrix().T @ atoms         # gamma(points containing x), per x
+    needed = np.flatnonzero(mass > 0)
+    if needed.size == 0:
+        return atoms, 0.0
+    pairs = restricted_fixed_pairs(model, beta, needed)
+    if pairs is None:
+        return None
+    _, z_ax = pairs
+    mass = mass[needed]
+    # W_a, indexed by first letter, added in generator order
+    np.add.at(atoms, space._column_of, z_ax @ mass)
+    return atoms, float(z_ax.sum(axis=0) @ mass)
+
+
 def z_gamma(
     model: SystemModel,
     beta: float,
@@ -469,11 +489,11 @@ def z_gamma(
 ) -> float:
     """Normalizer Z(beta, gamma) for a root measure gamma over column points.
 
-    Equals gamma's total mass plus sum_x Z_x(beta) gamma(points containing x).
-    Only the fixed-target series actually carrying mass matter: +inf is
-    returned exactly when one of those diverges, so a measure supported on
+    Equals gamma's total mass plus sum_x Z_x(beta) gamma(points containing x)
+    (see :func:`_finite_part`).  +inf is returned exactly when a
+    fixed-target series carrying mass diverges, so a measure supported on
     a subcritical block of a reducible matrix keeps a finite normalizer.
-    A zero measure gives 0; ``beta = +inf`` reduces to the total mass.
+    A zero measure gives 0; ``beta = +inf`` gives the total mass.
     """
     space = space or column_space(model)
     w = np.asarray(weights, dtype=float)
@@ -484,18 +504,8 @@ def z_gamma(
     total = float(w.sum())
     if total == 0.0:
         return 0.0
-    if math.isinf(beta) and beta > 0:
-        return total
-    bits = space.bit_matrix()            # (d, m)
-    mass_per_generator = bits.T @ w      # gamma(points containing x), per x
-    needed = np.flatnonzero(mass_per_generator > 0)
-    if needed.size == 0:
-        return total
-    pairs = restricted_fixed_pairs(model, beta, needed)
-    if pairs is None:
-        return math.inf
-    z_needed = pairs[1].sum(axis=0)      # Z_x(beta) for the needed targets
-    return total + float(z_needed @ mass_per_generator[needed])
+    part = _finite_part(model, space, beta, w)
+    return math.inf if part is None else total + part[1]
 
 
 def geometric_bound(model: SystemModel, beta: float) -> float | None:

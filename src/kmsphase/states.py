@@ -30,7 +30,7 @@ from .errors import (
     ZeroMeasureError,
 )
 from .model import ColumnSpace, SystemModel, column_space
-from .partition import restricted_fixed_pairs, transfer_matrix, z_gamma
+from .partition import _finite_part, transfer_matrix
 
 __all__ = [
     "RootMeasure",
@@ -43,10 +43,8 @@ __all__ = [
     "omega_infinity_mass",
     "decompose",
     "cooling",
-    "DEFECT_CLAMP_DEFAULT",
 ]
 
-DEFECT_CLAMP_DEFAULT = 1e-12
 # A defect below -DEFECT_TOL breaks subinvariance; a finite fraction within
 # DEFECT_TOL of 0 or 1 leaves out the finite or the infinite part.
 DEFECT_TOL = 1e-9
@@ -134,13 +132,13 @@ def qstate_from_atoms(
 ) -> QState:
     """Build a QState from atom masses, deriving q_values by the bit rule.
 
-    Raises ValueError for a NaN beta and for atoms that are not finite, not
-    one per column point, negative beyond ``atol`` or off a total of 1 by
-    more than ``atol``.
+    Raises ValueError for a beta that is not positive or +inf (NaN
+    included) and for atoms that are not finite, not one per column point,
+    negative beyond ``atol`` or off a total of 1 by more than ``atol``.
     """
     beta = float(beta)
-    if math.isnan(beta):
-        raise ValueError("beta must be a number, got nan")
+    if not beta > 0:
+        raise ValueError(f"beta must be positive or +inf, got {beta!r}")
     a = np.asarray(atoms, dtype=float)
     if a.shape != (space.d,):
         raise ValueError(f"need one atom mass per column point ({space.d})")
@@ -164,34 +162,19 @@ def qstate_from_atoms(
 def finite_type_state(model: SystemModel, beta: float, gamma: RootMeasure) -> QState:
     """The finite-type state generated by a root measure at finite beta.
 
-    Stems of positive length contribute their weight at the column of the
-    first letter, so the atoms close up as
-
-        atoms[c] = ( gamma[c] + sum_{a with column c} W_a ) / Z(beta, gamma),
-
-    where W_a = sum_x Z_ax(beta) gamma(points containing x) collects every
-    word starting at a.  Scaling gamma leaves the state unchanged.
+    Its atoms are those of :func:`partition._finite_part` divided by
+    Z(beta, gamma).  Scaling gamma leaves the state unchanged.
     """
     if not (0 < beta < math.inf):
         raise ValueError("finite-type states need finite positive beta; see ground_state")
-    z = gamma.total
-    if z == 0.0:
+    if gamma.total == 0.0:
         raise ZeroMeasureError("cannot normalize the zero measure")
     space = column_space(model)
-    mass = gamma.mass_per_generator(space)          # gamma(Omega_e^x) per x
-    needed = np.flatnonzero(mass > 0)
-    atoms = np.array(gamma.weights, dtype=float)
-    if needed.size:
-        pairs = restricted_fixed_pairs(model, beta, needed)
-        if pairs is None:
-            raise DivergentNormalizerError(f"Z({beta}, gamma) diverges")
-        _, z_ax = pairs
-        mass = mass[needed]
-        # W_a, indexed by first letter, added in generator order
-        np.add.at(atoms, space._column_of, z_ax @ mass)
-        z += float(z_ax.sum(axis=0) @ mass)
-    atoms /= z
-    return qstate_from_atoms(space, beta, atoms, FINITE)
+    part = _finite_part(model, space, beta, gamma.weights)
+    if part is None:
+        raise DivergentNormalizerError(f"Z({beta}, gamma) diverges")
+    atoms, stems = part
+    return qstate_from_atoms(space, beta, atoms / (gamma.total + stems), FINITE)
 
 
 def ground_state(model: SystemModel, gamma: RootMeasure) -> QState:
@@ -229,7 +212,8 @@ class Decomposition:
     """Split of a subinvariant state into finite and infinite components.
 
     ``finite_fraction`` is the total mass carried by finite stems; the
-    infinite part is present only when that fraction is below 1, and its
+    finite part (the state of ``gamma_finite``) is present only when that
+    fraction is above 0, the infinite part only when it is below 1, and its
     generator values are a fixed point of the transfer matrix (residual
     reported, not enforced).  Atoms whose defect lies inside the invariance
     gap tolerance belong wholly to the infinite part, judged atom by atom.
@@ -237,6 +221,7 @@ class Decomposition:
 
     gamma_finite: RootMeasure
     finite_fraction: float
+    finite_part: QState | None
     infinite_part: QState | None
     reconstruction_residual: float
     fixed_point_residual: float | None
@@ -250,21 +235,17 @@ def _defects(model: SystemModel, space: ColumnSpace, beta: float, state: QState)
     """Per-atom defect: atom mass minus the inflow sum_{z with column c} N(z)^-beta q_z.
 
     Nonnegative exactly when the state is subinvariant at beta (up to
-    ``DEFECT_TOL``); entries within ``DEFECT_CLAMP_DEFAULT`` of zero are
-    flattened to absorb float noise at exact invariance points.  The
-    invariance gap tolerance then applies atom by
-    atom: every defect inside it counts as an invariant atom and is zeroed,
+    ``DEFECT_TOL``).  The invariance gap tolerance then applies atom by
+    atom: every defect inside it (or below 0) is zeroed as invariant,
     whether or not other atoms carry a real defect.  Near criticality the
     normalizer blows up like 1/(1 - r), so eigen-gap noise left in any
     atom would otherwise masquerade as (or inflate) a finite component.
     """
     inflow = space.push(model.weights(beta) * state.q)
     d = state.atoms - inflow
-    d[np.abs(d) < DEFECT_CLAMP_DEFAULT] = 0.0
     for c, v in enumerate(d):
         if v < -DEFECT_TOL:
             raise NegativeDefectError(c, float(v))
-    d = np.clip(d, 0.0, None)
     d[d <= INVARIANT_TOL] = 0.0
     return d
 
@@ -274,7 +255,8 @@ def decompose(model: SystemModel, beta: float, state: QState) -> Decomposition:
 
     The defect vector is exactly the restriction of the underlying measure
     to trivial-stem configurations, so it doubles as the root measure of
-    the finite part; the finite fraction is its normalizer Z(beta, defect).
+    the finite part; the finite fraction is its normalizer Z(beta, defect),
+    from the same evaluation of the series (:func:`partition._finite_part`).
     Each defect inside the invariance gap tolerance (``INVARIANT_TOL``) is
     zeroed on its own, so a state mixing finite-type and invariant parts
     keeps only its real finite defects: eigen-gap noise on the invariant
@@ -284,9 +266,13 @@ def decompose(model: SystemModel, beta: float, state: QState) -> Decomposition:
     space = column_space(model)
     d = _defects(model, space, beta, state)
     gamma_fin = RootMeasure(weights=tuple(float(v) for v in d))
-    fraction = z_gamma(model, beta, d, space=space)
-    if math.isinf(fraction):
+    part = _finite_part(model, space, beta, d)
+    if part is None:
         raise NotSubinvariantError("the defect measure has a divergent normalizer")
+    atoms, stems = part
+    # numpy's sum of d here, the left-to-right sum of gamma_fin's weights
+    # below: they can differ in the last bit, and both are printed
+    fraction = float(d.sum()) + stems
     if fraction > 1.0 + 1e-6:
         raise NotSubinvariantError(
             f"finite fraction {fraction} exceeds 1: data is not a state restriction at beta={beta}"
@@ -295,10 +281,7 @@ def decompose(model: SystemModel, beta: float, state: QState) -> Decomposition:
 
     fin_state = None
     if fraction > DEFECT_TOL:
-        if math.isinf(beta):
-            fin_state = ground_state(model, gamma_fin)
-        else:
-            fin_state = finite_type_state(model, beta, gamma_fin)
+        fin_state = qstate_from_atoms(space, beta, atoms / (gamma_fin.total + stems), FINITE)
 
     inf_state = None
     fp_residual = None
@@ -331,6 +314,7 @@ def decompose(model: SystemModel, beta: float, state: QState) -> Decomposition:
     return Decomposition(
         gamma_finite=gamma_fin,
         finite_fraction=float(fraction),
+        finite_part=fin_state,
         infinite_part=inf_state,
         reconstruction_residual=residual,
         fixed_point_residual=fp_residual,
@@ -345,7 +329,7 @@ def cooling(model: SystemModel, beta: float, state: QState, beta_prime: float) -
     restriction data; lowering the temperature always makes it finite
     type, with infinite-stem shells bounded by R^(-n delta) for
     R = min N(x) and delta = beta_prime - beta, checked on the first
-    ``COOLING_CHECK_SHELLS`` shells.
+    ``COOLING_CHECK_SHELLS`` shells.  It is the decomposition's finite part.
     """
     if beta_prime < beta:
         raise ValueError("cooling requires beta_prime >= beta")
@@ -363,7 +347,7 @@ def cooling(model: SystemModel, beta: float, state: QState, beta_prime: float) -
         raise NotSubinvariantError(
             f"cooled state failed to close up as finite type (fraction {dec.finite_fraction})"
         )
-    cooled = finite_type_state(model, beta_prime, dec.gamma_finite)
+    cooled = dec.finite_part
 
     delta = beta_prime - beta
     r_min = float(model.energies.min())

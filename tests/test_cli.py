@@ -153,6 +153,13 @@ class TestCheckState:
         ({"beta": 1.0, "atom_masses": [math.nan, 1.0]}, []),
         ({"beta": 1.0, "atom_masses": [math.nan, 1.0]}, ["--exhaustive"]),
         ({"beta": math.nan, "atom_masses": [0.5, 0.5]}, []),
+        ({"beta": 0.0, "atom_masses": [0.5, 0.5]}, []),
+        ({"beta": -1.0, "atom_masses": [0.5, 0.5]}, []),
+        ({"beta": -math.inf, "atom_masses": [0.5, 0.5]}, ["--exhaustive"]),
+        ({"beta": 2.0, "atom_masses": [0.5, 0.5]}, ["--beta=0"]),
+        ({"beta": 2.0, "atom_masses": [0.5, 0.5]}, ["--beta=-1"]),
+        ({"beta": 2.0, "atom_masses": [0.5, 0.5]}, ["--beta=-inf"]),
+        ({"beta": 2.0, "atom_masses": [0.5, 0.5]}, ["--beta=nan"]),
     ])
     def test_nan_input_exits_one(self, tmp_path, capsys, state, extra):
         spath = tmp_path / "state.json"

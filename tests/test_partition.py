@@ -27,6 +27,16 @@ from conftest import (
 )
 
 
+GROUND_SIZES = (1, 2, 3, 5, 8, 17, 64, 150, 400)
+
+
+def ground_model(m):
+    """A random model with at most 3 successors per letter: reducible, with
+    one-letter classes, once m is past a few letters."""
+    rng = np.random.default_rng(m)
+    return build_model(random_matrix(rng, m, max_row_ones=3), rng.uniform(1.5, 4.0, m))
+
+
 class TestTransferMatrix:
     def test_full_uniform_entries(self):
         tm = transfer_matrix(full_model(2), 2.0)
@@ -58,6 +68,23 @@ class TestEvaluate:
         rep = evaluate(full_model(2), math.inf)
         assert rep.z_total == 1.0
         assert not rep.z_y.any() and not rep.z_xy.any()
+
+    @pytest.mark.parametrize("m", GROUND_SIZES)
+    def test_ground_temperature_constants(self, m):
+        # the general path gives exactly the constants of beta = +inf:
+        # every weight is 0, so the solve is against the identity
+        rep = evaluate(ground_model(m), math.inf)
+        assert rep.convergent and not rep.near_critical
+        assert rep.spectral_radius == 0.0 and not math.copysign(1.0, rep.spectral_radius) < 0
+        assert rep.z_total == 1.0 and rep.condition_estimate == 1.0
+        assert rep.z_y.shape == (m,) and rep.z_xy.shape == (m, m)
+        for z in (rep.z_y, rep.z_xy):
+            assert not z.any() and not np.signbit(z).any()
+
+    def test_ground_temperature_models_mix_class_sizes(self):
+        sizes = [np.bincount(ground_model(m).strong_components[1]) for m in GROUND_SIZES]
+        assert sum((s == 1).any() for s in sizes) >= 5
+        assert sum((s > 1).any() for s in sizes) >= 5
 
     def test_summation_identities(self, rng):
         for _ in range(10):

@@ -181,8 +181,10 @@ class TestNonFiniteInputs:
             qstate_from_atoms(column_space(golden_mean_model()), 1.0, atoms, FINITE)
 
     def test_qstate_rejects_nan_beta(self):
-        with pytest.raises(ValueError, match="beta"):
-            qstate_from_atoms(column_space(golden_mean_model()), math.nan, [0.5, 0.5], FINITE)
+        # and every other beta that is not positive or +inf
+        for beta in (math.nan, 0.0, -0.0, -1.0, -math.inf):
+            with pytest.raises(ValueError, match="beta must be positive or \\+inf"):
+                qstate_from_atoms(column_space(golden_mean_model()), beta, [0.5, 0.5], FINITE)
 
 
 class TestGroundState:
@@ -348,6 +350,13 @@ class TestCooling:
         cooled = cooling(m, bc, st, bc + 0.7)
         assert cooled.atom_masses == pytest.approx(st.atom_masses, abs=1e-9)
         assert cooled.q_values == pytest.approx(st.q_values, abs=1e-9)
+
+    def test_cooling_to_ground_temperature_is_the_ground_state(self):
+        m = golden_mean_model()
+        bc, st = critical_state(m)
+        cooled = cooling(m, bc, st, math.inf)
+        assert cooled == ground_state(m, RootMeasure(st.atom_masses))
+        assert cooled.atom_masses == st.atom_masses
 
     def test_rejects_non_subinvariant_input(self):
         m = golden_mean_model()
