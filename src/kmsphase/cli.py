@@ -4,7 +4,8 @@ Reports are deterministic for a fixed invocation: JSON keys are sorted,
 floats are printed with 17 significant digits (full round-trip), and every
 numeric report embeds the tolerances and caps in effect.  CSV is emitted
 only for sweeps and the enumeration oracle.  Exit status: 0 success,
-1 validation error, 2 numeric failure.
+1 bad input (an InputError or a ValueError), 2 any other KmsError
+(a numeric failure).
 """
 
 from __future__ import annotations
@@ -19,32 +20,7 @@ import sys as _sys
 import numpy as np
 
 from . import classify, critical, invariance, model as model_mod, partition, star, states, words
-from .errors import (
-    ConfigParseError,
-    ConditionDaggerFailsError,
-    DimensionMismatchError,
-    EnergyBelowTwoError,
-    EnergyNotAboveOneError,
-    KmsError,
-    ModelValidationError,
-    NotIrreducibleError,
-    TooLargeForExhaustiveError,
-    ZeroColumnError,
-    ZeroRowError,
-)
-
-_VALIDATION_ERRORS = (
-    ConfigParseError,
-    ConditionDaggerFailsError,
-    DimensionMismatchError,
-    EnergyBelowTwoError,
-    EnergyNotAboveOneError,
-    ModelValidationError,
-    NotIrreducibleError,
-    TooLargeForExhaustiveError,
-    ZeroColumnError,
-    ZeroRowError,
-)
+from .errors import ConfigParseError, InputError, KmsError
 
 
 # --- deterministic serialization -----------------------------------------
@@ -102,26 +78,17 @@ def _emit(o) -> str:
         if type(item) in (int, float):
             return _emit(item)
         raise TypeError(f"cannot serialize {type(item)!r}")
-    if isinstance(o, dict):
-        return _emit_dict(o.items())
     if isinstance(o, (list, tuple)):
         return _emit_list(o)
-    if isinstance(o, bool):
-        return "true" if o else "false"
-    if isinstance(o, int):
-        return str(o)
-    if isinstance(o, float):
-        return _fmt_float(o)
-    if isinstance(o, str):
-        return json.dumps(o)
     raise TypeError(f"cannot serialize {type(o)!r}")
 
 
 def dumps(obj) -> str:
     """JSON text with sorted keys and fixed 17-significant-digit floats.
 
-    Dataclasses print as objects of their fields, arrays and tuples as
-    lists, numpy scalars as Python numbers, and dict keys as strings.
+    Dataclasses print as objects of their fields, arrays, tuples and
+    NamedTuples as lists, numpy scalars as Python numbers, and dict keys as
+    strings.  Subclasses of dict, bool, int, float and str raise TypeError.
     """
     return _emit(obj)
 
@@ -141,10 +108,7 @@ def load_model(path: str | None, inline: str | None) -> model_mod.SystemModel:
         raise ConfigParseError(f"cannot read model: {exc}") from exc
     if not isinstance(raw, dict) or "matrix" not in raw or "energies" not in raw:
         raise ConfigParseError('model JSON needs "matrix" and "energies"')
-    try:
-        return model_mod.build_model(raw["matrix"], raw["energies"], raw.get("labels"))
-    except KmsError as exc:
-        raise ModelValidationError(str(exc)) from exc
+    return model_mod.build_model(raw["matrix"], raw["energies"], raw.get("labels"))
 
 
 def load_state(path: str, space: model_mod.ColumnSpace, beta_override: float | None):
@@ -168,10 +132,7 @@ def load_state(path: str, space: model_mod.ColumnSpace, beta_override: float | N
         atoms = np.asarray(masses, dtype=float)
     else:
         raise ConfigParseError('state JSON needs "atom_masses" (list or bitstring dict)')
-    try:
-        return states.qstate_from_atoms(space, float(beta), atoms, states.FINITE)
-    except ValueError as exc:
-        raise ConfigParseError(str(exc)) from exc
+    return states.qstate_from_atoms(space, float(beta), atoms, states.FINITE)
 
 
 def _parse_range(text: str) -> np.ndarray:
@@ -186,24 +147,25 @@ def _parse_range(text: str) -> np.ndarray:
 
 
 def _settings(args) -> dict:
-    out = {
+    return {
         "word_cap": getattr(args, "cap", words.WORD_CAP_DEFAULT),
         "convergence_margin": getattr(args, "margin", partition.CONVERGENCE_MARGIN_DEFAULT),
         "bisect_tol": critical.BISECT_TOL_DEFAULT,
         "gap_tol": invariance.GAP_TOL_DEFAULT,
         "eig_one_tol": classify.EIG_ONE_TOL_DEFAULT,
     }
-    return out
 
 
 # --- subcommands ----------------------------------------------------------
+# Each returns its report, which `main` prints with the settings added, or
+# None after printing CSV itself.
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> dict:
     m = load_model(args.model, args.model_json)
     props = model_mod.properties(m)
     space = model_mod.column_space(m)
     crit = critical.beta_c(m)
-    report = {
+    return {
         "properties": props,
         "column_space": {
             "d": space.d,
@@ -212,13 +174,10 @@ def _cmd_analyze(args) -> int:
             "contains_zero": space.contains_zero,
         },
         "critical": crit,
-        "settings": _settings(args),
     }
-    print(dumps(report))
-    return 0
 
 
-def _cmd_partition(args) -> int:
+def _cmd_partition(args) -> dict | None:
     m = load_model(args.model, args.model_json)
     if args.sweep:
         grid = _parse_range(args.sweep)
@@ -228,52 +187,43 @@ def _cmd_partition(args) -> int:
             rep = partition.evaluate(m, float(b), margin=args.margin)
             z = "inf" if not rep.convergent else format(rep.z_total, ".17g")
             print(f"{b:.17g},{rep.spectral_radius:.17g},{z},{crit.regime(b)}")
-        return 0
+        return None
     if args.beta is None:
         raise ConfigParseError("partition needs --beta or --sweep")
     rep = partition.evaluate(m, args.beta, margin=args.margin)
     bound = partition.geometric_bound(m, args.beta) if not math.isinf(args.beta) else None
-    print(dumps({"partition": rep, "geometric_bound": bound, "settings": _settings(args)}))
-    return 0
+    return {"partition": rep, "geometric_bound": bound}
 
 
-def _cmd_critical(args) -> int:
+def _cmd_critical(args) -> dict:
     m = load_model(args.model, args.model_json)
-    crit = critical.beta_c(m)
-    report = {"critical": crit, "settings": _settings(args)}
+    report = {"critical": critical.beta_c(m)}
     if args.abscissa_check is not None:
         est = critical.abscissa_estimate(m, args.abscissa_check, cap=args.cap)
         report["abscissa_estimate"] = {"estimate": est.estimate, "residual": est.residual}
-    print(dumps(report))
-    return 0
+    return report
 
 
-def _cmd_kms(args) -> int:
+def _cmd_kms(args) -> dict:
     m = load_model(args.model, args.model_json)
-    regime = classify.classify_ta(m, args.beta)
-    print(dumps({"regime": regime, "settings": _settings(args)}))
-    return 0
+    return {"regime": classify.classify_ta(m, args.beta)}
 
 
-def _cmd_oa(args) -> int:
+def _cmd_oa(args) -> dict:
     m = load_model(args.model, args.model_json)
     if args.scan:
-        report = classify.oa_beta_scan(m)
-        print(dumps({"scan": report, "settings": _settings(args)}))
-        return 0
+        return {"scan": classify.oa_beta_scan(m)}
     if args.beta is None:
         raise ConfigParseError("oa needs --beta or --scan")
-    simplex = classify.kms_oa(m, args.beta)
-    print(dumps({"simplex": simplex, "settings": _settings(args)}))
-    return 0
+    return {"simplex": classify.kms_oa(m, args.beta)}
 
 
-def _cmd_check_state(args) -> int:
+def _cmd_check_state(args) -> dict:
     m = load_model(args.model, args.model_json)
     space = model_mod.column_space(m)
     state = load_state(args.state, space, args.beta)
     verdict = invariance.is_subinvariant(m, state.beta, state, exhaustive=args.exhaustive)
-    report = {"beta": state.beta, "verdict": verdict, "settings": _settings(args)}
+    report = {"beta": state.beta, "verdict": verdict}
     if verdict.subinvariant:
         dec = states.decompose(m, state.beta, state)
         report["decomposition"] = {
@@ -286,11 +236,10 @@ def _cmd_check_state(args) -> int:
         # factors_through_oa is this invariance of the restriction
         report["factors_through_quotient"] = verdict.invariant
         report["infinite_stem_mass"] = states.omega_infinity_mass(m, state.beta, state, 10)
-    print(dumps(report))
-    return 0
+    return report
 
 
-def _cmd_star(args) -> int:
+def _cmd_star(args) -> dict:
     drop = None if args.drop == "auto" else int(args.drop)
     sys_ = star.build_star("default", drop=drop, head_count=args.head_count)
     beta = args.beta if args.beta is not None else sys_.beta_bar
@@ -308,7 +257,7 @@ def _cmd_star(args) -> int:
             "z0_truncated": z0_k,
             "bound": star.z0_truncation_bound(sys_, beta, K, z0_k),
         })
-    report = {
+    return {
         "system": {
             "kind": sys_.kind,
             "drop": sys_.drop,
@@ -322,13 +271,10 @@ def _cmd_star(args) -> int:
         "z0_convention": star.Z0_CONVENTION,
         "truncations": table,
         "critical_states": [star.star_kms_at_critical(sys_, t) for t in (0.0, 1.0)],
-        "settings": _settings(args),
     }
-    print(dumps(report))
-    return 0
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> None:
     m = load_model(args.model, args.model_json)
     if args.max_length < 0:
         raise ConfigParseError("--max-length must be nonnegative")
@@ -339,7 +285,6 @@ def _cmd_oracle(args) -> int:
     print("n,count,shell_sum")
     for n, s in enumerate(sums):
         print(f"{n},{counts[n]},{s:.17g}")
-    return 0
 
 
 # --- dispatch -------------------------------------------------------------
@@ -418,16 +363,17 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 1
-    except ValueError as exc:
+        report = args.func(args)
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
     except KmsError as exc:
         print(f"numeric failure: {exc}", file=_sys.stderr)
         return 2
+    if report is not None:
+        report["settings"] = _settings(args)
+        print(dumps(report))
+    return 0
 
 
 if __name__ == "__main__":

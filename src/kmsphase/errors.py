@@ -1,7 +1,9 @@
 """Exception hierarchy for the kmsphase toolkit.
 
-Validation errors signal bad input data; numeric errors signal a
-computation that could not be completed reliably.
+An :class:`InputError` signals bad input data; every other
+:class:`KmsError` signals a computation that could not be completed
+reliably.  The CLI exits 1 on an InputError (or a ValueError) and 2 on
+any other KmsError.
 """
 
 from __future__ import annotations
@@ -11,30 +13,34 @@ class KmsError(Exception):
     """Base class for all kmsphase errors."""
 
 
+class InputError(KmsError):
+    """Bad input data; the CLI exits 1."""
+
+
 # --- model construction -------------------------------------------------
 
-class ZeroRowError(KmsError):
+class ZeroRowError(InputError):
     def __init__(self, row: int):
         self.row = row
         super().__init__(f"row {row} of the transition matrix is identically zero")
 
 
-class EnergyNotAboveOneError(KmsError):
+class EnergyNotAboveOneError(InputError):
     def __init__(self, index: int, value: float):
         self.index = index
         self.value = value
         super().__init__(f"energy N({index}) = {value} must be finite and strictly greater than 1")
 
 
-class DimensionMismatchError(KmsError):
+class DimensionMismatchError(InputError):
     pass
 
 
-class NotIrreducibleError(KmsError):
+class NotIrreducibleError(InputError):
     pass
 
 
-class ZeroColumnError(KmsError):
+class ZeroColumnError(InputError):
     def __init__(self, column: int):
         self.column = column
         super().__init__(f"column {column} of the transition matrix is identically zero")
@@ -84,7 +90,7 @@ class NotSubinvariantError(KmsError):
 
 # --- invariance checks --------------------------------------------------
 
-class TooLargeForExhaustiveError(KmsError):
+class TooLargeForExhaustiveError(InputError):
     pass
 
 
@@ -106,14 +112,14 @@ class NotInvariantError(KmsError):
 
 # --- star family --------------------------------------------------------
 
-class ConditionDaggerFailsError(KmsError):
+class ConditionDaggerFailsError(InputError):
     def __init__(self, needed_drop: int | None):
         self.needed_drop = needed_drop
         hint = f"; try drop >= {needed_drop}" if needed_drop is not None else ""
         super().__init__(f"the partition normalization condition fails at the abscissa{hint}")
 
 
-class EnergyBelowTwoError(KmsError):
+class EnergyBelowTwoError(InputError):
     def __init__(self, k: int, value: float):
         self.k = k
         self.value = value
@@ -126,9 +132,5 @@ class BelowAbscissaError(KmsError):
 
 # --- CLI ----------------------------------------------------------------
 
-class ConfigParseError(KmsError):
-    pass
-
-
-class ModelValidationError(KmsError):
+class ConfigParseError(InputError):
     pass

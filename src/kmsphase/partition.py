@@ -495,6 +495,8 @@ def z_gamma(
     a subcritical block of a reducible matrix keeps a finite normalizer.
     A zero measure gives 0; ``beta = +inf`` gives the total mass.
     """
+    if not beta > 0:
+        raise ValueError("partition functions are defined for beta > 0 or beta = +inf")
     space = space or column_space(model)
     w = np.asarray(weights, dtype=float)
     if w.shape != (space.d,):

@@ -144,12 +144,12 @@ def qstate_from_atoms(
         raise ValueError(f"need one atom mass per column point ({space.d})")
     # a NaN or infinite atom makes the plain sum NaN or infinite
     if not math.isfinite(a.sum()):
-        raise ValueError(f"atom masses must be finite and sum to 1, got {a.sum()!r}")
+        raise ValueError(f"atom masses must be finite and sum to 1, got {float(a.sum())!r}")
     if a.min() < -atol:
         raise ValueError("atom masses must be nonnegative")
     a = np.maximum(a, 0.0)
     if abs(a.sum() - 1.0) > atol:
-        raise ValueError(f"atom masses must sum to 1, got {a.sum()!r}")
+        raise ValueError(f"atom masses must sum to 1, got {float(a.sum())!r}")
     q = a @ space.bit_matrix()
     return QState(
         beta=beta,

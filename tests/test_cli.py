@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from kmsphase import cli
+from kmsphase import cli, errors
 from kmsphase.cli import dumps, main
 from kmsphase.critical import AbscissaEstimate
 from kmsphase.states import QState, TypeTag
@@ -233,6 +233,218 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "numeric failure: both shells underflow to 0\n"
+
+
+# --- the CLI's error paths: exit status, empty stdout, one stderr line ----
+
+def _model_json(matrix, energies, **extra) -> str:
+    return json.dumps({"matrix": matrix, "energies": energies, **extra})
+
+
+# Files written into the test's directory; "{dir}" in an argv or in an
+# expected line stands for that directory.  json writes NaN, and reads it back.
+_ERROR_FILES = {
+    "golden.json": json.dumps(GOLDEN),
+    "broken.json": "{",
+    "full13.json": _model_json([[1] * 13] * 13, [2.0] * 13),
+    "state-ok.json": json.dumps(dict(beta=2.0, atom_masses=[0.5, 0.5])),
+    "state-broken.json": "[",
+    "state-no-beta.json": json.dumps(dict(atom_masses=[0.5, 0.5])),
+    "state-no-masses.json": json.dumps(dict(beta=2.0)),
+    "state-unknown-point.json": json.dumps(dict(beta=2.0, atom_masses={"00": 1.0})),
+    "state-bad-key.json": json.dumps(dict(beta=2.0, atom_masses={"ab": 1.0})),
+    "state-short.json": json.dumps(dict(beta=2.0, atom_masses=[1.0])),
+    "state-sum.json": json.dumps(dict(beta=2.0, atom_masses=[0.9, 0.9])),
+    "state-nan.json": json.dumps(dict(beta=2.0, atom_masses=[math.nan, 1.0])),
+    "state-negative.json": json.dumps(dict(beta=2.0, atom_masses=[-0.5, 1.5])),
+    "state-beta-negative.json": json.dumps(dict(beta=-1.0, atom_masses=[0.5, 0.5])),
+    "state-one-point.json": json.dumps(dict(beta=2.0, atom_masses=[1.0])),
+}
+
+_G = ["--model", "{dir}/golden.json"]
+_SQUARE = [[1, 1], [1, 1]]
+
+
+def _case(id, argv, status, line):
+    return pytest.param(argv, status, line, id=id)
+
+
+_ERROR_CASES = [
+    # model ingestion
+    _case("model-missing", ["analyze", "--model", "{dir}/missing.json"], 1,
+          "error: cannot read model: [Errno 2] No such file or directory: '{dir}/missing.json'"),
+    _case("model-broken-file", ["analyze", "--model", "{dir}/broken.json"], 1,
+          "error: cannot read model: Expecting property name enclosed in double quotes: "
+          "line 1 column 2 (char 1)"),
+    _case("model-not-json", ["analyze", "--model-json", "not json"], 1,
+          "error: cannot read model: Expecting value: line 1 column 1 (char 0)"),
+    _case("model-not-object", ["analyze", "--model-json", "[1, 2]"], 1,
+          'error: model JSON needs "matrix" and "energies"'),
+    _case("model-no-energies", ["analyze", "--model-json", '{"matrix": [[1]]}'], 1,
+          'error: model JSON needs "matrix" and "energies"'),
+    _case("model-none", ["analyze"], 1, "error: provide exactly one of --model or --model-json"),
+    _case("model-both", ["analyze", *_G, "--model-json", json.dumps(GOLDEN)], 1,
+          "error: provide exactly one of --model or --model-json"),
+    _case("matrix-ragged", ["analyze", "--model-json", _model_json([[1, 1], [1]], [2, 2])], 1,
+          "error: setting an array element with a sequence. The requested array has an "
+          "inhomogeneous shape after 1 dimensions. The detected shape was (2,) + "
+          "inhomogeneous part."),
+    _case("matrix-not-square", ["analyze", "--model-json", _model_json([[1, 1]], [2, 2])], 1,
+          "error: matrix must be square and nonempty, got shape (1, 2)"),
+    _case("matrix-empty", ["analyze", "--model-json", _model_json([], [])], 1,
+          "error: matrix must be square and nonempty, got shape (0,)"),
+    _case("matrix-not-0-1", ["analyze", "--model-json", _model_json([[1, 2], [1, 1]], [2, 2])], 1,
+          "error: matrix entries must be 0 or 1"),
+    _case("energies-short", ["analyze", "--model-json", _model_json(_SQUARE, [2])], 1,
+          "error: energies must have length 2, got shape (1,)"),
+    _case("matrix-zero-row", ["analyze", "--model-json", _model_json([[1, 1], [0, 0]], [2, 2])], 1,
+          "error: row 1 of the transition matrix is identically zero"),
+    _case("energy-one", ["analyze", "--model-json", _model_json(_SQUARE, [2, 1.0])], 1,
+          "error: energy N(1) = 1.0 must be finite and strictly greater than 1"),
+    _case("energy-below-one", ["analyze", "--model-json", _model_json(_SQUARE, [0.5, 2])], 1,
+          "error: energy N(0) = 0.5 must be finite and strictly greater than 1"),
+    _case("labels-short",
+          ["analyze", "--model-json", _model_json(_SQUARE, [2, 2], labels=["a"])], 1,
+          "error: labels must match the matrix dimension"),
+    # beta <= 0 or NaN
+    *[_case(f"{cmd}-beta-{beta}", [cmd, *_G, f"--beta={beta}"], 1, f"error: {line}")
+      for cmd, line in [("partition", "partition functions are defined for beta > 0 or beta = +inf"),
+                        ("kms", "beta must be positive or +inf"),
+                        ("oa", "quotient KMS states are computed for finite positive beta")]
+      for beta in ("0", "-1", "nan")],
+    _case("oa-beta-inf", ["oa", *_G, "--beta", "inf"], 1,
+          "error: quotient KMS states are computed for finite positive beta"),
+    *[_case(f"check-state-beta-{beta}",
+            ["check-state", *_G, "--state", "{dir}/state-ok.json", f"--beta={beta}"], 1,
+            f"error: beta must be positive or +inf, got {line}")
+      for beta, line in [("0", "0.0"), ("-1", "-1.0"), ("nan", "nan"), ("-inf", "-inf")]],
+    _case("check-state-state-beta-negative",
+          ["check-state", *_G, "--state", "{dir}/state-beta-negative.json"], 1,
+          "error: beta must be positive or +inf, got -1.0"),
+    # partition and oa modes
+    _case("partition-no-mode", ["partition", *_G], 1, "error: partition needs --beta or --sweep"),
+    _case("sweep-two-fields", ["partition", *_G, "--sweep", "1:2"], 1,
+          "error: bad range '1:2', expected b0:b1:steps"),
+    _case("sweep-not-number", ["partition", *_G, "--sweep", "a:2:5"], 1,
+          "error: bad range 'a:2:5', expected b0:b1:steps"),
+    _case("sweep-reversed", ["partition", *_G, "--sweep", "2:1:5"], 1,
+          "error: range needs b1 > b0 and at least 2 points"),
+    _case("sweep-one-point", ["partition", *_G, "--sweep", "1:2:1"], 1,
+          "error: range needs b1 > b0 and at least 2 points"),
+    _case("kms-reducible",
+          ["kms", "--model-json", _model_json([[1, 1], [0, 1]], [2, 2]), "--beta", "2"], 1,
+          "error: phase classification requires an irreducible matrix"),
+    _case("oa-no-mode", ["oa", *_G], 1, "error: oa needs --beta or --scan"),
+    _case("oa-scan-zero-column",
+          ["oa", "--model-json", _model_json([[0, 1], [0, 1]], [2, 2]), "--scan"], 1,
+          "error: column 0 of the transition matrix is identically zero"),
+    # state ingestion
+    _case("state-missing", ["check-state", *_G, "--state", "{dir}/missing.json"], 1,
+          "error: cannot read state: [Errno 2] No such file or directory: '{dir}/missing.json'"),
+    _case("state-broken", ["check-state", *_G, "--state", "{dir}/state-broken.json"], 1,
+          "error: cannot read state: Expecting value: line 1 column 2 (char 1)"),
+    _case("state-no-beta", ["check-state", *_G, "--state", "{dir}/state-no-beta.json"], 1,
+          "error: state JSON needs a beta (or pass --beta)"),
+    _case("state-no-masses", ["check-state", *_G, "--state", "{dir}/state-no-masses.json"], 1,
+          'error: state JSON needs "atom_masses" (list or bitstring dict)'),
+    _case("state-unknown-point",
+          ["check-state", *_G, "--state", "{dir}/state-unknown-point.json"], 1,
+          "error: unknown column point '00'"),
+    _case("state-bad-key", ["check-state", *_G, "--state", "{dir}/state-bad-key.json"], 1,
+          "error: invalid literal for int() with base 10: 'a'"),
+    _case("state-short", ["check-state", *_G, "--state", "{dir}/state-short.json"], 1,
+          "error: need one atom mass per column point (2)"),
+    _case("state-sum", ["check-state", *_G, "--state", "{dir}/state-sum.json"], 1,
+          "error: atom masses must sum to 1, got 1.8"),
+    _case("state-nan", ["check-state", *_G, "--state", "{dir}/state-nan.json"], 1,
+          "error: atom masses must be finite and sum to 1, got nan"),
+    _case("state-negative", ["check-state", *_G, "--state", "{dir}/state-negative.json"], 1,
+          "error: atom masses must be nonnegative"),
+    _case("check-state-exhaustive-m13",
+          ["check-state", "--model", "{dir}/full13.json", "--state", "{dir}/state-one-point.json",
+           "--exhaustive"], 1,
+          "error: exhaustive check capped at m <= 12"),
+    # star family
+    _case("star-drop-0", ["star", "--drop", "0"], 1,
+          "error: star energy N_1 = 0.4804530139182014 is below 2; increase drop"),
+    _case("star-drop-not-int", ["star", "--drop", "x"], 1,
+          "error: invalid literal for int() with base 10: 'x'"),
+    _case("star-levels-0", ["star", "--levels", "0"], 1,
+          "error: need at least one starred generator"),
+    _case("star-levels-not-int", ["star", "--levels", "8,x"], 1,
+          "error: invalid literal for int() with base 10: 'x'"),
+    _case("star-below-abscissa", ["star", "--beta", "0.5", "--levels", "8"], 2,
+          "numeric failure: zeta is only evaluated for beta >= 1.0"),
+    # the enumeration oracle and the abscissa check
+    _case("oracle-cap", ["oracle", *_G, "--beta", "1", "--max-length", "10", "--cap", "5"], 2,
+          "numeric failure: enumeration would visit 8 words, above the cap 5"),
+    _case("oracle-source-high",
+          ["oracle", *_G, "--beta", "1", "--max-length", "3", "--source", "5"], 1,
+          "error: source must be a letter in 0..1, got 5"),
+    _case("oracle-source-negative",
+          ["oracle", *_G, "--beta", "1", "--max-length", "3", "--source=-1"], 1,
+          "error: source must be a letter in 0..1, got -1"),
+    _case("oracle-target-high",
+          ["oracle", *_G, "--beta", "1", "--max-length", "3", "--target", "7"], 1,
+          "error: target must be a letter in 0..1, got 7"),
+    _case("oracle-max-length-negative", ["oracle", *_G, "--beta", "1", "--max-length=-3"], 1,
+          "error: --max-length must be nonnegative"),
+    _case("abscissa-check-1", ["critical", *_G, "--abscissa-check", "1"], 1,
+          "error: need at least two shells"),
+    _case("abscissa-check-cap", ["critical", *_G, "--abscissa-check", "30", "--cap", "10"], 2,
+          "numeric failure: enumeration would visit 2178309 words, above the cap 10"),
+    # the underflowing-shell model, exit 2: TestErrors.test_underflowing_shells_exit_two
+]
+
+
+@pytest.mark.parametrize("argv,status,line", _ERROR_CASES)
+def test_error_path(tmp_path, capsys, argv, status, line):
+    for name, text in _ERROR_FILES.items():
+        (tmp_path / name).write_text(text)
+
+    def fill(text: str) -> str:
+        return text.replace("{dir}", str(tmp_path))
+
+    assert main([fill(arg) for arg in argv]) == status
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == fill(line) + "\n"
+
+
+# The exit status of every error class: 1 for bad input, 2 for a numeric failure.
+_EXIT_STATUS = {
+    "KmsError": 2, "InputError": 1,
+    "ZeroRowError": 1, "EnergyNotAboveOneError": 1, "DimensionMismatchError": 1,
+    "NotIrreducibleError": 1, "ZeroColumnError": 1, "TooLargeForExhaustiveError": 1,
+    "ConditionDaggerFailsError": 1, "EnergyBelowTwoError": 1, "ConfigParseError": 1,
+    "LengthTooLargeError": 2, "DegenerateShellsError": 2, "NoConvergenceError": 2,
+    "ZeroMeasureError": 2, "DivergentNormalizerError": 2, "NegativeDefectError": 2,
+    "NotSubinvariantError": 2, "NotFixedPointError": 2, "NotNormalizedError": 2,
+    "NegativeEntryError": 2, "NotInvariantError": 2, "BelowAbscissaError": 2,
+}
+
+
+def test_exit_status_table_names_every_error_class():
+    classes = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, errors.KmsError)}
+    assert classes == set(_EXIT_STATUS)
+
+
+@pytest.mark.parametrize("name,status", sorted(_EXIT_STATUS.items()))
+def test_error_class_exit_status(monkeypatch, capsys, name, status):
+    cls = getattr(errors, name)
+    init = vars(cls).get("__init__")    # the classes that build their own message
+    exc = cls(*[1] * (init.__code__.co_argcount - 1)) if init else cls("raised by a test")
+
+    def raise_it(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "load_model", raise_it)
+    assert main(["analyze"]) == status
+    captured = capsys.readouterr()
+    prefix = "error" if status == 1 else "numeric failure"
+    assert captured.out == ""
+    assert captured.err == f"{prefix}: {exc}\n"
 
 
 class TestSharedParser:
