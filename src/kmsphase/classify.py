@@ -162,9 +162,15 @@ def kms_oa(model: SystemModel, beta: float) -> OaSimplex:
     Requires no identically zero columns; irreducibility is not needed, so
     reducible systems may produce several distinct KMS temperatures.  Each
     strong class C is above, critical or below as r_C(beta) is above 1, within
-    ``EIG_ONE_TOL_DEFAULT`` of it, or below, r_C being the root of
-    :func:`partition.perron_pair` of M_CC (exact for a letter alone: its
-    diagonal entry, with vectors [1.0]).  By the
+    ``EIG_ONE_TOL_DEFAULT`` of it, or below.  The class roots
+    (:func:`partition.class_roots`, built on the first call for a model)
+    decide first: a class whose certified bounds on r_C(beta)
+    (:meth:`partition.ClassRoot.radius_bounds`) lie wholly outside
+    [1 - ``EIG_ONE_TOL_DEFAULT``, 1 + ``EIG_ONE_TOL_DEFAULT``] is above or
+    below with no power step.  Any other class takes r_C as the root of
+    :func:`partition.perron_pair` of M_CC, started from its class root's
+    pair (exact for a letter alone: its diagonal entry, with vectors
+    [1.0]).  By the
     Frobenius-Victory theorem a critical class whose other ancestor classes
     are all below gives one extreme vector, and nothing else does: the
     Perron vector v_C of M_CC on C, v_U' = (I - M_U'U')^-1 M_U'C v_C on the
@@ -178,22 +184,31 @@ def kms_oa(model: SystemModel, beta: float) -> OaSimplex:
         raise ValueError("quotient KMS states are computed for finite positive beta")
     _require_no_zero_column(model)
     entries = transfer_matrix(model, beta).entries
-    ncomp, labels = model.strong_components
-    members = [np.flatnonzero(labels == c) for c in range(ncomp)]
-    pairs = [perron_pair(entries[np.ix_(idx, idx)]) for idx in members]
-    radii = np.array([pair.r for pair in pairs])
-    below = radii < 1.0 - EIG_ONE_TOL_DEFAULT
+    _, labels = model.strong_components
+    roots = class_roots(model)
+    below = np.zeros(len(roots), dtype=bool)
+    critical = []
+    for c, root in enumerate(roots):
+        lower, upper = root.radius_bounds(model, beta)
+        if upper < 1.0 - EIG_ONE_TOL_DEFAULT:
+            below[c] = True
+        elif not lower > 1.0 + EIG_ONE_TOL_DEFAULT:
+            idx = root.generators
+            pair = perron_pair(entries[np.ix_(idx, idx)], root.pair)
+            below[c] = pair.r < 1.0 - EIG_ONE_TOL_DEFAULT
+            if abs(pair.r - 1.0) <= EIG_ONE_TOL_DEFAULT:
+                critical.append((c, pair))
     nweights = model.weights(beta)
 
     vectors = []
-    for c in np.flatnonzero(np.abs(radii - 1.0) <= EIG_ONE_TOL_DEFAULT):
-        idx = members[c]
+    for c, pair in critical:
+        idx = roots[c].generators
         ancestors = model.ancestors(idx)
         rest = ancestors[labels[ancestors] != c]
         if not below[labels[rest]].all():
             continue
         v = np.zeros(model.m)
-        v[idx] = _certified_vector(pairs[c])
+        v[idx] = _certified_vector(pair)
         if rest.size:
             v[rest] = np.linalg.solve(
                 np.eye(rest.size) - entries[np.ix_(rest, rest)],

@@ -111,12 +111,22 @@ def load_model(path: str | None, inline: str | None) -> model_mod.SystemModel:
     return model_mod.build_model(raw["matrix"], raw["energies"], raw.get("labels"))
 
 
+def _number(value, what: str) -> float:
+    """float(value), with a JSON value of the wrong type (list, object, null) rejected as input."""
+    try:
+        return float(value)
+    except TypeError:
+        raise ConfigParseError(f"{what} must be a number, got {value!r}") from None
+
+
 def load_state(path: str, space: model_mod.ColumnSpace, beta_override: float | None):
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigParseError(f"cannot read state: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigParseError("state JSON must be an object")
     beta = beta_override if beta_override is not None else raw.get("beta")
     if beta is None:
         raise ConfigParseError("state JSON needs a beta (or pass --beta)")
@@ -127,12 +137,12 @@ def load_state(path: str, space: model_mod.ColumnSpace, beta_override: float | N
             bits = tuple(int(ch) for ch in key)
             if bits not in space.points:
                 raise ConfigParseError(f"unknown column point {key!r}")
-            atoms[space.points.index(bits)] = float(value)
+            atoms[space.points.index(bits)] = _number(value, f"atom mass {key!r}")
     elif isinstance(masses, list):
         atoms = np.asarray(masses, dtype=float)
     else:
         raise ConfigParseError('state JSON needs "atom_masses" (list or bitstring dict)')
-    return states.qstate_from_atoms(space, float(beta), atoms, states.FINITE)
+    return states.qstate_from_atoms(space, _number(beta, "beta"), atoms, states.FINITE)
 
 
 def _parse_range(text: str) -> np.ndarray:
@@ -182,11 +192,14 @@ def _cmd_partition(args) -> dict | None:
     if args.sweep:
         grid = _parse_range(args.sweep)
         crit = critical.beta_c(m)
-        print("beta,spectral_radius,z_total,regime")
+        # every row before the header, so that a rejected sweep prints no CSV
+        rows = []
         for b in grid:
             rep = partition.evaluate(m, float(b), margin=args.margin)
             z = "inf" if not rep.convergent else format(rep.z_total, ".17g")
-            print(f"{b:.17g},{rep.spectral_radius:.17g},{z},{crit.regime(b)}")
+            rows.append(f"{b:.17g},{rep.spectral_radius:.17g},{z},{crit.regime(b)}")
+        print("beta,spectral_radius,z_total,regime")
+        print("\n".join(rows))
         return None
     if args.beta is None:
         raise ConfigParseError("partition needs --beta or --sweep")

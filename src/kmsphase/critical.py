@@ -226,13 +226,17 @@ def perron_vector(model: SystemModel, beta: float) -> np.ndarray:
     Normalized so that sum_x N(x)^-beta v_x = 1 (the normalization carried
     by critical KMS states); requires an irreducible matrix, which makes the
     vector unique and strictly positive.  The vector comes from
-    :func:`partition.perron_pair`; NoConvergenceError is raised when its
-    Collatz-Wielandt bounds are more than ``PERRON_VECTOR_TOL`` apart
-    relative to r, since then Mv = rv holds no better than that.
+    :func:`partition.perron_pair`, started from the Perron pair that the
+    model's one class root (:func:`partition.class_roots`) kept at its
+    last Newton iterate, so at beta_c it takes about one check;
+    NoConvergenceError is raised when its Collatz-Wielandt bounds are more
+    than ``PERRON_VECTOR_TOL`` apart relative to r, since then Mv = rv
+    holds no better than that.
     """
     if not properties(model).irreducible:
         raise NotIrreducibleError("the Perron vector needs an irreducible matrix")
-    v = _certified_vector(perron_pair(transfer_matrix(model, beta).entries))
+    start = class_roots(model)[0].pair
+    v = _certified_vector(perron_pair(transfer_matrix(model, beta).entries, start))
     return v / float(model.weights(beta) @ v)
 
 

@@ -275,7 +275,10 @@ def build_model(
         raise DimensionMismatchError(f"matrix must be square and nonempty, got shape {a.shape}")
     if not np.isin(a, (0, 1)).all():
         raise DimensionMismatchError("matrix entries must be 0 or 1")
-    n = np.asarray(energies, dtype=float)
+    try:
+        n = np.asarray(energies, dtype=float)
+    except TypeError:
+        raise DimensionMismatchError(f"energies must be numbers, got {energies!r}") from None
     if n.shape != (a.shape[0],):
         raise DimensionMismatchError(
             f"energies must have length {a.shape[0]}, got shape {n.shape}"
@@ -287,6 +290,8 @@ def build_model(
     if bad.size:
         raise EnergyNotAboveOneError(int(bad[0]), float(n[bad[0]]))
     if labels is not None:
+        if not hasattr(labels, "__len__"):
+            raise DimensionMismatchError(f"labels must be a list, got {labels!r}")
         if len(labels) != a.shape[0]:
             raise DimensionMismatchError("labels must match the matrix dimension")
         labels = tuple(str(s) for s in labels)

@@ -17,7 +17,10 @@ its eigenvalues.  :func:`spectral_radius` and :func:`evaluate` hand it
 the model's classes; a raw matrix gets those of its support.
 :func:`class_roots` keeps, per
 model, each class's root of r_C(beta) = 1 with a certified enclosure
-[lo, hi] (Newton on log r_C, see :func:`_class_root`).  A series
+[lo, hi] (Newton on log r_C, see :func:`_class_root`), and the Perron
+pair of the last Newton iterate: a warm start for later pairs of the
+class, and certified bounds on r_C at any beta
+(:meth:`ClassRoot.radius_bounds`).  A series
 restricted to an ancestor set is convergent when beta lies above hi for
 every class in the set; inside an enclosure it counts as divergent.
 """
@@ -262,12 +265,51 @@ class ClassRoot:
     beta > hi, hi being ~0.
     Otherwise the root lies in [lo, hi] and r_C(beta) < 1 for every
     beta > hi.
+
+    ``pair`` is the Perron pair of M_CC at ``at``, the last beta the
+    search evaluated (0.0 when there is no root).  Its Collatz-Wielandt
+    bounds bound r_C anywhere, since r_C(at + t) lies between lower and
+    upper times N^-t for the smallest and largest energy N of the class,
+    and its vectors are a warm start near ``beta``.  A letter alone with
+    no loop (r_C = 0) has no pair.
     """
 
     generators: np.ndarray
     beta: float | None
     lo: float
     hi: float
+    at: float = 0.0
+    pair: PerronPair | None = None
+
+    def radius_bounds(self, model: SystemModel, beta: float) -> tuple[float, float]:
+        """Certified bounds lower <= r_C(beta) <= upper, read off ``pair``; no power step.
+
+        With t = beta - at, M_CC(beta) = M_CC(at) N^-t columnwise, so
+        r_C(beta) lies in [lower N_max^-t, upper N_min^-t] for t >= 0 and in
+        [lower N_min^-t, upper N_max^-t] for t < 0.  Both ends are padded as
+        :func:`_class_root` pads its enclosure, and further for the rounding
+        of t, of log N, of exp and of the two entries of M_CC it compares.
+        """
+        if self.pair is None:
+            return 0.0, 0.0
+        energies = model.energies[self.generators]
+        t = beta - self.at
+        slow, fast = math.log(energies.max()), math.log(energies.min())
+        if t < 0.0:
+            slow, fast = fast, slow
+        pad = (len(self.generators) + 3) * _EPS
+        lower = self.pair.lower * (1.0 - pad) * _padded_exp(-t * slow, -1.0)
+        upper = self.pair.upper * (1.0 + pad) * _padded_exp(-t * fast, 1.0)
+        return lower, upper
+
+
+def _padded_exp(x: float, side: float) -> float:
+    """exp(x) moved outward (side -1 down, +1 up) past the rounding of an x
+    computed from two rounded factors, of exp itself and of the products it
+    enters; +inf past overflow."""
+    if x > 709.0:
+        return math.inf
+    return math.exp(x) * (1.0 + side * 8.0 * (1.0 + abs(x)) * _EPS)
 
 
 def _class_root(model: SystemModel, idx: np.ndarray) -> ClassRoot:
@@ -308,7 +350,9 @@ def _class_root(model: SystemModel, idx: np.ndarray) -> ClassRoot:
         low = math.log(pair.lower * (1.0 - pad)) if pair.lower > 0.0 else -math.inf
         high = math.log(pair.upper * (1.0 + pad))
         if beta == 0.0 and pair.upper <= 1.0 + BISECT_TOL_DEFAULT:
-            return ClassRoot(idx, None, 0.0, float(np.nextafter(max(0.0, high) / log_min, math.inf)))
+            _freeze(pair)
+            return ClassRoot(idx, None, 0.0, float(np.nextafter(max(0.0, high) / log_min, math.inf)),
+                             0.0, pair)
         f = math.log(pair.r)
         slope = -float(pair.u @ (entries @ (log_n * pair.v))) / (pair.r * float(pair.u @ pair.v))
         step = -f / slope
@@ -316,8 +360,15 @@ def _class_root(model: SystemModel, idx: np.ndarray) -> ClassRoot:
         hi = float(np.nextafter(beta + max(0.0, high) / log_min, math.inf))
         width = max(BISECT_TOL_DEFAULT, 2.0 * (high - low) / log_min)
         if pair_tol == POWER_TOL_DEFAULT and hi - lo <= width:
-            return ClassRoot(idx, min(max(beta + step, lo), hi), lo, hi)
+            _freeze(pair)
+            return ClassRoot(idx, min(max(beta + step, lo), hi), lo, hi, beta, pair)
         beta += step
+
+
+def _freeze(pair: PerronPair) -> None:
+    """Make the vectors of a table's pair read-only: warm starts hand them out."""
+    pair.v.setflags(write=False)
+    pair.u.setflags(write=False)
 
 
 def class_roots(model: SystemModel) -> tuple[ClassRoot, ...]:

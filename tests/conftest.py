@@ -106,6 +106,16 @@ def block_triangular(rng, sizes):
     return build_model(a, np.concatenate([b.energies for b in blocks]))
 
 
+# the block sizes of the reducible models whose quotient temperatures the benchmark scans
+SCAN_BLOCKS = ((6, 6), (6, 10), (8, 16), (8, 8, 8), (10, 10, 10), (12, 24), (12, 12, 12),
+               (14, 14, 14), (16, 16, 16))
+
+
+def scan_block_models(seed):
+    return [block_triangular(np.random.default_rng((seed, i)), sizes)
+            for i, sizes in enumerate(SCAN_BLOCKS)]
+
+
 def random_duplicate_columns_model(rng, m, k, energy_range=(1.5, 4.0), max_tries=2000):
     """Random irreducible model whose matrix has exactly k distinct columns."""
     from kmsphase import column_space

@@ -32,6 +32,7 @@ from conftest import (
     golden_mean_model,
     random_duplicate_columns_model,
     random_irreducible,
+    scan_block_models,
 )
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -287,7 +288,9 @@ class TestKmsOa:
         loose = real_pair(transfer_matrix(m, bc).entries, tol=1e-4)
         assert loose.upper - loose.lower > critical.PERRON_VECTOR_TOL * loose.upper
         assert abs(loose.r - 1.0) <= classify.EIG_ONE_TOL_DEFAULT
-        monkeypatch.setattr(classify, "perron_pair", lambda entries: real_pair(entries, tol=1e-4))
+        # a cold start: the warm start from the class root is converged already
+        monkeypatch.setattr(classify, "perron_pair",
+                            lambda entries, start=None: real_pair(entries, tol=1e-4))
         with pytest.raises(NoConvergenceError):
             kms_oa(m, bc)
 
@@ -326,6 +329,67 @@ class TestOaBetaScan:
         simplex = kms_oa(m, rep.beta_c)
         v = np.asarray(simplex.extreme_vectors[0])
         assert v == pytest.approx(rep.perron_at_critical, abs=1e-8)
+
+
+class TestWarmStartedScan:
+    """kms_oa reads the class-root table: certified radius bounds decide the
+    classes far from 1, and the rest start from their class root's pair."""
+
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_pairs_only_for_critical_classes(self, seed, monkeypatch):
+        real_pair = partition.perron_pair
+        calls = []
+        monkeypatch.setattr(classify, "perron_pair",
+                            lambda *args: calls.append(1) or real_pair(*args))
+        pairs = candidates = critical_classes = 0
+        for model in scan_block_models(seed):
+            calls.clear()
+            oa_beta_scan(model)
+            pairs += len(calls)
+            betas = sorted({root.beta for root in class_roots(model) if root.beta is not None})
+            candidates += len(betas)
+            ncomp, labels = model.strong_components
+            for beta in betas:
+                entries = transfer_matrix(model, beta).entries
+                for c in range(ncomp):
+                    idx = np.flatnonzero(labels == c)
+                    r = real_pair(entries[np.ix_(idx, idx)]).r
+                    critical_classes += abs(r - 1.0) <= classify.EIG_ONE_TOL_DEFAULT
+        # one pair per class root on these models: 23, where a pair for
+        # every class at every candidate took 61
+        assert pairs <= critical_classes
+        assert (pairs, candidates) == (23, 23)
+
+    def test_same_bits_on_a_fresh_model(self):
+        # the table is a function of the model alone, so kms_oa prints the
+        # same bits whether or not a scan came first
+        for model in scan_block_models(1)[:4] + list(coexistence_models()):
+            for simplex in oa_beta_scan(model).simplices:
+                fresh = kms_oa(build_model(model.matrix, model.energies), simplex.beta)
+                assert [[x.hex() for x in v] for v in fresh.extreme_vectors] == \
+                    [[x.hex() for x in v] for v in simplex.extreme_vectors]
+
+    def test_radius_bounds_enclose_the_radius(self):
+        for model in scan_block_models(7919)[:5] + list(coexistence_models()):
+            for root in class_roots(model):
+                idx = root.generators
+                for beta in (0.01, 0.5 * root.at, root.at, root.hi, 1.5 * root.hi + 0.3):
+                    if beta <= 0:
+                        continue
+                    lower, upper = root.radius_bounds(model, beta)
+                    pair = partition.perron_pair(transfer_matrix(model, beta).entries[np.ix_(idx, idx)])
+                    # both certify r_C(beta), so they meet
+                    assert lower <= pair.upper and pair.lower <= upper
+                    assert lower <= upper
+                assert root.radius_bounds(model, 40.0)[1] < 1.0 - classify.EIG_ONE_TOL_DEFAULT
+
+    def test_far_above_every_root_takes_no_pair(self, monkeypatch):
+        # at beta = 40 the weights span about 17 decades, and a cold pair
+        # there spends its whole step budget; the bounds alone say below
+        model = scan_block_models(7919)[0]
+        class_roots(model)
+        monkeypatch.setattr(classify, "perron_pair", None)
+        assert kms_oa(model, 40.0).extreme_vectors == ()
 
 
 class TestFactorsThroughOa:

@@ -259,6 +259,9 @@ _ERROR_FILES = {
     "state-negative.json": json.dumps(dict(beta=2.0, atom_masses=[-0.5, 1.5])),
     "state-beta-negative.json": json.dumps(dict(beta=-1.0, atom_masses=[0.5, 0.5])),
     "state-one-point.json": json.dumps(dict(beta=2.0, atom_masses=[1.0])),
+    "state-beta-list.json": json.dumps(dict(beta=[2], atom_masses=[0.5, 0.5])),
+    "state-mass-null.json": json.dumps(dict(beta=2, atom_masses={"01": None, "11": 1})),
+    "state-not-object.json": json.dumps([2, [0.5, 0.5]]),
 }
 
 _G = ["--model", "{dir}/golden.json"]
@@ -306,6 +309,12 @@ _ERROR_CASES = [
     _case("labels-short",
           ["analyze", "--model-json", _model_json(_SQUARE, [2, 2], labels=["a"])], 1,
           "error: labels must match the matrix dimension"),
+    _case("labels-not-list",
+          ["analyze", "--model-json", _model_json(_SQUARE, [2, 2], labels=5)], 1,
+          "error: labels must be a list, got 5"),
+    _case("energies-object",
+          ["analyze", "--model-json", _model_json(_SQUARE, {"a": 2})], 1,
+          "error: energies must be numbers, got {'a': 2}"),
     # beta <= 0 or NaN
     *[_case(f"{cmd}-beta-{beta}", [cmd, *_G, f"--beta={beta}"], 1, f"error: {line}")
       for cmd, line in [("partition", "partition functions are defined for beta > 0 or beta = +inf"),
@@ -331,6 +340,9 @@ _ERROR_CASES = [
           "error: range needs b1 > b0 and at least 2 points"),
     _case("sweep-one-point", ["partition", *_G, "--sweep", "1:2:1"], 1,
           "error: range needs b1 > b0 and at least 2 points"),
+    # rejected at its first row: no CSV header either
+    _case("sweep-from-negative-beta", ["partition", *_G, "--sweep=-1:2:4"], 1,
+          "error: partition functions are defined for beta > 0 or beta = +inf"),
     _case("kms-reducible",
           ["kms", "--model-json", _model_json([[1, 1], [0, 1]], [2, 2]), "--beta", "2"], 1,
           "error: phase classification requires an irreducible matrix"),
@@ -360,6 +372,12 @@ _ERROR_CASES = [
           "error: atom masses must be finite and sum to 1, got nan"),
     _case("state-negative", ["check-state", *_G, "--state", "{dir}/state-negative.json"], 1,
           "error: atom masses must be nonnegative"),
+    _case("state-beta-list", ["check-state", *_G, "--state", "{dir}/state-beta-list.json"], 1,
+          "error: beta must be a number, got [2]"),
+    _case("state-mass-null", ["check-state", *_G, "--state", "{dir}/state-mass-null.json"], 1,
+          "error: atom mass '01' must be a number, got None"),
+    _case("state-not-object", ["check-state", *_G, "--state", "{dir}/state-not-object.json"], 1,
+          "error: state JSON must be an object"),
     _case("check-state-exhaustive-m13",
           ["check-state", "--model", "{dir}/full13.json", "--state", "{dir}/state-one-point.json",
            "--exhaustive"], 1,

@@ -256,7 +256,9 @@ class TestPerronVector:
         real_pair = partition.perron_pair
         loose = real_pair(transfer_matrix(m, 0.5).entries, tol=1e-4)
         assert loose.upper - loose.lower > critical.PERRON_VECTOR_TOL * loose.upper
-        monkeypatch.setattr(critical, "perron_pair", lambda entries: real_pair(entries, tol=1e-4))
+        # a cold start: the warm start from the class root is converged already
+        monkeypatch.setattr(critical, "perron_pair",
+                            lambda entries, start=None: real_pair(entries, tol=1e-4))
         with pytest.raises(NoConvergenceError):
             perron_vector(m, 0.5)
 
@@ -516,6 +518,19 @@ class TestNewtonRoots:
         rep = beta_c(model)
         assert (rep.beta_c, rep.bracket_width) == (root.beta, root.hi - root.lo)
 
+    @pytest.mark.parametrize("name", list(NEWTON_MODELS))
+    def test_perron_vector_starts_from_the_root_pair(self, name, monkeypatch):
+        model = NEWTON_MODELS[name]()
+        class_roots(model)
+        # the first check runs no step and the next block CHECK_STEPS, so this
+        # budget lets the Perron vector after beta_c take two checks, not three
+        monkeypatch.setattr(partition, "POWER_MAXITER_DEFAULT", partition.CHECK_STEPS + 1)
+        rep = beta_c(model)
+        monkeypatch.undo()
+        cold = critical._certified_vector(
+            partition.perron_pair(transfer_matrix(model, rep.beta_c).entries))
+        cold = cold / float(model.weights(rep.beta_c) @ cold)
+        assert (np.abs(rep.perron_at_critical - cold) <= 1e-11 * cold).all()
 
     def test_table_kept_per_model_and_dropped_with_it(self):
         model = NEWTON_MODELS["random8"]()

@@ -22,13 +22,14 @@ from kmsphase import (
     column_space,
     finite_type_state,
     kms_oa,
+    oa_beta_scan,
 )
 from kmsphase.classify import EIG_ONE_TOL_DEFAULT
 from kmsphase.critical import _certified_vector
 from kmsphase.errors import DivergentNormalizerError
 from kmsphase.partition import class_roots, perron_pair, transfer_matrix
 
-from conftest import block_triangular, coexistence_models, random_irreducible
+from conftest import block_triangular, coexistence_models, random_irreducible, scan_block_models
 
 
 def ancestors_bfs(matrix, targets):
@@ -129,12 +130,17 @@ class TestExtremeStates:
         assert checked and proper
 
 
-def reference_kms_oa(model, beta):
-    """The extreme fixed vectors of :func:`kms_oa`, each ancestor set found by search."""
+def reference_kms_oa(model, beta, warm=True):
+    """The extreme fixed vectors of :func:`kms_oa`, each ancestor set found by search.
+
+    Every class's pair is computed, started from its class root's pair, or
+    from the all-ones vector when ``warm`` is False.
+    """
     entries = transfer_matrix(model, beta).entries
     ncomp, labels = model.strong_components
     members = [np.flatnonzero(labels == c) for c in range(ncomp)]
-    pairs = [perron_pair(entries[np.ix_(idx, idx)]) for idx in members]
+    starts = [root.pair if warm else None for root in class_roots(model)]
+    pairs = [perron_pair(entries[np.ix_(idx, idx)], start) for idx, start in zip(members, starts)]
     radii = np.array([pair.r for pair in pairs])
     below = radii < 1.0 - EIG_ONE_TOL_DEFAULT
     vectors = []
@@ -151,7 +157,11 @@ def reference_kms_oa(model, beta):
                                       entries[np.ix_(rest, idx)] @ v[idx])
         vectors.append(v / float(model.weights(beta) @ v))
     vectors.sort(key=lambda u: tuple(np.round(u, 9)))
-    return [[x.hex() for x in v.tolist()] for v in vectors]
+    return vectors
+
+
+def hex_vectors(vectors):
+    return [[float(x).hex() for x in v] for v in vectors]
 
 
 class TestKmsOaVectors:
@@ -163,8 +173,8 @@ class TestKmsOaVectors:
         for root in class_roots(model):
             if root.beta is None:
                 continue
-            got = [[x.hex() for x in v] for v in kms_oa(model, root.beta).extreme_vectors]
-            assert got == reference_kms_oa(model, root.beta)
+            got = hex_vectors(kms_oa(model, root.beta).extreme_vectors)
+            assert got == hex_vectors(reference_kms_oa(model, root.beta))
             found += bool(got)
         assert found
 
@@ -173,5 +183,19 @@ class TestKmsOaVectors:
         model = coexistence_models()[index]
         for root in class_roots(model):
             if root.beta is not None:
-                got = [[x.hex() for x in v] for v in kms_oa(model, root.beta).extreme_vectors]
-                assert got == reference_kms_oa(model, root.beta)
+                got = hex_vectors(kms_oa(model, root.beta).extreme_vectors)
+                assert got == hex_vectors(reference_kms_oa(model, root.beta))
+
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_warm_starts_agree_with_cold_starts(self, seed):
+        # same temperatures, same number of vectors, entries within 1e-11 relative
+        for model in scan_block_models(seed):
+            scan = oa_beta_scan(model)
+            betas = sorted({root.beta for root in class_roots(model) if root.beta is not None})
+            assert [s.beta for s in scan.simplices] == \
+                [b for b in betas if reference_kms_oa(model, b, warm=False)]
+            for simplex in scan.simplices:
+                cold = reference_kms_oa(model, simplex.beta, warm=False)
+                assert len(simplex.extreme_vectors) == len(cold)
+                for got, want in zip(map(np.array, simplex.extreme_vectors), cold):
+                    assert (np.abs(got - want) <= 1e-11 * np.abs(want)).all()

@@ -356,7 +356,12 @@ class TestCooling:
         bc, st = critical_state(m)
         cooled = cooling(m, bc, st, math.inf)
         assert cooled == ground_state(m, RootMeasure(st.atom_masses))
-        assert cooled.atom_masses == st.atom_masses
+        # the critical atoms sum to 1 up to one ulp, so normalizing them for the
+        # ground state moves each by at most one ulp (bit equality held only for
+        # a total of exactly 1.0)
+        total = RootMeasure(st.atom_masses).total
+        assert math.nextafter(1.0, 0.0) <= total <= math.nextafter(1.0, 2.0)
+        np.testing.assert_array_max_ulp(np.array(cooled.atom_masses), np.array(st.atom_masses), 1)
 
     def test_rejects_non_subinvariant_input(self):
         m = golden_mean_model()
