@@ -298,6 +298,20 @@ _ERROR_CASES = [
           "error: matrix must be square and nonempty, got shape (0,)"),
     _case("matrix-not-0-1", ["analyze", "--model-json", _model_json([[1, 2], [1, 1]], [2, 2])], 1,
           "error: matrix entries must be 0 or 1"),
+    # every JSON value that is not 0 or 1, written as raw JSON text: 2**70
+    # stays a Python int, 1e400 reads as inf, and NaN as nan
+    *[_case(f"matrix-entry-{id}",
+            ["analyze", "--model-json", f'{{"matrix": {matrix}, "energies": [2, 2]}}'], 1,
+            "error: matrix entries must be 0 or 1")
+      for id, matrix in [("strings", '[["1","1"],["1","1"]]'), ("one-string", '[[1,"1"],[1,1]]'),
+                         ("half", "[[0.5,1],[1,1]]"), ("null", "[[1,null],[1,1]]"),
+                         ("256", "[[1,256],[1,1]]"),
+                         ("2-pow-70", "[[1,1180591620717411303424],[1,1]]"),
+                         ("minus-one", "[[1,-1],[1,1]]"), ("1e400", "[[1,1e400],[1,1]]"),
+                         ("nan", "[[1,NaN],[1,1]]")]],
+    _case("matrix-3d",
+          ["analyze", "--model-json", '{"matrix": [[[1]],[[1]]], "energies": [2, 2]}'], 1,
+          "error: matrix must be square and nonempty, got shape (2, 1, 1)"),
     _case("energies-short", ["analyze", "--model-json", _model_json(_SQUARE, [2])], 1,
           "error: energies must have length 2, got shape (1,)"),
     _case("matrix-zero-row", ["analyze", "--model-json", _model_json([[1, 1], [0, 0]], [2, 2])], 1,
@@ -427,6 +441,19 @@ def test_error_path(tmp_path, capsys, argv, status, line):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == fill(line) + "\n"
+
+
+@pytest.mark.parametrize("matrix,twin", [("[[1.0,1],[1,1]]", "[[1,1],[1,1]]"),
+                                          ("[[true,true],[true,false]]", "[[1,1],[1,0]]")])
+def test_float_and_bool_matrices_match_integer_twin(capsys, matrix, twin):
+    """0-1 entries written as floats or booleans are accepted, and read as the integers."""
+    outs = []
+    for text in (matrix, twin):
+        assert main(["analyze", "--model-json", f'{{"matrix": {text}, "energies": [2, 3]}}']) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outs.append(captured.out)
+    assert outs[0] == outs[1]
 
 
 # The exit status of every error class: 1 for bad input, 2 for a numeric failure.
