@@ -4,7 +4,8 @@ Reports are deterministic for a fixed invocation: JSON keys are sorted,
 floats are printed with 17 significant digits (full round-trip), and every
 numeric report embeds the tolerances and caps in effect.  CSV is emitted
 only for sweeps and the enumeration oracle.  Exit status: 0 success,
-1 bad input (an InputError or a ValueError), 2 any other KmsError
+1 bad input (an InputError, such as a cap below the words to enumerate or
+a star beta below the abscissa, or a ValueError), 2 any other KmsError
 (a numeric failure).
 """
 

@@ -48,7 +48,7 @@ class ZeroColumnError(InputError):
 
 # --- word enumeration ---------------------------------------------------
 
-class LengthTooLargeError(KmsError):
+class LengthTooLargeError(InputError):
     def __init__(self, count: int, cap: int):
         self.count = count
         self.cap = cap
@@ -126,7 +126,7 @@ class EnergyBelowTwoError(InputError):
         super().__init__(f"star energy N_{k} = {value} is below 2; increase drop")
 
 
-class BelowAbscissaError(KmsError):
+class BelowAbscissaError(InputError):
     pass
 
 

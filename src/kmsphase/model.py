@@ -5,8 +5,10 @@ no identically zero rows, and energies N(x) > 1 per generator.  All other
 modules consume the validated :class:`SystemModel` produced here, together
 with the column space of ``A`` (its set of distinct columns), which indexes
 the atoms of every state the toolkit manipulates, and the strong classes of
-``A``, found by one iterative linear-time search (Tarjan's algorithm), which
-carry the critical temperatures.
+``A``, which carry the critical temperatures.  Two reachability sweeps from
+generator 0, forward along A and backward along its transpose, recognise the
+common strongly connected matrix with a few array operations; any other
+matrix gets one iterative linear-time search (Tarjan's algorithm).
 """
 
 from __future__ import annotations
@@ -142,13 +144,53 @@ class SystemModel:
 def _strong_components(matrix: np.ndarray) -> tuple[int, np.ndarray]:
     """Strongly connected components of the graph with an edge x -> y where matrix[x, y] != 0.
 
-    Tarjan's algorithm ("Depth-first search and linear graph algorithms",
-    SIAM J. Comput. 1972): one depth-first search, linear in the number of
-    edges, kept on an explicit path so that no recursion limit is reached.
-    A visited vertex stays on ``stack`` until its component closes, and
-    only edges into ``stack`` can lower ``low``.  Returns the number of
-    components and a label per vertex; labels count the components in the
-    order they close, sinks of the condensation first.
+    Returns the number of components and a label per vertex; labels count
+    the components in the order they close in Tarjan's search, sinks of the
+    condensation first.  The graph is strongly connected exactly when
+    vertex 0 reaches every vertex and every vertex reaches vertex 0, so two
+    reachability sweeps from vertex 0, one along the edges and one against
+    them, first test for a single component (the forward-backward test of
+    Fleischer, Hendrickson and Pinar, "On identifying strongly connected
+    components in parallel", 2000).  When both reach every vertex the answer
+    is one component with every label 0, as the search would return it;
+    every other graph goes to :func:`_tarjan`.  A sweep costs about one
+    array operation per step of its depth.
+    """
+    support = matrix != 0
+    if _reaches_all(support) and _reaches_all(support.T):
+        return 1, np.zeros(matrix.shape[0], dtype=np.intp)
+    return _tarjan(matrix)
+
+
+def _reaches_all(edges: np.ndarray) -> bool:
+    """Whether vertex 0 reaches every vertex along the edges x -> y where edges[x, y] is True.
+
+    Each step takes the successors of the whole frontier in one boolean
+    reduction over the frontier's rows; the sweep stops once every vertex
+    is reached, without expanding the last frontier.
+    """
+    m = edges.shape[0]
+    seen = np.zeros(m, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    reached = 1
+    while frontier.size and reached < m:
+        new = edges[frontier].any(axis=0)
+        new &= ~seen
+        seen |= new
+        frontier = np.flatnonzero(new)
+        reached += frontier.size
+    return reached == m
+
+
+def _tarjan(matrix: np.ndarray) -> tuple[int, np.ndarray]:
+    """Strong components by Tarjan's algorithm, labelled as :func:`_strong_components` says.
+
+    "Depth-first search and linear graph algorithms", SIAM J. Comput. 1972:
+    one depth-first search, linear in the number of edges, kept on an
+    explicit path so that no recursion limit is reached.  A visited vertex
+    stays on ``stack`` until its component closes, and only edges into
+    ``stack`` can lower ``low``.
     """
     m = matrix.shape[0]
     index = [-1] * m    # preorder number, -1 until visited
@@ -273,7 +315,9 @@ def build_model(
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DimensionMismatchError(f"matrix must be square and nonempty, got shape {a.shape}")
-    if not np.isin(a, (0, 1)).all():
+    # Strings, complex numbers and the like are rejected by kind; an object
+    # array (a Python int past int64, a None) compares entry by entry.
+    if a.dtype.kind not in "biufO" or not ((a == 0) | (a == 1)).all():
         raise DimensionMismatchError("matrix entries must be 0 or 1")
     try:
         n = np.asarray(energies, dtype=float)

@@ -11,9 +11,18 @@ from scipy.sparse.csgraph import connected_components
 
 from kmsphase import a_xyz, build_model, column_space, properties
 from kmsphase.errors import DimensionMismatchError, EnergyNotAboveOneError, ZeroRowError
-from kmsphase.model import _strong_components, v_xy_points
+from kmsphase import model as model_mod
+from kmsphase.model import _strong_components, _tarjan, v_xy_points
+from kmsphase.partition import transfer_matrix
+from kmsphase.star import build_star, truncated_model
 
-from conftest import coexistence_models, full_model, golden_mean_model, random_matrix
+from conftest import (
+    coexistence_models,
+    full_model,
+    golden_mean_model,
+    random_irreducible,
+    random_matrix,
+)
 
 
 class TestBuildModel:
@@ -55,6 +64,16 @@ class TestBuildModel:
     def test_non_binary_entries_rejected(self):
         with pytest.raises(DimensionMismatchError):
             build_model([[2, 0], [1, 1]], [2.0, 2.0])
+        # complex and string arrays are rejected by dtype, even where they equal 0 or 1
+        for a in (np.array([[1, 0], [1, 1]], dtype=complex), np.array([["1", "0"], ["1", "1"]])):
+            with pytest.raises(DimensionMismatchError, match="must be 0 or 1"):
+                build_model(a, [2.0, 2.0])
+
+    def test_object_and_unsigned_entries_accepted(self):
+        want = build_model([[1, 0], [1, 1]], [2.0, 2.0]).matrix
+        for a in (np.array([[1, 0], [1, 1]], dtype=object), np.array([[1, 0], [1, 1]], np.uint8)):
+            got = build_model(a, [2.0, 2.0]).matrix
+            assert got.dtype == np.int8 and np.array_equal(got, want)
 
 
 class TestProperties:
@@ -172,9 +191,19 @@ def _graphs(rng, m):
     yield blocks
 
 
+def _assert_same_as_tarjan(a):
+    ncomp, labels = _strong_components(a)
+    want_ncomp, want_labels = _tarjan(a)
+    assert ncomp == want_ncomp
+    assert labels.dtype == want_labels.dtype == np.intp
+    assert np.array_equal(labels, want_labels)
+    return ncomp
+
+
 class TestStrongComponents:
     def test_partition_matches_scipy(self):
         rng = np.random.default_rng(2024)
+        single = set()
         for m in range(1, 61):
             for a in _graphs(rng, m):
                 ncomp, labels = _strong_components(a)
@@ -183,6 +212,9 @@ class TestStrongComponents:
                 # edge leads to a class of higher label.
                 x, y = np.nonzero(a)
                 assert (labels[x] >= labels[y]).all()
+                # the reachability sweeps answer exactly what the search answers
+                single.add(_assert_same_as_tarjan(a) == 1)
+        assert single == {True, False}
 
     def test_long_cycle_and_chain(self):
         # 3000 steps deep: a recursive search would exceed Python's recursion limit.
@@ -195,6 +227,56 @@ class TestStrongComponents:
         ncomp, labels = build_model(chain, [2.0] * m).strong_components
         assert ncomp == m
         assert np.array_equal(labels, np.arange(m)[::-1])
+
+
+class TestReachabilityFastPath:
+    """The forward-backward sweeps answer exactly what Tarjan's search answers."""
+
+    def test_random_irreducible_models(self):
+        rng = np.random.default_rng(16)
+        for m in (2, 5, 17, 64, 150, 400):
+            assert _assert_same_as_tarjan(random_irreducible(rng, m).matrix) == 1
+            # sparse: about two edges per row, made irreducible by a random
+            # cycle through every letter, so the sweeps run deep
+            sparse = rng.random((m, m)) < 2 / m
+            cycle = rng.permutation(m)
+            sparse[cycle, np.roll(cycle, 1)] = True
+            assert _assert_same_as_tarjan(sparse.astype(np.int8)) == 1
+
+    def test_star_truncations_and_long_cycle(self):
+        star = build_star()
+        for K in (32, 128, 256):
+            assert _assert_same_as_tarjan(truncated_model(star, K).matrix) == 1
+        assert _assert_same_as_tarjan(np.roll(np.eye(3000, dtype=np.int8), 1, axis=1)) == 1
+
+    def test_underflowed_transfer_matrix(self):
+        # N(1)^-2 = 1e-600 underflows to 0: column 1 of M vanishes, so its
+        # support is reducible although the model is irreducible.
+        model = build_model([[1, 1], [1, 1]], [2.0, 1e300])
+        entries = transfer_matrix(model, 2.0).entries
+        assert entries.dtype == float and not entries[:, 1].any()
+        assert model.strong_components[0] == 1
+        assert _assert_same_as_tarjan(entries) == 2
+
+    def test_search_runs_only_when_the_sweeps_fail(self, monkeypatch):
+        calls = []
+
+        def counting(matrix):
+            calls.append(matrix.shape[0])
+            return _tarjan(matrix)
+
+        monkeypatch.setattr(model_mod, "_tarjan", counting)
+        for a in (np.ones((1, 1)), np.roll(np.eye(50), 1, axis=1),
+                  random_irreducible(np.random.default_rng(3), 40).matrix):
+            assert _strong_components(a)[0] == 1
+        assert calls == []
+        # 0 reaches every letter along a chain, and only letter 1 leads back
+        # to it: the forward sweep passes, the backward one does not.
+        chain = np.eye(6, k=1)
+        chain[1, 0] = chain[-1, -1] = 1
+        ncomp, labels = _strong_components(chain)
+        assert calls == [6]
+        assert ncomp == 5 and np.array_equal(labels, _tarjan(chain)[1])
 
 
 class TestColumnSpace:

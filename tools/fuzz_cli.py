@@ -1,0 +1,223 @@
+"""Seeded search for CLI runs that fail on in-domain models.
+
+    python3 tools/fuzz_cli.py SEED COUNT [--family NAME ...]
+
+Builds COUNT random models from SEED, irreducible and reducible, with
+m = 2..8 letters, cycling through the energy families
+
+    uniform    N(x) uniform in [1.5, 5]
+    split      N(x) drawn from {2, 10^6}
+    near-one   N(x) = 1 + 10^u, u uniform in [-9, 1.1]
+
+(``--family`` keeps only the named ones).  Each model goes through every
+subcommand: ``analyze``, ``critical`` (plain and with ``--abscissa-check``),
+``partition`` (``--beta`` and ``--sweep``), ``kms``, ``oa`` (``--beta`` and
+``--scan``), ``check-state --exhaustive`` on a state that ``kms`` printed,
+``oracle`` and ``star``.  The temperatures are read off the model's class
+roots: each root, half and twice the largest, and +inf where it is allowed.
+
+Every run calls ``kmsphase.cli.main`` in this process with RuntimeWarning
+turned into an error, as ``python -W error::RuntimeWarning`` would, and
+every other warning printed.  A run is reported when its exit status is
+neither 0 nor 1, when its stderr holds a warning or a traceback, or when
+it takes over 1 s.  Each report is one line: the family, the reason, the
+wall time and the argv.  The model JSON is inline in the argv, and a
+``check-state`` line shows the state JSON in place of its file, so the
+line is its own reproducer.  The last line, on stderr, counts models, runs and reports;
+the exit status is 1 when anything was reported.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import math
+import os
+import sys
+import tempfile
+import time
+import traceback
+import warnings
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from kmsphase import build_model, cli, partition  # noqa: E402
+
+FAMILIES = ("uniform", "split", "near-one")
+SLOW_S = 1.0
+WORD_CAP = 100_000
+
+
+def _energies(rng: np.random.Generator, family: str, m: int) -> list[float]:
+    if family == "uniform":
+        return rng.uniform(1.5, 5.0, size=m).tolist()
+    if family == "split":
+        return rng.choice([2.0, 1e6], size=m).tolist()
+    return (1.0 + 10.0 ** rng.uniform(-9.0, 1.1, size=m)).tolist()
+
+
+def _strongly_connected(a: np.ndarray) -> bool:
+    # (I + A)^(m-1) counts walks of length < m: below 3^8 entries for m <= 8
+    return bool((np.linalg.matrix_power(np.eye(len(a), dtype=np.int64) + a, len(a) - 1) > 0).all())
+
+
+def _irreducible_block(rng: np.random.Generator, m: int) -> np.ndarray:
+    while True:
+        a = (rng.random((m, m)) < rng.uniform(0.2, 0.8)).astype(int)
+        if _strongly_connected(a):
+            return a
+
+
+def _matrix(rng: np.random.Generator, m: int, reducible: bool) -> np.ndarray:
+    """An irreducible 0-1 matrix, or irreducible diagonal blocks linked only forward."""
+    if not reducible:
+        return _irreducible_block(rng, m)
+    cuts = np.sort(rng.choice(np.arange(1, m), size=int(rng.integers(1, min(m - 1, 2) + 1)),
+                              replace=False))
+    bounds = list(zip([0, *cuts], [*cuts, m]))
+    a = np.zeros((m, m), dtype=int)
+    for lo, hi in bounds:
+        # a block of one letter may lack its loop (r_C = 0)
+        a[lo:hi, lo:hi] = _irreducible_block(rng, hi - lo) if hi - lo > 1 else int(rng.integers(2))
+    for lo, hi in bounds[:-1]:
+        # a link from each block to a later letter; a one-letter block's only row gets it
+        a[rng.integers(lo, hi), rng.integers(hi, m)] = 1
+    if not a[-1].any():
+        a[-1, -1] = 1
+    return a
+
+
+def _betas(model) -> tuple[list[float], float]:
+    """The class roots and the largest of them (1.0 when no class has one)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            roots = sorted({r.beta for r in partition.class_roots(model) if r.beta is not None})
+    except Exception:    # the CLI runs report the failure
+        roots = []
+    roots = [b for b in roots if math.isfinite(b) and b > 0]
+    return roots, (roots[-1] if roots else 1.0)
+
+
+def _run(argv: list[str]) -> tuple[object, str, str, float]:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                status = cli.main(argv)
+            except SystemExit as exc:
+                status = exc.code
+            except Exception:
+                traceback.print_exc()
+                status = 1
+    return status, stdout.getvalue(), stderr.getvalue(), time.perf_counter() - start
+
+
+def _problem(status, err: str, seconds: float) -> str | None:
+    if status not in (0, 1):
+        return f"exit {status}: {err.strip().splitlines()[-1] if err.strip() else ''}"
+    if "Traceback" in err:
+        return "traceback: " + err.strip().splitlines()[-1]
+    if "Warning" in err:
+        return "warning: " + next(line for line in err.splitlines() if "Warning" in line)
+    if seconds > SLOW_S:
+        return "slow"
+    return None
+
+
+def _state_from_kms(out: str) -> dict | None:
+    """The barycentre of the extreme states a `kms` report printed, or None."""
+    try:
+        regime = json.loads(out)["regime"]
+        masses = [s["atom_masses"] for s in regime["extreme_states"]]
+    except (ValueError, KeyError, TypeError):
+        return None
+    if not masses:
+        return None
+    return {"beta": regime["beta"], "atom_masses": np.mean(masses, axis=0).tolist()}
+
+
+def _commands(rng: np.random.Generator, model_json: str, roots: list[float], top: float,
+              state_path: str):
+    """The argv of every run on one model; ``check-state`` follows a `kms` run that printed states."""
+    model = ["--model-json", model_json]
+    yield ["analyze", *model]
+    yield ["critical", *model]
+    yield ["critical", *model, "--abscissa-check", str(int(rng.integers(2, 9))),
+           "--cap", str(WORD_CAP)]
+    for beta in sorted({*roots, 0.5 * top, 2.0 * top}):
+        yield ["partition", *model, f"--beta={beta!r}"]
+        yield ["oa", *model, f"--beta={beta!r}"]
+    yield ["partition", *model, "--sweep", f"{0.5 * top!r}:{2.0 * top!r}:6"]
+    yield ["oa", *model, "--scan"]
+    for beta in (0.5 * top, top, 2.0 * top, math.inf):
+        yield ["kms", *model, f"--beta={beta!r}"]
+        yield ["check-state", *model, "--state", state_path, "--exhaustive"]
+    yield ["oracle", *model, f"--beta={top!r}", "--max-length", str(int(rng.integers(1, 9))),
+           "--cap", str(WORD_CAP)]
+    levels = ",".join(str(k) for k in sorted(rng.choice(np.arange(1, 65), size=2, replace=False)))
+    yield ["star", "--levels", levels, f"--beta={float(rng.uniform(0.5, 3.0))!r}"]
+
+
+def fuzz(seed: int, count: int, families: tuple[str, ...]) -> tuple[int, int, float]:
+    """Run ``count`` models; print one line per problem run.
+
+    Returns the number of runs, the number reported and the longest wall time.
+    """
+    runs = problems = 0
+    slowest = 0.0
+    with tempfile.TemporaryDirectory() as workdir:
+        state_path = os.path.join(workdir, "state.json")
+        for i in range(count):
+            rng = np.random.default_rng([seed, i])
+            family = families[i % len(families)]
+            m = int(rng.integers(2, 9))
+            matrix = _matrix(rng, m, reducible=bool(rng.integers(2)))
+            energies = _energies(rng, family, m)
+            model_json = json.dumps({"matrix": matrix.tolist(), "energies": energies})
+            roots, top = _betas(build_model(matrix, energies))
+            state = None
+            for argv in _commands(rng, model_json, roots, top, state_path):
+                if argv[0] == "check-state":
+                    if state is None:
+                        continue
+                    with open(state_path, "w") as fh:
+                        json.dump(state, fh)
+                status, stdout, stderr, seconds = _run(argv)
+                runs += 1
+                slowest = max(slowest, seconds)
+                if argv[0] == "kms":
+                    state = _state_from_kms(stdout) if status == 0 else None
+                problem = _problem(status, stderr, seconds)
+                if problem is not None:
+                    problems += 1
+                    shown = [json.dumps(state) if a == state_path else a for a in argv]
+                    print(f"{family} | {problem} | {seconds:.3f} s | {json.dumps(shown)}")
+    return runs, problems, slowest
+
+
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("seed", type=int)
+    p.add_argument("count", type=int)
+    p.add_argument("--family", action="append", choices=FAMILIES,
+                   help="keep only this energy family (repeatable; default: all three)")
+    args = p.parse_args(argv)
+    families = tuple(args.family) if args.family else FAMILIES
+    start = time.perf_counter()
+    runs, problems, slowest = fuzz(args.seed, args.count, families)
+    print(f"{args.count} models, {runs} runs, {problems} reported, slowest run {slowest:.3f} s, "
+          f"{time.perf_counter() - start:.1f} s in all", file=sys.stderr)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
