@@ -21,7 +21,7 @@ import sys as _sys
 import numpy as np
 
 from . import classify, critical, invariance, model as model_mod, partition, star, states, words
-from .errors import ConfigParseError, InputError, KmsError
+from .errors import ConfigParseError, InputError, KmsError, LengthTooLargeError
 
 
 # --- deterministic serialization -----------------------------------------
@@ -293,9 +293,17 @@ def _cmd_oracle(args) -> None:
     if args.max_length < 0:
         raise ConfigParseError("--max-length must be nonnegative")
     counts = words._shell_counts(m, args.max_length)
-    # every row before the header, so that a rejected input prints no CSV
-    sums = [words.shell_sum(m, args.beta, n, source=args.source, target=args.target, cap=args.cap)
-            for n in range(args.max_length + 1)]
+    # every row before the header, so that a rejected input prints no CSV.
+    # Row 0 holds the empty-word convention and checks the ends; rows 1..L
+    # come from one word tree, each bit for bit its shell_sum, and the cap
+    # names the first shell above it, as one shell_sum per row would.
+    sums = [words.shell_sum(m, args.beta, 0, source=args.source, target=args.target, cap=args.cap)]
+    for count in counts[1:]:
+        if count > args.cap:
+            raise LengthTooLargeError(count, args.cap)
+    if args.max_length > 0:
+        tree = words._word_tree(m, args.max_length, args.source, args.cap)
+        sums += words._shell_sums(m, tree, args.beta, target=args.target)
     print("n,count,shell_sum")
     for n, s in enumerate(sums):
         print(f"{n},{counts[n]},{s:.17g}")

@@ -65,6 +65,10 @@ class NoConvergenceError(KmsError):
     pass
 
 
+class IllConditionedSolveError(KmsError):
+    """A linear solve whose result breaks a bound the exact solution keeps."""
+
+
 # --- state construction -------------------------------------------------
 
 class ZeroMeasureError(KmsError):

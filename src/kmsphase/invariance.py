@@ -13,12 +13,23 @@ X and Y intersecting selects no column point, so its gap is exactly 0 and
 it can neither violate subinvariance nor break invariance; the exhaustive
 mode therefore checks the 3^m disjoint pairs, all at once in numpy.
 
+A pair's gap depends only on which of the d column points it selects, its
+d-bit signature.  The signatures of all pairs come from one concatenation
+per generator, the AND of the point masks P1_i (points with bit i set) for
+i in X and P0_i (the others) for i in Y.  Two tables of 2^d entries hold the
+inflow and atom sums of every signature, each filled column by column in
+column order, so a pair's gap is the same sequence of additions as a loop
+over its points.  The check costs O(3^m + 2^d) instead of the O(d 3^m) of
+one pass over the pairs per column point, and d <= m <= 12 keeps a table
+at 4096 entries.
+
 Invariant states biject with nonnegative, normalized fixed points of the
 transfer matrix via rho -> (q_x)_x.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +42,7 @@ from .errors import (
     NotNormalizedError,
     TooLargeForExhaustiveError,
 )
-from .model import SystemModel, column_space
+from .model import ColumnSpace, SystemModel, column_space
 from .partition import transfer_matrix
 from .states import INFINITE, QState, qstate_from_atoms
 
@@ -79,9 +90,12 @@ def is_subinvariant(
     invariant (the equality would force the unit to vanish).  Exhaustive
     mode checks every pair (X, Y) of disjoint generator sets, 3^m of them,
     and cross-checks the atom-level aggregation; the other pairs select no
-    column point and have gap exactly 0.  It is capped at m <= 12 and needs
-    tol >= 0.  ``worst_violation`` is the atom witness unless a pair is
-    strictly worse, and then the first such pair in (X, Y) mask order.
+    column point and have gap exactly 0.  Each pair's gap is read from a
+    2^d table indexed by the signature of the points it selects, in
+    O(3^m + 2^d) rather than one pass over the pairs per column point.  It
+    is capped at m <= 12 and needs tol >= 0.  ``worst_violation`` is the
+    atom witness unless a pair is strictly worse, and then the first such
+    pair in (X, Y) mask order.
     """
     space = column_space(model)
     if math.isinf(beta) and beta > 0:
@@ -108,24 +122,14 @@ def is_subinvariant(
             raise TooLargeForExhaustiveError(f"exhaustive check capped at m <= {EXHAUSTIVE_MAX_M}")
         if tol < 0:
             raise ValueError("the exhaustive check needs tol >= 0")
-        x_masks, y_masks = _disjoint_pairs(model.m)
-        atoms = state.atoms
-        lhs = np.zeros(x_masks.size)
-        rhs = np.zeros(x_masks.size)
-        # Column by column, in column order: the same additions as a loop over
-        # the points of each pair, so every pair's gap is bitwise reproducible.
-        for c, point in enumerate(space.points):
-            mask = sum(1 << i for i, b in enumerate(point) if b)
-            sel = ((x_masks & mask) == x_masks) & ((y_masks & mask) == 0)
-            lhs[sel] += inflow[c]
-            rhs[sel] += atoms[c]
-        pair_gaps = rhs - lhs
+        pair_gaps = _pair_gaps(model.m, space, inflow, state.atoms)
         violated = pair_gaps < -tol
         sub_ex = not violated.any()
         inv_ex = not (np.abs(pair_gaps) > tol).any()
         if not sub_ex:
             # The first most violated pair in (X, Y) order; the atom witness wins ties.
             k = int(np.argmin(np.where(violated, pair_gaps, np.inf)))
+            x_masks, y_masks = _disjoint_pairs(model.m)
             if worst is None or pair_gaps[k] < worst[2]:
                 worst = (_members(x_masks[k]), _members(y_masks[k]), float(pair_gaps[k]))
         if sub_ex != sub or inv_ex != inv:
@@ -143,6 +147,19 @@ def _disjoint_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Bit masks (X, Y) of the 3^m pairs of disjoint subsets of m generators.
 
     Sorted by X mask, then Y mask: the order of a double loop over masks.
+    Built once per m and shared, so the arrays are read-only.
+    """
+    x, y, _ = _pair_table(m)
+    return x, y
+
+
+@functools.cache
+def _pair_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted masks of :func:`_disjoint_pairs` and the order that sorts them.
+
+    Generator i enters by one concatenation (neither, in X, in Y), so
+    ``order[k]`` is the index, in that concatenation order, of the k-th pair
+    in (X, Y) order.
     """
     x = np.zeros(1, dtype=np.int64)
     y = np.zeros(1, dtype=np.int64)
@@ -150,7 +167,34 @@ def _disjoint_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
         x = np.concatenate((x, x | 1 << i, x))
         y = np.concatenate((y, y, y | 1 << i))
     order = np.argsort(x << m | y)
-    return x[order], y[order]
+    table = x[order], y[order], order
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
+def _pair_gaps(m: int, space: ColumnSpace, inflow: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+    """rho(q(X, Y)) minus the inflow of every disjoint pair, in (X, Y) order.
+
+    Column point c is bit c of a pair's signature.  The tables ``lt`` and
+    ``rt`` hold the inflow and atom sums of every signature, built by
+    doubling over the columns in column order: each entry is summed from
+    0.0 in the order of a loop over its points, so every gap is bitwise
+    that loop's.
+    """
+    bits = np.array(space.points, dtype=np.int64)      # (d, m)
+    p1 = (bits << np.arange(space.d)[:, None]).sum(axis=0)  # points with bit i set
+    p0 = ((1 << space.d) - 1) ^ p1
+    sig = np.full(1, (1 << space.d) - 1)
+    for i in range(m):
+        sig = np.concatenate((sig, sig & p1[i], sig & p0[i]))
+    lt = np.zeros(1)
+    rt = np.zeros(1)
+    for c in range(space.d):
+        lt = np.concatenate((lt, lt + inflow[c]))
+        rt = np.concatenate((rt, rt + atoms[c]))
+    _, _, order = _pair_table(m)
+    return (rt - lt)[sig[order]]
 
 
 def _members(mask) -> tuple[int, ...]:

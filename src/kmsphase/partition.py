@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoConvergenceError
+from .errors import IllConditionedSolveError, NoConvergenceError
 from .model import SystemModel, ColumnSpace, _strong_components, column_space
 
 __all__ = [
@@ -414,7 +414,8 @@ def evaluate(
 
     # Every single-letter word y is admissible, so Z_y >= N(y)^-beta > 0.
     if not (z_y >= nw - 1e-12).all():
-        raise AssertionError("fixed-target partition values fell below the single-letter floor")
+        raise IllConditionedSolveError(
+            "fixed-target partition values fell below the single-letter floor")
 
     return PartitionReport(
         beta=beta,

@@ -8,9 +8,9 @@ through `restricted_fixed_pairs`; on temperatures, `beta_c`, `kms_oa`,
 `build_star`, `truncated_model` and `matrix_spectral_radius` (defined in
 `partition`, re-exported by `critical`), which the `star` job reaches
 through `evaluate` on each truncation; and, on certify, `words.shell_sum`
-(reached through the `oracle` subcommand, since `abscissa_estimate`
-replays its own word tree), `is_subinvariant`, `abscissa_estimate`,
-`decompose` and `cooling`.
+(reached through row 0 of the `oracle` subcommand, since its other rows
+and `abscissa_estimate` replay their own word trees), `is_subinvariant`,
+`abscissa_estimate`, `decompose` and `cooling`.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from kmsphase import cli, errors
+from kmsphase import cli, errors, words
 from kmsphase.cli import dumps, main
 from kmsphase.critical import AbscissaEstimate
 from kmsphase.states import QState, TypeTag
@@ -187,6 +187,61 @@ class TestOracle:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def _oracle_reference(model_text, beta, max_length, source, target, cap):
+    """The oracle CSV with one ``shell_sum`` per row, each enumerating its own tree."""
+    model = cli.load_model(None, model_text)
+    counts = words._shell_counts(model, max_length)
+    sums = [words.shell_sum(model, beta, n, source=source, target=target, cap=cap)
+            for n in range(max_length + 1)]
+    return "n,count,shell_sum\n" + "".join(f"{n},{counts[n]},{s:.17g}\n"
+                                           for n, s in enumerate(sums))
+
+
+def _oracle_models():
+    rng = np.random.default_rng(1701)
+    model = random_irreducible(rng, 5, non_permutation=True, energy_range=(1.5, 4.0))
+    full3 = {"matrix": [[1] * 3] * 3, "energies": [2.0, 2.5, 3.0]}
+    random5 = {"matrix": model.matrix.tolist(), "energies": model.energies.tolist()}
+    return [pytest.param(json.dumps(GOLDEN), 12, id="golden"),
+            pytest.param(json.dumps(full3), 7, id="full3"),
+            pytest.param(json.dumps(random5), 6, id="random5")]
+
+
+class TestOracleMatchesPerRowShellSums:
+    @pytest.mark.parametrize("text,max_length", _oracle_models())
+    @pytest.mark.parametrize("source,target", [(None, None), (1, None), (None, 0), (0, 1)],
+                             ids=["no-ends", "source", "target", "both"])
+    def test_csv_bytes(self, capsys, text, max_length, source, target):
+        for beta, length in ((0.7, max_length), (2.5, max_length), (1.0, 0), (1.0, 1)):
+            argv = ["oracle", "--model-json", text, "--beta", repr(beta),
+                    "--max-length", str(length)]
+            argv += ["--source", str(source)] if source is not None else []
+            argv += ["--target", str(target)] if target is not None else []
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            want = _oracle_reference(text, beta, length, source, target, words.WORD_CAP_DEFAULT)
+            assert captured.out == want
+
+    @pytest.mark.parametrize("cap", [1, 2, 4, 7, 8, 12, 13, 143, 144])
+    def test_cap_names_first_shell_above_it(self, capsys, cap):
+        # golden mean shells hold 1, 2, 3, 5, 8, ... words; to length 10 the
+        # last one holds 144
+        argv = ["oracle", "--model-json", json.dumps(GOLDEN), "--beta", "1",
+                "--max-length", "10", "--cap", str(cap), "--source", "1"]
+        status = main(argv)
+        captured = capsys.readouterr()
+        try:
+            want = _oracle_reference(json.dumps(GOLDEN), 1.0, 10, 1, None, cap)
+        except errors.LengthTooLargeError as exc:
+            assert status == 1
+            assert captured.out == ""
+            assert captured.err == f"error: {exc}\n"
+        else:
+            assert status == 0
+            assert captured.out == want
 
 
 class TestStarCommand:
@@ -426,6 +481,18 @@ _ERROR_CASES = [
     _case("abscissa-check-cap", ["critical", *_G, "--abscissa-check", "30", "--cap", "10"], 1,
           "error: enumeration would visit 2178309 words, above the cap 10"),
     # the underflowing-shell model, exit 2: TestErrors.test_underflowing_shells_exit_two
+    # numeric failures, exit 2: an ill-conditioned solve of I - M at a class
+    # root of near-one energies
+    _case("partition-single-letter-floor",
+          ["partition", "--model-json",
+           _model_json([[1, 0, 1, 0, 0, 1, 0], [1, 1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1, 0],
+                        [1, 1, 1, 1, 1, 1, 0], [1, 1, 0, 0, 0, 0, 0], [0, 1, 1, 0, 1, 1, 0],
+                        [0, 0, 0, 0, 0, 0, 1]],
+                       [1.0000000017480724, 1.0000001048697882, 1.0002637981990705,
+                        1.000000128772144, 1.0000706720780261, 1.0000000052392255,
+                        1.000018260112853]),
+           "--beta=39858706.53893556"], 2,
+          "numeric failure: fixed-target partition values fell below the single-letter floor"),
 ]
 
 
@@ -466,6 +533,7 @@ _EXIT_STATUS = {
     "ZeroMeasureError": 2, "DivergentNormalizerError": 2, "NegativeDefectError": 2,
     "NotSubinvariantError": 2, "NotFixedPointError": 2, "NotNormalizedError": 2,
     "NegativeEntryError": 2, "NotInvariantError": 2, "BelowAbscissaError": 1,
+    "IllConditionedSolveError": 2,
 }
 
 

@@ -25,10 +25,17 @@ from kmsphase.errors import (
     NotNormalizedError,
     TooLargeForExhaustiveError,
 )
-from kmsphase.invariance import GAP_TOL_DEFAULT, InvarianceVerdict, _disjoint_pairs
+from kmsphase import invariance
+from kmsphase.invariance import GAP_TOL_DEFAULT, InvarianceVerdict, _disjoint_pairs, _pair_gaps
 from kmsphase.states import FINITE
 
-from conftest import full_model, golden_mean_model, random_irreducible
+from conftest import (
+    block_triangular,
+    full_model,
+    golden_mean_model,
+    random_duplicate_columns_model,
+    random_irreducible,
+)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -95,12 +102,8 @@ class TestIsSubinvariant:
                 assert is_subinvariant(m, beta + db, state).subinvariant
 
 
-def subinvariant_reference(model, beta, state, tol=GAP_TOL_DEFAULT):
-    """The exhaustive check as a double loop over all 4^m pairs (X, Y).
-
-    Kept as the reference the 3^m disjoint-pair check must reproduce bit
-    for bit, raising where it raises.
-    """
+def _atom_check(model, beta, state, tol):
+    """The atom-level part of the check: (space, inflow, gaps, sub, inv, witness)."""
     space = column_space(model)
     inflow = space.push(model.weights(beta) * state.q)
     gaps = state.atoms - inflow
@@ -113,6 +116,16 @@ def subinvariant_reference(model, beta, state, tol=GAP_TOL_DEFAULT):
         x_set = tuple(i for i, b in enumerate(point) if b)
         y_set = tuple(i for i, b in enumerate(point) if not b)
         worst = (x_set, y_set, float(gaps[c]))
+    return space, inflow, gaps, sub, inv, worst
+
+
+def subinvariant_reference(model, beta, state, tol=GAP_TOL_DEFAULT):
+    """The exhaustive check as a double loop over all 4^m pairs (X, Y).
+
+    Kept as the reference the 3^m disjoint-pair check must reproduce bit
+    for bit, raising where it raises.
+    """
+    space, inflow, gaps, sub, inv, worst = _atom_check(model, beta, state, tol)
     col_masks = [sum(1 << i for i, b in enumerate(p) if b) for p in space.points]
     atoms = state.atoms
     sub_ex, inv_ex = True, True
@@ -285,6 +298,111 @@ class TestExhaustiveMatchesPairLoop:
         verdict = is_subinvariant(model, beta, state, exhaustive=True)
         assert verdict == is_subinvariant(model, beta, state)
         assert verdict.subinvariant
+
+
+def exhaustive_column_loop(model, beta, state, tol=GAP_TOL_DEFAULT):
+    """The exhaustive check with one pass over the 3^m pairs per column point.
+
+    Kept as the reference the signature table must reproduce bit for bit
+    where the 4^m double loop is too slow: returns the verdict (or the
+    AssertionError it raises) and the gap of every pair in (X, Y) order.
+    """
+    space, inflow, gaps, sub, inv, worst = _atom_check(model, beta, state, tol)
+    x_masks, y_masks = _disjoint_pairs(model.m)
+    lhs = np.zeros(x_masks.size)
+    rhs = np.zeros(x_masks.size)
+    for c, point in enumerate(space.points):
+        mask = sum(1 << i for i, b in enumerate(point) if b)
+        sel = ((x_masks & mask) == x_masks) & ((y_masks & mask) == 0)
+        lhs[sel] += inflow[c]
+        rhs[sel] += state.atoms[c]
+    pair_gaps = rhs - lhs
+    violated = pair_gaps < -tol
+    sub_ex = not violated.any()
+    inv_ex = not (np.abs(pair_gaps) > tol).any()
+    if not sub_ex:
+        k = int(np.argmin(np.where(violated, pair_gaps, np.inf)))
+        if worst is None or pair_gaps[k] < worst[2]:
+            worst = (tuple(i for i in range(model.m) if x_masks[k] >> i & 1),
+                     tuple(i for i in range(model.m) if y_masks[k] >> i & 1), float(pair_gaps[k]))
+    if sub_ex != sub or inv_ex != inv:
+        return ("AssertionError", "atom-level and exhaustive pair checks disagree"), pair_gaps
+    verdict = InvarianceVerdict(subinvariant=sub, invariant=inv,
+                                atom_gaps=tuple(float(v) for v in gaps), worst_violation=worst)
+    return verdict, pair_gaps
+
+
+def _random_state(model, rng):
+    """Dirichlet atoms at a random beta: no beta_c needed, so any model will do."""
+    space = column_space(model)
+    beta = float(rng.uniform(0.2, 3.0))
+    return beta, qstate_from_atoms(space, beta, rng.dirichlet(np.ones(space.d)), FINITE)
+
+
+def _large_cases():
+    """(model, beta, state) on seeded models with m = 8..12."""
+    rng = np.random.default_rng(1712)
+    for m_size in (8, 9, 10, 11, 12):
+        model = random_irreducible(rng, m_size, non_permutation=True, energy_range=(1.5, 4.0))
+        for kind in ("accepted", "rejected", "invariant", "random"):
+            yield (model, *_state(model, kind, rng))
+    for m_size, k in ((8, 3), (9, 5), (10, 4), (12, 7)):   # repeated columns, d < m
+        model = random_duplicate_columns_model(rng, m_size, k)
+        for kind in ("accepted", "rejected", "random"):
+            yield (model, *_state(model, kind, rng))
+    for sizes in ((4, 4), (3, 3, 3), (5, 7)):               # reducible
+        model = block_triangular(rng, sizes)
+        for _ in range(2):
+            yield (model, *_random_state(model, rng))
+
+
+class TestSignatureTableMatchesColumnLoop:
+    @pytest.mark.parametrize("tol", [GAP_TOL_DEFAULT, 0.0])
+    def test_large_models(self, tol):
+        seen = set()
+        for model, beta, state in _large_cases():
+            space = column_space(model)
+            want, loop_gaps = exhaustive_column_loop(model, beta, state, tol=tol)
+            inflow = space.push(model.weights(beta) * state.q)
+            gaps = _pair_gaps(model.m, space, inflow, state.atoms)
+            assert gaps.tobytes() == loop_gaps.tobytes()
+            got = _outcome(is_subinvariant, model, beta, state, exhaustive=True, tol=tol)
+            assert got == want
+            if isinstance(want, InvarianceVerdict) and want.worst_violation is not None:
+                assert got.worst_violation[2].hex() == want.worst_violation[2].hex()
+                seen.add("violation")
+            if isinstance(want, InvarianceVerdict):
+                seen.add((want.subinvariant, want.invariant))
+            seen.add(("m", model.m))
+            seen.add("d < m" if space.d < model.m else "d = m")
+            seen.add("irreducible" if model.strong_components[0] == 1 else "reducible")
+        covered = {(True, False), (False, False), "violation", "d < m", "d = m",
+                   "reducible", "irreducible", ("m", 12)}
+        if tol > 0:     # at tol = 0 the Perron state's rounding leaves it short of invariant
+            covered.add((True, True))
+        assert covered <= seen
+
+    def test_pair_tables_memoised_and_read_only(self):
+        for m_size in (0, 3, 9):
+            x_masks, y_masks = _disjoint_pairs(m_size)
+            again = _disjoint_pairs(m_size)
+            assert again[0] is x_masks and again[1] is y_masks
+            for a in (x_masks, y_masks):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 1
+
+    def test_no_argsort_after_first_call(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        model = random_irreducible(rng, 9, non_permutation=True, energy_range=(1.5, 4.0))
+        beta, state = _random_state(model, rng)
+        first = is_subinvariant(model, beta, state, exhaustive=True)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("argsort called again")
+
+        monkeypatch.setattr(invariance.np, "argsort", refuse)
+        assert is_subinvariant(model, beta, state, exhaustive=True) == first
 
 
 class TestFixedPointBijection:
