@@ -292,15 +292,17 @@ def _cmd_oracle(args) -> None:
     m = load_model(args.model, args.model_json)
     if args.max_length < 0:
         raise ConfigParseError("--max-length must be nonnegative")
-    counts = words._shell_counts(m, args.max_length)
     # every row before the header, so that a rejected input prints no CSV.
     # Row 0 holds the empty-word convention and checks the ends; rows 1..L
     # come from one word tree, each bit for bit its shell_sum, and the cap
-    # names the first shell above it, as one shell_sum per row would.
+    # names the first shell above it, as one shell_sum per row would; no
+    # later shell is counted.
     sums = [words.shell_sum(m, args.beta, 0, source=args.source, target=args.target, cap=args.cap)]
-    for count in counts[1:]:
+    counts = [1]
+    for count in words._iter_shell_counts(m, args.max_length):
         if count > args.cap:
             raise LengthTooLargeError(count, args.cap)
+        counts.append(count)
     if args.max_length > 0:
         tree = words._word_tree(m, args.max_length, args.source, args.cap)
         sums += words._shell_sums(m, tree, args.beta, target=args.target)

@@ -52,7 +52,11 @@ class LengthTooLargeError(InputError):
     def __init__(self, count: int, cap: int):
         self.count = count
         self.cap = cap
-        super().__init__(f"enumeration would visit {count} words, above the cap {cap}")
+        try:
+            shown = str(count)
+        except ValueError:      # more digits than Python converts to a string
+            shown = f"at least 2^{count.bit_length() - 1}"
+        super().__init__(f"enumeration would visit {shown} words, above the cap {cap}")
 
 
 class DegenerateShellsError(KmsError):

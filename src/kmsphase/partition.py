@@ -20,9 +20,10 @@ model, each class's root of r_C(beta) = 1 with a certified enclosure
 [lo, hi] (Newton on log r_C, see :func:`_class_root`), and the Perron
 pair of the last Newton iterate: a warm start for later pairs of the
 class, and certified bounds on r_C at any beta
-(:meth:`ClassRoot.radius_bounds`).  A series
-restricted to an ancestor set is convergent when beta lies above hi for
-every class in the set; inside an enclosure it counts as divergent.
+(:meth:`ClassRoot.radius_bounds`).  A series restricted to an ancestor
+set U needs no table: its own solve of I - M_UU gives a Collatz-Wielandt
+vector, and so a certificate that r(M_UU) < 1 (see
+:func:`_restricted_resolvent`).
 """
 
 from __future__ import annotations
@@ -74,9 +75,6 @@ MAX_BLOCK = 32
 # INEXACT_FACTOR * f^2, f being the previous iterate's log r, until that
 # falls below POWER_TOL_DEFAULT (see :func:`_class_root`).
 INEXACT_FACTOR = 1e-1
-# Power steps a restricted series spends looking for a Collatz-Wielandt bound
-# below 1 before it reads the class roots (see :func:`_certified_below_one`).
-QUICK_STEPS = 16
 _EPS = float(np.finfo(float).eps)
 
 
@@ -125,8 +123,11 @@ def _power_iteration(
     """Power iteration on I + M for the right vector v and, unless u is None, the left u.
 
     I + M is primitive whenever M is irreducible, so the iterates converge
-    whatever the period of M.  Returns (v, Mv, u, lower, upper), with the
-    Collatz-Wielandt bounds lower = min(Mv/v) <= r <= max(Mv/v) = upper,
+    whatever the period of M.  After a check whose upper bound is below 1
+    it iterates on I + M / upper instead, which has the same vectors: the
+    contraction (1 + |lambda_2|) / (1 + r) of I + M tends to 1 as r falls,
+    that of the scaled matrix does not.  Returns (v, Mv, u, lower, upper),
+    with the Collatz-Wielandt bounds lower = min(Mv/v) <= r <= max(Mv/v) = upper,
     valid for every positive v (up to the rounding of one product).  In
     exact arithmetic they tighten monotonically under the iteration.  At
     each check it stops if the right gap (and the left one) is within
@@ -162,14 +163,20 @@ def _power_iteration(
             stale, block = stale + 1, CHECK_STEPS
             if stale >= STAGNATION_CHECKS:
                 return v, mv, u, lower, upper
+        step = entries
+        if upper < 1.0:
+            step = entries / upper
+            mv = mv / upper
+            if u is not None:
+                um = um / upper
         v = mv + v
         for _ in range(block - 1):
-            v += entries @ v
+            v += step @ v
         v /= v.max()
         if u is not None:
             u = um + u
             for _ in range(block - 1):
-                u += u @ entries
+                u += u @ step
             u /= u.max()
         steps += block
     raise NoConvergenceError("power iteration did not converge")
@@ -183,9 +190,9 @@ def matrix_spectral_radius(
     M is block-triangular in the strong classes C of its support, so r(M)
     is the largest r(M_CC).  A class of one letter is its diagonal entry;
     any other block is irreducible, and its radius is the Collatz-Wielandt
-    upper bound max(Mv/v) of the power iteration on I + M_CC (see
-    :func:`_power_iteration`), within ``POWER_TOL_DEFAULT`` of r_C.  No two
-    classes of equal radius can stall it.  A block whose iteration spends
+    upper bound max(Mv/v) of the power iteration on I + M_CC, scaled below
+    r = 1 (see :func:`_power_iteration`), within ``POWER_TOL_DEFAULT`` of
+    r_C.  No two classes of equal radius can stall it.  A block whose iteration spends
     its step budget gets the largest modulus of its eigenvalues instead.
     ``components`` is the (count, label per index) pair of the classes, as
     :attr:`SystemModel.strong_components` holds it for a model's matrix;
@@ -234,8 +241,8 @@ def perron_pair(
     """Perron root and vectors of an irreducible nonnegative matrix M.
 
     Power iteration on I + M (:func:`_power_iteration`), which needs no
-    stall detector and no eigenvalue fallback; both vectors start from
-    ``start`` (all ones by default).
+    eigenvalue fallback; both vectors start from ``start`` (all ones by
+    default).
     """
     m = entries.shape[0]
     v = np.ones(m) if start is None else start.v
@@ -429,23 +436,6 @@ def evaluate(
     )
 
 
-def _certified_below_one(entries: np.ndarray) -> bool:
-    """Whether a Collatz-Wielandt bound shows r(M) < 1 within ``QUICK_STEPS`` steps.
-
-    max(Mv/v) >= r for every positive v, also for reducible M, so one bound
-    below 1 (padded for rounding) settles convergence; power steps on
-    I + M tighten it.  False only means no bound was found.
-    """
-    pad = (entries.shape[0] + 3) * _EPS
-    v = np.ones(entries.shape[0])
-    for _ in range(QUICK_STEPS):
-        mv = entries @ v
-        if float((mv / v).max()) * (1.0 + pad) < 1.0:
-            return True
-        v = mv + v
-    return False
-
-
 @lru_cache(maxsize=1)
 def _restricted_resolvent(model: SystemModel, beta: float, u_key: bytes) -> np.ndarray | None:
     """Z_xy(beta) on the ancestor set U (rows and columns in U), or None if it diverges.
@@ -453,22 +443,27 @@ def _restricted_resolvent(model: SystemModel, beta: float, u_key: bytes) -> np.n
     One entry, keyed by model identity (models compare by identity), beta
     and U: the d extreme states of one temperature share one U whenever
     their targets share ancestors, so each column point costs a slice, not
-    a solve.  The series converge when r(M_UU) < 1.  Well above every root
-    a Collatz-Wielandt bound at beta certifies that within a step or two,
-    and the class roots are not needed (this keeps a state checked once on
-    a fresh model from paying for the table).  Otherwise U, a union of
-    strong classes, converges when beta lies above the certified
-    enclosure of every class root in it (:func:`class_roots`), so at a
-    root itself the series diverge.
+    a solve.  The series converge when r(M_UU) < 1, and the solve proves
+    it: v = (I - M_UU)^-1 1, the row sums of the resolvent, solves
+    Mv = v - 1, so a positive v has max(Mv/v) < 1 whenever the series
+    converge, and max(Mv/v) >= r for every positive v (Collatz-Wielandt).
+    The resolvent is kept when v is finite and positive and that bound,
+    padded for the rounding of Mv, is below 1; a failed test or a singular
+    I - M_UU (possible only when r >= 1) gives None.
     """
     u = np.frombuffer(u_key, dtype=np.intp)
     sub = transfer_matrix(model, beta).entries[np.ix_(u, u)]
-    if not _certified_below_one(sub):
-        _, labels = model.strong_components
-        roots = class_roots(model)
-        if any(beta <= roots[c].hi for c in np.unique(labels[u])):
-            return None
-    resolvent = np.linalg.solve(np.eye(len(u)) - sub, np.eye(len(u)))
+    try:
+        resolvent = np.linalg.solve(np.eye(len(u)) - sub, np.eye(len(u)))
+    except np.linalg.LinAlgError:
+        return None
+    # a solve gone wrong fails the test below instead of warning
+    with np.errstate(all="ignore"):
+        v = resolvent.sum(axis=1)
+        bound = float(((sub @ v) / v).max())
+    if not (np.isfinite(v).all() and (v > 0.0).all()
+            and bound * (1.0 + (len(u) + 3) * _EPS) < 1.0):
+        return None
     z_xy_sub = model.weights(beta)[u, None] * resolvent
     z_xy_sub.setflags(write=False)
     return z_xy_sub
@@ -481,10 +476,10 @@ def restricted_fixed_pairs(
 
     Words ending in x only use letters with a path into x, so the series
     for the targets converge exactly when the transfer matrix restricted
-    to the union of their ancestor sets has spectral radius below 1 (read
-    off the certified class roots); the restricted linear solve then
-    evaluates them even when the full matrix is supercritical (relevant
-    for reducible matrices).  Returns the
+    to the union of their ancestor sets has spectral radius below 1; the
+    restricted linear solve evaluates them, even when the full matrix is
+    supercritical (relevant for reducible matrices), and certifies that
+    radius (:func:`_restricted_resolvent`).  Returns the
     ancestor set (read off :attr:`SystemModel.class_ancestors`) and the
     C-ordered (m, len(targets)) array of Z_ax values; rows outside the
     ancestor set are zero, since no word from there reaches a target.  The

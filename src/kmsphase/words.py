@@ -28,6 +28,7 @@ replaying the exact sums only where two brackets overlap.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
 from math import fsum, inf, log
@@ -88,16 +89,20 @@ def enumerate_words(model: SystemModel, n: int, cap: int = WORD_CAP_DEFAULT) -> 
     return out
 
 
-def _shell_counts(model: SystemModel, n: int) -> list[int]:
-    """Numbers of admissible words of lengths 0..n (exact, integer path counts)."""
+def _iter_shell_counts(model: SystemModel, n: int) -> Iterator[int]:
+    """Numbers of admissible words of lengths 1..n (exact, integer path counts), lazily,
+    so that a caller checking a cap stops counting at the first count above it."""
     a = model.matrix.astype(object)  # exact integer arithmetic
     v = np.ones(model.m, dtype=object)
-    counts = [1]
     for k in range(1, n + 1):
         if k > 1:
             v = a @ v
-        counts.append(int(v.sum()))
-    return counts
+        yield int(v.sum())
+
+
+def _shell_counts(model: SystemModel, n: int) -> list[int]:
+    """Numbers of admissible words of lengths 0..n (exact, integer path counts)."""
+    return [1, *_iter_shell_counts(model, n)]
 
 
 def _shell_count(model: SystemModel, n: int) -> int:
@@ -266,7 +271,7 @@ def partial_series(
     if L < 0:
         raise ValueError("truncation length must be nonnegative")
     _check_ends(model, source, target)
-    for total_words in accumulate(_shell_counts(model, L)[1:]):
+    for total_words in accumulate(_iter_shell_counts(model, L)):
         if total_words > cap:
             raise LengthTooLargeError(total_words, cap)
     shells = [1.0] if source is None and target is None else []

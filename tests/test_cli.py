@@ -465,6 +465,8 @@ _ERROR_CASES = [
     # the enumeration oracle and the abscissa check
     _case("oracle-cap", ["oracle", *_G, "--beta", "1", "--max-length", "10", "--cap", "5"], 1,
           "error: enumeration would visit 8 words, above the cap 5"),
+    _case("oracle-cap-long", ["oracle", *_G, "--beta", "1", "--max-length", "100000"], 1,
+          "error: enumeration would visit 14930352 words, above the cap 10000000"),
     _case("oracle-source-high",
           ["oracle", *_G, "--beta", "1", "--max-length", "3", "--source", "5"], 1,
           "error: source must be a letter in 0..1, got 5"),
@@ -480,6 +482,11 @@ _ERROR_CASES = [
           "error: need at least two shells"),
     _case("abscissa-check-cap", ["critical", *_G, "--abscissa-check", "30", "--cap", "10"], 1,
           "error: enumeration would visit 2178309 words, above the cap 10"),
+    # shell 100000 holds a count of 20899 digits, more than Python prints
+    _case("abscissa-check-digits",
+          ["critical", "--model-json", '{"matrix": [[1,1],[1,0]], "energies": [2,3]}',
+           "--abscissa-check", "100000"], 1,
+          "error: enumeration would visit at least 2^69424 words, above the cap 10000000"),
     # the underflowing-shell model, exit 2: TestErrors.test_underflowing_shells_exit_two
     # numeric failures, exit 2: an ill-conditioned solve of I - M at a class
     # root of near-one energies

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import gc
+import json
 import math
+import time
 import weakref
 
 import numpy as np
@@ -22,7 +24,7 @@ from kmsphase import (
     truncated_model,
     words,
 )
-from kmsphase import critical, partition
+from kmsphase import cli, critical, partition
 from kmsphase.critical import BISECT_TOL_DEFAULT, _bisect, matrix_spectral_radius
 from kmsphase.partition import class_roots
 from kmsphase.errors import NoConvergenceError, NotIrreducibleError
@@ -279,6 +281,153 @@ class TestPerronVector:
             pair = partition.perron_pair(np.array([[a]]), tol=0.0)
             assert (pair.r, pair.lower, pair.upper) == (a, a, a)
             assert pair.v.tolist() == pair.u.tolist() == [1.0]
+
+
+# --- the power iteration on I + M before scaling -----------------------------
+#
+# Kept as the reference: a block whose check reads upper >= 1 must take the
+# same steps, bit for bit; below 1 the scaled iteration must find the same
+# pair in far fewer steps than the reference, which crawls there.
+
+def power_iteration_reference(entries, v, u, tol):
+    """The power iteration on I + M at every check, whatever its bounds."""
+    best, stale, block, steps = math.inf, 0, partition.CHECK_STEPS, 0
+    while steps < partition.POWER_MAXITER_DEFAULT:
+        mv = entries @ v
+        ratios = mv / v
+        lower, upper = float(ratios.min()), float(ratios.max())
+        gap = upper - lower
+        if u is not None:
+            um = u @ entries
+            left = um / u
+            gap = max(gap, float(left.max() - left.min()))
+        if gap <= tol * upper:
+            return v, mv, u, lower, upper
+        gap /= upper
+        if gap < best:
+            if best < math.inf:
+                needed = block * math.log(max(tol, partition._EPS) / gap) / math.log(gap / best)
+                block = min(partition.MAX_BLOCK, max(1, math.ceil(needed)))
+            best, stale = gap, 0
+        else:
+            stale, block = stale + 1, partition.CHECK_STEPS
+            if stale >= partition.STAGNATION_CHECKS:
+                return v, mv, u, lower, upper
+        v = mv + v
+        for _ in range(block - 1):
+            v += entries @ v
+        v /= v.max()
+        if u is not None:
+            u = um + u
+            for _ in range(block - 1):
+                u += u @ entries
+            u /= u.max()
+        steps += block
+    raise NoConvergenceError("power iteration did not converge")
+
+
+class _CountingMatrix(np.ndarray):
+    """A matrix that counts its products with vectors (scaled copies count too)."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _CountingMatrix.products += 1
+        return np.asarray(self) @ other
+
+    def __rmatmul__(self, other):
+        _CountingMatrix.products += 1
+        return other @ np.asarray(self)
+
+
+def _products(iteration, entries, *args):
+    _CountingMatrix.products = 0
+    out = iteration(entries.view(_CountingMatrix), *args)
+    return _CountingMatrix.products, out
+
+
+# r(M) far below 1: the 6-letter model at beta = 10, and a loop beside a
+# 2-cycle of energies 1e6 and 2
+_SMALL_RADIUS_MODEL = dict(seed=5, m=6, beta=10.0)
+_SPLIT_MODEL = '{"matrix": [[0,0,0,1],[0,1,1,0],[0,0,0,1],[0,0,1,0]], "energies": [1e6,2,1e6,2]}'
+
+
+class TestScaledPowerIteration:
+    @staticmethod
+    def _models(rng):
+        return [random_irreducible(rng, m, non_permutation=True, energy_range=(1.5, 4.0))
+                for m in (2, 3, 5, 8, 13, 32)]
+
+    def test_bits_unchanged_at_and_above_one(self, rng):
+        for model in self._models(rng):
+            root = class_roots(model)[0].beta
+            for beta in (0.0, 0.5 * root, 0.9 * root):
+                entries = transfer_matrix(model, beta).entries
+                for u, tol in ((None, 1e-12), (np.ones(model.m), 1e-12), (np.ones(model.m), 1e-4)):
+                    args = (np.ones(model.m), None if u is None else u.copy(), tol)
+                    got = partition._power_iteration(entries, *args)
+                    want = power_iteration_reference(entries, *args)
+                    assert want[4] >= 1.0
+                    for a, b in zip(got, want):
+                        if isinstance(a, np.ndarray):
+                            assert a.tobytes() == b.tobytes()
+                        else:
+                            assert a == b
+
+    def test_below_one_agrees_with_reference(self, rng):
+        for model in self._models(rng):
+            root = class_roots(model)[0].beta
+            for beta in (1.5 * root, 2.0 * root):
+                entries = transfer_matrix(model, beta).entries
+                got = partition.perron_pair(entries)
+                v, mv, u, lower, upper = power_iteration_reference(
+                    entries, np.ones(model.m), np.ones(model.m), 1e-12)
+                assert got.upper < 1.0
+                assert got.upper - got.lower <= 1e-12 * got.upper
+                assert max(got.lower, lower) <= min(got.upper, upper) * (1.0 + 1e-15)
+                assert got.v == pytest.approx(v, rel=1e-9)
+                assert got.u == pytest.approx(u, rel=1e-9)
+
+    def test_steps_do_not_grow_as_the_radius_falls(self, rng):
+        for model in self._models(rng)[3:5]:
+            root = class_roots(model)[0].beta
+            counts = {}
+            for factor in (0.5, 2.0, 4.0):
+                entries = transfer_matrix(model, factor * root).entries
+                start = (np.ones(model.m), np.ones(model.m), 1e-12)
+                new, _ = _products(partition._power_iteration, entries, *start)
+                old, _ = _products(power_iteration_reference, entries, *start)
+                counts[factor] = (new, old)
+                assert new <= old
+            # I + M alone crawls at 4 times the root
+            assert counts[4.0][1] > 1000, counts
+            assert max(new for new, _ in counts.values()) <= 200, counts
+
+    def test_small_radius_reproducers_answer_fast(self, capsys):
+        rng = np.random.default_rng(_SMALL_RADIUS_MODEL["seed"])
+        model = random_irreducible(rng, _SMALL_RADIUS_MODEL["m"], non_permutation=True,
+                                   energy_range=(1.5, 4.0))
+        beta = _SMALL_RADIUS_MODEL["beta"]
+        start = time.perf_counter()
+        v = perron_vector(model, beta)
+        r = spectral_radius(model, beta)
+        assert time.perf_counter() - start < 0.05
+        entries = transfer_matrix(model, beta).entries
+        assert r == pytest.approx(np.abs(np.linalg.eigvals(entries)).max(), rel=1e-11)
+        assert np.abs(entries @ v - r * v).max() <= 1e-10 * r * v.max()
+
+        start = time.perf_counter()
+        argv = ["partition", "--model-json", _SPLIT_MODEL, "--sweep", "0.1:3:30"]
+        assert cli.main(argv) == 0
+        assert time.perf_counter() - start < 1.0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        split = json.loads(_SPLIT_MODEL)
+        split = build_model(split["matrix"], split["energies"])
+        assert len(rows) == 30
+        for row in rows:
+            beta, radius = (float(x) for x in row.split(",")[:2])
+            entries = transfer_matrix(split, beta).entries
+            assert radius == pytest.approx(np.abs(np.linalg.eigvals(entries)).max(), rel=1e-11)
 
 
 # --- the three bisection loops the shared bracket replaced ------------------

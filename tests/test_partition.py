@@ -1,24 +1,32 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from kmsphase import (
+    RootMeasure,
     build_model,
     column_space,
+    cooling,
+    decompose,
     evaluate,
+    finite_type_state,
     geometric_bound,
     partial_series,
     transfer_matrix,
     z_gamma,
 )
+from kmsphase import partition
 from kmsphase.critical import beta_c
+from kmsphase.errors import DivergentNormalizerError
 from kmsphase.partition import _restricted_resolvent, class_roots, restricted_fixed_pairs
 
 from conftest import (
     block_model,
+    block_triangular,
     coexistence_models,
     full_model,
     golden_mean_model,
@@ -282,6 +290,86 @@ class TestRestrictedFixedPairs:
             restricted_fixed_pairs(m, beta, [t])
         info = _restricted_resolvent.cache_info()
         assert (info.misses, info.hits) == (1, m.m - 1)
+
+
+def _twin(model):
+    """A model equal to ``model`` but a distinct memo and table key."""
+    return build_model(model.matrix, model.energies)
+
+
+class TestRestrictedConvergenceCertificate:
+    """The restricted solve certifies its own convergence (Collatz-Wielandt on v = Z 1)."""
+
+    def test_golden_mean_inside_the_root_enclosure(self):
+        # ln(phi) = 0.48121182505960347 < beta, so the series converge, but
+        # beta lies inside the class root's certified enclosure
+        model = build_model([[1, 1], [1, 0]], [math.e, math.e])
+        beta = 0.48121182505968185
+        root = class_roots(_twin(model))[0]
+        assert math.log((1 + math.sqrt(5)) / 2) < beta and root.lo <= beta <= root.hi
+        report = evaluate(model, beta)
+        assert report.convergent
+        space = column_space(model)
+        for point in range(space.d):
+            weights = np.eye(space.d)[point]
+            mass = space.bit_matrix().T @ weights
+            needed = np.flatnonzero(mass > 0)
+            want = 1.0 + float(report.z_y[needed] @ mass[needed])
+            _restricted_resolvent.cache_clear()
+            got = z_gamma(model, beta, weights, space)
+            assert math.isfinite(got) and got == want
+
+    def test_singular_and_near_singular_sets_diverge_quietly(self):
+        # at the quotient temperatures of the first coexistence model: the
+        # full 2 x 2 block's I - M_UU is singular, the golden block's nearly so
+        model = coexistence_models()[0]
+        _, labels = model.strong_components
+        roots = class_roots(_twin(model))
+        full, golden = np.flatnonzero(labels == 1), np.flatnonzero(labels == 0)
+        assert full.tolist() == [2, 3] and golden.tolist() == [0, 1]
+        sub = transfer_matrix(model, roots[1].beta).entries[np.ix_(full, full)]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(np.eye(2) - sub, np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for c, letters in ((1, full), (0, golden)):
+                assert _fresh_pairs(model, roots[c].beta, letters) is None
+                assert _fresh_pairs(model, roots[c].beta, letters[:1]) is None
+
+    def test_series_never_read_the_class_roots(self, rng, monkeypatch):
+        # fresh reducible models, at temperatures between their class roots,
+        # where some restricted series converge and others diverge
+        models = [_twin(m) for m in coexistence_models()]
+        models += [block_triangular(rng, sizes) for sizes in ((3, 4), (2, 3, 4), (5, 2, 3))]
+        temperatures = []
+        for model in models:
+            roots = sorted({r.beta for r in class_roots(_twin(model)) if r.beta is not None})
+            assert len(roots) > 1
+            temperatures.append([0.5 * (a + b) for a, b in zip(roots, roots[1:])])
+
+        def unreachable(*args):
+            raise AssertionError("the class-root table was read")
+
+        monkeypatch.setattr(partition, "class_roots", unreachable)
+        monkeypatch.setattr(partition, "_class_root", unreachable)
+        seen = {"finite": 0, "divergent": 0}
+        for model, betas in zip(models, temperatures):
+            space = column_space(model)
+            for beta in betas:
+                for point in range(space.d):
+                    gamma = RootMeasure.delta(space, point)
+                    z = z_gamma(model, beta, gamma.weights, space)
+                    try:
+                        state = finite_type_state(model, beta, gamma)
+                    except DivergentNormalizerError:
+                        assert math.isinf(z)
+                        seen["divergent"] += 1
+                        continue
+                    assert math.isfinite(z)
+                    seen["finite"] += 1
+                    assert decompose(model, beta, state).finite_fraction == pytest.approx(1.0)
+                    cooling(model, beta, state, beta + 0.5)
+        assert seen["finite"] > 0 and seen["divergent"] > 0
 
 
 class TestGeometricBound:

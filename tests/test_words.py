@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 from math import fsum
 
 import numpy as np
@@ -118,6 +119,25 @@ class TestPartialSeries:
     def test_cap_enforced(self):
         with pytest.raises(LengthTooLargeError):
             partial_series(full_model(5), 2.0, 12, cap=10_000)
+
+    def test_count_stops_at_the_first_total_above_the_cap(self):
+        # golden mean shells hold 2, 3, 5, 8, ... words; their running total
+        # first passes 10^7 at length 33, and no later shell is counted
+        start = time.perf_counter()
+        with pytest.raises(LengthTooLargeError) as info:
+            partial_series(golden_mean_model(), 1.0, 100_000, cap=10_000_000)
+        assert time.perf_counter() - start < 0.1
+        fib = [1, 2]
+        while sum(fib[1:]) <= 10_000_000:
+            fib.append(fib[-1] + fib[-2])
+        assert info.value.count == sum(fib[1:]) == 14930349
+
+
+def test_count_past_the_digit_limit_is_printed_by_size():
+    count = 10 ** 5000
+    exc = LengthTooLargeError(count, 7)
+    assert exc.count == count and exc.cap == 7
+    assert str(exc) == "enumeration would visit at least 2^16609 words, above the cap 7"
 
 
 @pytest.mark.parametrize("series", [shell_sum, partial_series])
