@@ -21,7 +21,7 @@ import sys as _sys
 import numpy as np
 
 from . import classify, critical, invariance, model as model_mod, partition, star, states, words
-from .errors import ConfigParseError, InputError, KmsError, LengthTooLargeError
+from .errors import ConfigParseError, InputError, KmsError
 
 
 # --- deterministic serialization -----------------------------------------
@@ -211,6 +211,8 @@ def _cmd_partition(args) -> dict | None:
 
 def _cmd_critical(args) -> dict:
     m = load_model(args.model, args.model_json)
+    if args.cap < 0:
+        raise ConfigParseError("--cap must be nonnegative")
     report = {"critical": critical.beta_c(m)}
     if args.abscissa_check is not None:
         est = critical.abscissa_estimate(m, args.abscissa_check, cap=args.cap)
@@ -292,19 +294,17 @@ def _cmd_oracle(args) -> None:
     m = load_model(args.model, args.model_json)
     if args.max_length < 0:
         raise ConfigParseError("--max-length must be nonnegative")
+    if args.cap < 0:
+        raise ConfigParseError("--cap must be nonnegative")
     # every row before the header, so that a rejected input prints no CSV.
-    # Row 0 holds the empty-word convention and checks the ends; rows 1..L
-    # come from one word tree, each bit for bit its shell_sum, and the cap
-    # names the first shell above it, as one shell_sum per row would; no
-    # later shell is counted.
-    sums = [words.shell_sum(m, args.beta, 0, source=args.source, target=args.target, cap=args.cap)]
-    counts = [1]
-    for count in words._iter_shell_counts(m, args.max_length):
-        if count > args.cap:
-            raise LengthTooLargeError(count, args.cap)
-        counts.append(count)
+    # Row 0 holds the empty-word convention and checks the ends.  One count
+    # of shells 0..L applies the cap, as the shell_sum of the first row
+    # above it would, and gives the count column; rows 1..L come from one
+    # word tree, each bit for bit its shell_sum.
+    sums = [words.shell_sum(m, args.beta, 0, source=args.source, target=args.target)]
+    counts = words._shell_counts(m, args.max_length, args.cap)
     if args.max_length > 0:
-        tree = words._word_tree(m, args.max_length, args.source, args.cap)
+        tree = words._word_tree(m, args.max_length, args.source)
         sums += words._shell_sums(m, tree, args.beta, target=args.target)
     print("n,count,shell_sum")
     for n, s in enumerate(sums):

@@ -179,7 +179,8 @@ def abscissa_estimate(
     """
     if L < 2:
         raise ValueError("need at least two shells")
-    tree = words._word_tree(model, L, cap=cap)
+    words._shell_counts(model, L, cap)
+    tree = words._word_tree(model, L)
 
     def exact(b: float) -> list[float]:
         return words._shell_sums(model, tree, b, first=L - 1)

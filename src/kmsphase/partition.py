@@ -4,9 +4,10 @@ Writing M for the matrix with entries M(x, y) = A(x, y) N(y)^-beta, the
 fixed-source-and-target series Z_xy(beta) equals N(x)^-beta times the
 (x, y) entry of the Neumann sum of M, so a single linear solve against
 I - M evaluates every partition function at once.  The solve is only
-meaningful when the spectral radius of M is below 1; divergence is decided
-by the spectral radius (computed here, by power iteration), never by
-whether the solve happens to succeed.
+meaningful when the spectral radius of M is below 1, and its success alone
+decides nothing: the full series is decided by the spectral radius
+(computed here, by power iteration), a restricted series by a certificate
+read off its own solve (below).
 
 M is block-triangular in the strong classes C of A, so r(beta) is the
 largest class radius r_C(beta) = r(M_CC).  One loop over the classes,

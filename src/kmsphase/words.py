@@ -6,6 +6,10 @@ is admissible when A(mu_i, mu_{i+1}) = 1 for all consecutive pairs; its
 weight is N(mu)^-beta with N(mu) the product of the letter energies.  The
 empty word is admissible with weight 1.
 
+An enumeration to length n visits the words of every length 1..n, so a
+word ``cap`` bounds their running total: each enumerating function first
+calls :func:`_shell_counts` once, which stops at the first total above it.
+
 Shell sums enumerate a word tree once per length bound: level k holds the
 admissible words of length k, each stored as the index of its parent word
 of length k - 1 plus its last letter, grouped by last letter in ascending
@@ -28,9 +32,7 @@ replaying the exact sums only where two brackets overlap.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import accumulate
 from math import fsum, inf, log
 
 import numpy as np
@@ -60,18 +62,17 @@ def enumerate_words(model: SystemModel, n: int, cap: int = WORD_CAP_DEFAULT) -> 
     """All admissible words of length n, in lexicographic order.
 
     n = 0 yields just the empty word.  Raises LengthTooLargeError if the
-    output would exceed ``cap`` words.
+    words of lengths 1..n, every prefix the enumeration visits, exceed
+    ``cap``.
     """
     if n < 0:
         raise ValueError("word length must be nonnegative")
     if n == 0:
         return [AdmissibleWord(letters=(), weight_exponent=0.0)]
 
+    _shell_counts(model, n, cap)
     succ = [tuple(int(y) for y in model.successors(x)) for x in range(model.m)]
     logn = [log(v) for v in model.energies]
-    count = _shell_count(model, n)
-    if count > cap:
-        raise LengthTooLargeError(count, cap)
 
     out: list[AdmissibleWord] = []
     # Iterative depth-first extension; only admissible prefixes are kept.
@@ -89,25 +90,25 @@ def enumerate_words(model: SystemModel, n: int, cap: int = WORD_CAP_DEFAULT) -> 
     return out
 
 
-def _iter_shell_counts(model: SystemModel, n: int) -> Iterator[int]:
-    """Numbers of admissible words of lengths 1..n (exact, integer path counts), lazily,
-    so that a caller checking a cap stops counting at the first count above it."""
+def _shell_counts(model: SystemModel, n: int, cap: int = WORD_CAP_DEFAULT) -> list[int]:
+    """Numbers of admissible words of lengths 0..n (exact, integer path counts).
+
+    Raises LengthTooLargeError(total, cap) at the first k whose running
+    total of the words of lengths 1..k is above ``cap``, and counts no
+    later shell.  The counts take every first letter, whatever ``source``
+    the enumeration keeps.
+    """
     a = model.matrix.astype(object)  # exact integer arithmetic
     v = np.ones(model.m, dtype=object)
+    counts, total = [1], 0
     for k in range(1, n + 1):
         if k > 1:
             v = a @ v
-        yield int(v.sum())
-
-
-def _shell_counts(model: SystemModel, n: int) -> list[int]:
-    """Numbers of admissible words of lengths 0..n (exact, integer path counts)."""
-    return [1, *_iter_shell_counts(model, n)]
-
-
-def _shell_count(model: SystemModel, n: int) -> int:
-    """Number of admissible words of length n (exact, integer path count)."""
-    return _shell_counts(model, n)[-1]
+        counts.append(int(v.sum()))
+        total += counts[-1]
+        if total > cap:
+            raise LengthTooLargeError(total, cap)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -125,20 +126,11 @@ class _Level:
     groups: tuple[tuple[int, int, int], ...]
 
 
-def _word_tree(
-    model: SystemModel,
-    n: int,
-    source: int | None = None,
-    cap: int = WORD_CAP_DEFAULT,
-) -> list[_Level]:
+def _word_tree(model: SystemModel, n: int, source: int | None = None) -> list[_Level]:
     """Admissible words of lengths 1..n (first letter ``source`` if given).
 
-    Raises LengthTooLargeError before enumerating when shell n holds more
-    than ``cap`` words.
+    Applies no cap: each caller checks :func:`_shell_counts` first.
     """
-    count = _shell_count(model, n)
-    if count > cap:
-        raise LengthTooLargeError(count, cap)
     first = np.arange(model.m) if source is None else np.array([source])
     tree = [_Level(None, first, tuple((int(x), i, i + 1) for i, x in enumerate(first)))]
     into = model.matrix.T.astype(bool)  # into[y, x] = A(x, y)
@@ -250,7 +242,8 @@ def shell_sum(
     _check_ends(model, source, target)
     if n == 0:
         return 1.0 if source is None and target is None else 0.0
-    tree = _word_tree(model, n, source, cap)
+    _shell_counts(model, n, cap)
+    tree = _word_tree(model, n, source)
     return _shell_sums(model, tree, beta, first=n, target=target)[0]
 
 
@@ -271,10 +264,8 @@ def partial_series(
     if L < 0:
         raise ValueError("truncation length must be nonnegative")
     _check_ends(model, source, target)
-    for total_words in accumulate(_iter_shell_counts(model, L)):
-        if total_words > cap:
-            raise LengthTooLargeError(total_words, cap)
+    _shell_counts(model, L, cap)
     shells = [1.0] if source is None and target is None else []
     if L > 0:
-        shells += _shell_sums(model, _word_tree(model, L, source, cap), beta, target=target)
+        shells += _shell_sums(model, _word_tree(model, L, source), beta, target=target)
     return fsum(shells)

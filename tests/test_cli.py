@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -227,8 +228,10 @@ class TestOracleMatchesPerRowShellSums:
 
     @pytest.mark.parametrize("cap", [1, 2, 4, 7, 8, 12, 13, 143, 144])
     def test_cap_names_first_shell_above_it(self, capsys, cap):
-        # golden mean shells hold 1, 2, 3, 5, 8, ... words; to length 10 the
-        # last one holds 144
+        # the cap bounds the running total of the golden mean's shells, 2, 5,
+        # 10, 18, ... words up to 374 at length 10, whatever the source; the
+        # error names the first total above the cap, as the shell_sum of
+        # that row would
         argv = ["oracle", "--model-json", json.dumps(GOLDEN), "--beta", "1",
                 "--max-length", "10", "--cap", str(cap), "--source", "1"]
         status = main(argv)
@@ -242,6 +245,23 @@ class TestOracleMatchesPerRowShellSums:
         else:
             assert status == 0
             assert captured.out == want
+
+
+@pytest.mark.parametrize("extra", [[], ["--source", "1"], ["--cap", "5"]],
+                         ids=["plain", "source", "capped"])
+def test_oracle_counts_shells_once(monkeypatch, capsys, extra):
+    # one count applies the cap and gives the count column
+    calls = []
+    original = words._shell_counts
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(words, "_shell_counts", counted)
+    main(["oracle", "--model-json", json.dumps(GOLDEN), "--beta", "1", "--max-length", "8", *extra])
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 class TestStarCommand:
@@ -320,11 +340,12 @@ _ERROR_FILES = {
 }
 
 _G = ["--model", "{dir}/golden.json"]
+_CYCLE = _model_json([[0, 1], [1, 0]], [2, 3])
 _SQUARE = [[1, 1], [1, 1]]
 
 
-def _case(id, argv, status, line):
-    return pytest.param(argv, status, line, id=id)
+def _case(id, argv, status, line, seconds=math.inf):
+    return pytest.param(argv, status, line, seconds, id=id)
 
 
 _ERROR_CASES = [
@@ -463,10 +484,19 @@ _ERROR_CASES = [
     _case("star-below-abscissa", ["star", "--beta", "0.5", "--levels", "8"], 1,
           "error: zeta is only evaluated for beta >= 1.0"),
     # the enumeration oracle and the abscissa check
+    # the cap bounds the running total of shells 1..k, the words an
+    # enumeration to length k visits; the golden mean's totals are 2, 5, 10, 18, ...
     _case("oracle-cap", ["oracle", *_G, "--beta", "1", "--max-length", "10", "--cap", "5"], 1,
-          "error: enumeration would visit 8 words, above the cap 5"),
+          "error: enumeration would visit 10 words, above the cap 5"),
     _case("oracle-cap-long", ["oracle", *_G, "--beta", "1", "--max-length", "100000"], 1,
-          "error: enumeration would visit 14930352 words, above the cap 10000000"),
+          "error: enumeration would visit 14930349 words, above the cap 10000000", 0.1),
+    # the 2-cycle holds 2 words per shell: the total passes 1000 at length 501
+    _case("oracle-cap-cycle",
+          ["oracle", "--model-json", _CYCLE, "--beta", "1", "--max-length", "100000",
+           "--cap", "1000"], 1,
+          "error: enumeration would visit 1002 words, above the cap 1000", 0.1),
+    _case("oracle-cap-negative", ["oracle", *_G, "--beta", "1", "--max-length", "0", "--cap=-1"],
+          1, "error: --cap must be nonnegative"),
     _case("oracle-source-high",
           ["oracle", *_G, "--beta", "1", "--max-length", "3", "--source", "5"], 1,
           "error: source must be a letter in 0..1, got 5"),
@@ -481,12 +511,18 @@ _ERROR_CASES = [
     _case("abscissa-check-1", ["critical", *_G, "--abscissa-check", "1"], 1,
           "error: need at least two shells"),
     _case("abscissa-check-cap", ["critical", *_G, "--abscissa-check", "30", "--cap", "10"], 1,
-          "error: enumeration would visit 2178309 words, above the cap 10"),
-    # shell 100000 holds a count of 20899 digits, more than Python prints
+          "error: enumeration would visit 18 words, above the cap 10"),
+    # shell 100000 holds a count of 20899 digits, but the running total
+    # passes the default cap at length 33 and no later shell is counted
     _case("abscissa-check-digits",
           ["critical", "--model-json", '{"matrix": [[1,1],[1,0]], "energies": [2,3]}',
            "--abscissa-check", "100000"], 1,
-          "error: enumeration would visit at least 2^69424 words, above the cap 10000000"),
+          "error: enumeration would visit 14930349 words, above the cap 10000000", 0.1),
+    _case("abscissa-check-cap-cycle",
+          ["critical", "--model-json", _CYCLE, "--abscissa-check", "100000", "--cap", "1000"], 1,
+          "error: enumeration would visit 1002 words, above the cap 1000", 0.1),
+    _case("critical-cap-negative", ["critical", *_G, "--abscissa-check", "30", "--cap=-1"], 1,
+          "error: --cap must be nonnegative"),
     # the underflowing-shell model, exit 2: TestErrors.test_underflowing_shells_exit_two
     # numeric failures, exit 2: an ill-conditioned solve of I - M at a class
     # root of near-one energies
@@ -503,15 +539,17 @@ _ERROR_CASES = [
 ]
 
 
-@pytest.mark.parametrize("argv,status,line", _ERROR_CASES)
-def test_error_path(tmp_path, capsys, argv, status, line):
+@pytest.mark.parametrize("argv,status,line,seconds", _ERROR_CASES)
+def test_error_path(tmp_path, capsys, argv, status, line, seconds):
     for name, text in _ERROR_FILES.items():
         (tmp_path / name).write_text(text)
 
     def fill(text: str) -> str:
         return text.replace("{dir}", str(tmp_path))
 
+    start = time.perf_counter()
     assert main([fill(arg) for arg in argv]) == status
+    assert time.perf_counter() - start < seconds
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == fill(line) + "\n"

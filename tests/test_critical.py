@@ -218,7 +218,7 @@ class TestAbscissaEstimate:
         betas = self._count_exact_sums(monkeypatch)
         for m_size in (6, 6, 7, 7, 8, 9, 9):
             model = random_irreducible(rng, m_size, non_permutation=True, energy_range=(1.5, 4.0))
-            counts = words._shell_counts(model, 40)
+            counts = words._shell_counts(model, 40, math.inf)
             L = min(range(2, 41), key=lambda n: abs(math.log(counts[n] / 1e4)))
             betas.clear()
             abscissa_estimate(model, L)
@@ -493,7 +493,8 @@ def oa_betas_reference(model, bisect_tol=1e-10):
 
 def abscissa_reference(model, L, cap=words.WORD_CAP_DEFAULT):
     """(estimate, residual) of `abscissa_estimate` by the old loop."""
-    tree = words._word_tree(model, L, cap=cap)
+    words._shell_counts(model, L, cap)
+    tree = words._word_tree(model, L)
 
     def g(b):
         shorter, longer = words._shell_sums(model, tree, b, first=L - 1)
@@ -537,7 +538,7 @@ def _reference_models():
 
 def _abscissa_length(model, max_words=20_000, max_length=10):
     """Longest L <= max_length whose shell holds at most max_words words."""
-    counts = words._shell_counts(model, max_length)
+    counts = words._shell_counts(model, max_length, math.inf)
     return max([2] + [n for n in range(3, max_length + 1) if counts[n] <= max_words])
 
 

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmsphase import build_model, enumerate_words, partial_series, shell_sum
+from kmsphase import build_model, enumerate_words, partial_series, shell_sum, words
 from kmsphase.critical import abscissa_estimate
 from kmsphase.errors import DegenerateShellsError, LengthTooLargeError, NoConvergenceError
-from kmsphase.words import _shell_count, _shell_enclosures, _shell_sums, _word_tree
+from kmsphase.words import _shell_counts, _shell_enclosures, _shell_sums, _word_tree
 
 from conftest import cycle_model, full_model, golden_mean_model, random_irreducible, random_matrix
 
@@ -148,6 +148,41 @@ def test_letters_outside_the_alphabet_rejected(series, n, ends):
         series(golden_mean_model(), 1.0, n, **ends)
 
 
+# --- one cap rule: the running total of shells 1..k --------------------------
+
+_ENUMERATORS = {
+    "enumerate_words": lambda model, n, cap: enumerate_words(model, n, cap=cap),
+    "shell_sum": lambda model, n, cap: shell_sum(model, 1.0, n, cap=cap),
+    "partial_series": lambda model, n, cap: partial_series(model, 1.0, n, cap=cap),
+    "abscissa_estimate": lambda model, n, cap: abscissa_estimate(model, n, cap=cap),
+}
+
+
+@pytest.mark.parametrize("name", _ENUMERATORS)
+def test_cap_stops_at_the_first_running_total_above_it(name):
+    # the 2-cycle holds 2 words per shell: the total passes 1000 at length
+    # 501, and none of the 10^5 shells after it is counted or enumerated
+    start = time.perf_counter()
+    with pytest.raises(LengthTooLargeError) as info:
+        _ENUMERATORS[name](cycle_model(), 100_000, 1000)
+    assert time.perf_counter() - start < 0.1
+    assert (info.value.count, info.value.cap) == (1002, 1000)
+
+
+@pytest.mark.parametrize("name", _ENUMERATORS)
+def test_one_count_per_call(monkeypatch, name):
+    calls = []
+    original = words._shell_counts
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(words, "_shell_counts", counted)
+    _ENUMERATORS[name](golden_mean_model(), 8, 10_000)
+    assert len(calls) == 1
+
+
 # --- the word tree against the per-call frontier it replaced ---------------
 
 def _shell_weights_reference(model, beta, n, source):
@@ -167,23 +202,27 @@ def _shell_weights_reference(model, beta, n, source):
     return frontier
 
 
+def _cap_reference(model, n, cap):
+    """The cap rule: the running total of shells 1..k, at the first k above ``cap``."""
+    total_words = 0
+    for count in _shell_counts(model, n, math.inf)[1:]:
+        total_words += count
+        if total_words > cap:
+            raise LengthTooLargeError(total_words, cap)
+
+
 def shell_sum_reference(model, beta, n, source=None, target=None, cap=10_000_000):
     if n == 0:
         return 1.0 if source is None and target is None else 0.0
-    count = _shell_count(model, n)
-    if count > cap:
-        raise LengthTooLargeError(count, cap)
+    _cap_reference(model, n, cap)
     frontier = _shell_weights_reference(model, beta, n, source)
     return fsum(fsum(frontier[y].tolist()) for y in sorted(frontier) if target in (None, y))
 
 
 def partial_series_reference(model, beta, L, source=None, target=None, cap=10_000_000):
+    _cap_reference(model, L, cap)
     shells = [1.0] if source is None and target is None else []
-    total_words = 0
     for n in range(1, L + 1):
-        total_words += _shell_count(model, n)
-        if total_words > cap:
-            raise LengthTooLargeError(total_words, cap)
         shells.append(shell_sum_reference(model, beta, n, source=source, target=target, cap=cap))
     return fsum(shells)
 
@@ -261,9 +300,9 @@ class TestWordTreeBitwise:
     def test_small_cap_raises(self):
         model = full_model(4)
         calls = [
-            (lambda: shell_sum(model, 1.0, 6, cap=1000), 4 ** 6),
+            (lambda: shell_sum(model, 1.0, 6, cap=1000), 4 + 16 + 64 + 256 + 1024),
             (lambda: partial_series(model, 1.0, 6, cap=1000), 4 + 16 + 64 + 256 + 1024),
-            (lambda: abscissa_estimate(model, 6, cap=1000), 4 ** 6),
+            (lambda: abscissa_estimate(model, 6, cap=1000), 4 + 16 + 64 + 256 + 1024),
         ]
         for call, count in calls:
             with pytest.raises(LengthTooLargeError) as info:
@@ -281,7 +320,7 @@ class TestShellEnclosures:
     def test_bracket_holds_the_exact_sum(self, m_size, L, beta, seed):
         rng = np.random.default_rng(seed)
         model = build_model(random_matrix(rng, m_size), np.exp(rng.uniform(0.01, 7.0, m_size)))
-        while _shell_count(model, L) > 20_000:
+        while _shell_counts(model, L, math.inf)[-1] > 20_000:
             L -= 1
         tree = _word_tree(model, L)
         exact = _shell_sums(model, tree, beta)

@@ -13,8 +13,10 @@ m = 2..8 letters, cycling through the energy families
 subcommand: ``analyze``, ``critical`` (plain and with ``--abscissa-check``),
 ``partition`` (``--beta`` and ``--sweep``), ``kms``, ``oa`` (``--beta`` and
 ``--scan``), ``check-state --exhaustive`` on a state that ``kms`` printed,
-``oracle`` and ``star``.  The temperatures are read off the model's class
-roots: each root, half and twice the largest, and +inf where it is allowed.
+``oracle`` and ``star``; ``oracle`` and ``critical --abscissa-check`` also
+run once to length 10^5 under a cap of 1000 words.  The temperatures are
+read off the model's class roots: each root, half and twice the largest,
+and +inf where it is allowed.
 
 Every run calls ``kmsphase.cli.main`` in this process with RuntimeWarning
 turned into an error, as ``python -W error::RuntimeWarning`` would, and
@@ -51,6 +53,7 @@ from kmsphase import build_model, cli, partition  # noqa: E402
 FAMILIES = ("uniform", "split", "near-one")
 SLOW_S = 1.0
 WORD_CAP = 100_000
+LONG_LENGTH, SMALL_CAP = 100_000, 1000
 
 
 def _energies(rng: np.random.Generator, family: str, m: int) -> list[float]:
@@ -163,6 +166,11 @@ def _commands(rng: np.random.Generator, model_json: str, roots: list[float], top
         yield ["check-state", *model, "--state", state_path, "--exhaustive"]
     yield ["oracle", *model, f"--beta={top!r}", "--max-length", str(int(rng.integers(1, 9))),
            "--cap", str(WORD_CAP)]
+    # lengths far past a small cap: the cap, not the length, must bound the
+    # work (no draw from rng, so every other run keeps its arguments)
+    yield ["oracle", *model, f"--beta={top!r}", "--max-length", str(LONG_LENGTH),
+           "--cap", str(SMALL_CAP)]
+    yield ["critical", *model, "--abscissa-check", str(LONG_LENGTH), "--cap", str(SMALL_CAP)]
     levels = ",".join(str(k) for k in sorted(rng.choice(np.arange(1, 65), size=2, replace=False)))
     yield ["star", "--levels", levels, f"--beta={float(rng.uniform(0.5, 3.0))!r}"]
 
