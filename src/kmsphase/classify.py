@@ -30,7 +30,7 @@ import numpy as np
 from .critical import CriticalReport, _certified_vector, beta_c as compute_beta_c
 from .errors import NotIrreducibleError, ZeroColumnError
 from .invariance import invariant_state_from_fixed_point, is_subinvariant
-from .model import SystemModel, column_space, properties
+from .model import SystemModel, column_space
 from .partition import class_roots, perron_pair, transfer_matrix
 from .states import FINITE, QState, RootMeasure, finite_type_state
 
@@ -100,15 +100,14 @@ def classify_ta(
     for permutation-like systems (beta_c clamped to 0) every finite beta is
     supercritical and the regime is flagged.
     """
-    if not properties(model).irreducible:
+    if model.strong_components[0] != 1:
         raise NotIrreducibleError("phase classification requires an irreducible matrix")
     if not (beta > 0):
         raise ValueError("beta must be positive or +inf")
     crit = crit or compute_beta_c(model)
-    space = column_space(model)
-    dim = space.d - 1
 
     if math.isinf(beta):
+        space = column_space(model)
         # ground_state of the point mass at c: atoms the unit vector e_c, q
         # its bit row (e_c @ bits adds only exact zeros), built all at once
         extremes = tuple(
@@ -117,7 +116,7 @@ def classify_ta(
         )
         return PhaseRegime(
             kind="ground", beta=beta, beta_critical=crit.beta_c,
-            unique_state=None, extreme_states=extremes, simplex_dim=dim,
+            unique_state=None, extreme_states=extremes, simplex_dim=space.d - 1,
             permutation_like=crit.permutation_like,
         )
 
@@ -139,6 +138,7 @@ def classify_ta(
             permutation_like=crit.permutation_like,
         )
 
+    space = column_space(model)
     extremes = tuple(
         finite_type_state(model, beta, RootMeasure.delta(space, c))
         for c in range(space.d)
@@ -146,14 +146,15 @@ def classify_ta(
     return PhaseRegime(
         kind="above", beta=beta, beta_critical=crit.beta_c,
         unique_state=extremes[0] if space.d == 1 else None,
-        extreme_states=extremes, simplex_dim=dim,
+        extreme_states=extremes, simplex_dim=space.d - 1,
         permutation_like=crit.permutation_like,
     )
 
 
 def _require_no_zero_column(model: SystemModel) -> None:
-    if not properties(model).no_zero_column:
-        raise ZeroColumnError(int(np.flatnonzero(~model.matrix.any(axis=0))[0]))
+    zero = np.flatnonzero(~model.matrix.any(axis=0))
+    if zero.size:
+        raise ZeroColumnError(int(zero[0]))
 
 
 def kms_oa(model: SystemModel, beta: float) -> OaSimplex:

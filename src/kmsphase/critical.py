@@ -8,7 +8,8 @@ the largest radius of a strong class, so beta_c is the largest of the
 class roots.  :func:`matrix_spectral_radius` (from :mod:`partition`)
 computes r so for every matrix, class by class: a letter alone is its
 diagonal entry, any other block gets a power iteration, and a block
-whose iteration runs out of steps falls back to its eigenvalues.
+whose iteration runs out of steps, or stops with Collatz-Wielandt bounds
+that did not meet, falls back to its eigenvalues.
 
 Each class root is found once per model by Newton on
 f(beta) = log r_C(beta) (:func:`partition.class_roots`).  Every entry of
@@ -35,6 +36,7 @@ takes the path the exact sums give at the cost of about four exact sums.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,7 +44,7 @@ import numpy as np
 
 from . import words
 from .errors import NoConvergenceError, NotIrreducibleError, DegenerateShellsError
-from .model import SystemModel, properties
+from .model import SystemModel
 from .partition import (
     BISECT_TOL_DEFAULT,
     PerronPair,
@@ -149,7 +151,7 @@ def beta_c(model: SystemModel) -> CriticalReport:
     hi = max(c.hi for c in roots)
 
     perron = None
-    if properties(model).irreducible:
+    if model.strong_components[0] == 1:
         perron = perron_vector(model, top.beta)
     return CriticalReport(
         beta_c=top.beta, interval_open_at_left=True, coincide=True,
@@ -168,13 +170,12 @@ def abscissa_estimate(
     shell_sum(beta, L) / shell_sum(beta, L-1) = 1: below the abscissa the
     shells grow, above they shrink.  Purely enumerative, so it serves as an
     independent cross-check of :func:`beta_c`.  The words of lengths up to L
-    are enumerated once and replayed at each beta.  The bisection steps on
-    certified brackets of plain shell sums and takes the exact sums only
-    when the brackets overlap, so each of its decisions, and hence the
-    estimate, is the one the exact sums give; the exact sums at beta = 0
-    (one replay serves the empty-shell check and the early return) and at
-    the estimate equal :func:`words.shell_sum` bit for bit.  Raises
-    DegenerateShellsError when the longer shell is empty at beta = 0, or
+    are enumerated once, and each beta replays them once and reads the last
+    two levels.  The bisection steps on certified brackets of their plain
+    sums and takes the exact sums of the same levels only when the brackets
+    overlap, so each of its decisions, and hence the estimate, is the one
+    the exact sums give; the exact sums at beta = 0 and at the estimate
+    equal :func:`words.shell_sum` bit for bit.  Raises DegenerateShellsError
     when both shells underflow to 0 where their ratio is needed.
     """
     if L < 2:
@@ -182,43 +183,36 @@ def abscissa_estimate(
     words._shell_counts(model, L, cap)
     tree = words._word_tree(model, L)
 
-    def exact(b: float) -> list[float]:
-        return words._shell_sums(model, tree, b, first=L - 1)
+    def last_two(b: float) -> deque:
+        return deque(words._replay(model, tree, b), maxlen=2)
 
-    def g(shells: list[float]) -> float:
-        shorter, longer = shells
+    def g(shells: deque) -> float:
+        shorter, longer = (words._exact(level, w) for level, w in shells)
         if shorter == 0.0:
             raise DegenerateShellsError("both shells underflow to 0")
         return longer / shorter - 1.0
 
     def above(b: float) -> bool:
-        # Three facts decide the sign without the exact sums (u = 2^-53).
-        # (1) For positive finite floats, longer / shorter - 1.0 > 0 exactly
-        # when longer > shorter: longer is then at least shorter plus one of
-        # its ulps, so the quotient exceeds 1 + u and rounds above 1.
-        # (2) A plain sum of n nonnegative terms, in any order, lies within
-        # gamma_{n-1} T of their real sum T; additions that underflow are
-        # exact, so this holds under gradual underflow too.  (3) The fsum of
-        # group fsums lies within (2u + u^2) T of T.  words._shell_enclosures
-        # turns (2) and (3) into brackets of the exact shells, inflated by a
-        # few ulps for their own rounding, so disjoint brackets decide by
-        # (1).  A zero or non-finite plain sum gets [0, inf], and the exact g
-        # then runs as it always did, errors included.
-        (lo_s, hi_s), (lo_l, hi_l) = words._shell_enclosures(model, tree, b, first=L - 1)
+        # For positive finite floats, longer / shorter - 1.0 > 0 exactly when
+        # longer > shorter: longer is then at least shorter plus one of its
+        # ulps, so the quotient exceeds 1 + 2^-53 and rounds above 1.  So
+        # disjoint brackets of the exact shells (words._enclosure) decide; a
+        # zero or non-finite plain sum gets [0, inf], and the exact g then
+        # runs as it always did, errors included.
+        shells = last_two(b)
+        (lo_s, hi_s), (lo_l, hi_l) = (words._enclosure(w) for _, w in shells)
         if lo_l > hi_s:
             return True
         if hi_l < lo_s:
             return False
-        return g(exact(b)) > 0.0
+        return g(shells) > 0.0
 
-    at_zero = exact(0.0)
-    if at_zero[1] == 0.0:
-        raise DegenerateShellsError("empty shell at beta = 0")
-    if g(at_zero) <= 0.0:
-        return AbscissaEstimate(estimate=0.0, residual=g(at_zero))
+    at_zero = g(last_two(0.0))
+    if at_zero <= 0.0:
+        return AbscissaEstimate(estimate=0.0, residual=at_zero)
     lo, hi = _bisect(above, BISECT_TOL_DEFAULT)
     est = 0.5 * (lo + hi)
-    return AbscissaEstimate(estimate=est, residual=g(exact(est)))
+    return AbscissaEstimate(estimate=est, residual=g(last_two(est)))
 
 
 def perron_vector(model: SystemModel, beta: float) -> np.ndarray:
@@ -234,7 +228,7 @@ def perron_vector(model: SystemModel, beta: float) -> np.ndarray:
     than ``PERRON_VECTOR_TOL`` apart relative to r, since then Mv = rv
     holds no better than that.
     """
-    if not properties(model).irreducible:
+    if model.strong_components[0] != 1:
         raise NotIrreducibleError("the Perron vector needs an irreducible matrix")
     start = class_roots(model)[0].pair
     v = _certified_vector(perron_pair(transfer_matrix(model, beta).entries, start))

@@ -13,10 +13,10 @@ M is block-triangular in the strong classes C of A, so r(beta) is the
 largest class radius r_C(beta) = r(M_CC).  One loop over the classes,
 :func:`matrix_spectral_radius`, computes it for every matrix: a class of
 one letter is its diagonal entry, any other block gets a power
-iteration, and a block whose iteration runs out of steps falls back to
-its eigenvalues.  :func:`spectral_radius` and :func:`evaluate` hand it
-the model's classes; a raw matrix gets those of its support.
-:func:`class_roots` keeps, per
+iteration, and a block whose iteration runs out of steps, or stops with
+bounds that did not meet, falls back to its eigenvalues.
+:func:`spectral_radius` and :func:`evaluate` hand it the model's classes;
+a raw matrix gets those of its support.  :func:`class_roots` keeps, per
 model, each class's root of r_C(beta) = 1 with a certified enclosure
 [lo, hi] (Newton on log r_C, see :func:`_class_root`), and the Perron
 pair of the last Newton iterate: a warm start for later pairs of the
@@ -193,8 +193,10 @@ def matrix_spectral_radius(
     any other block is irreducible, and its radius is the Collatz-Wielandt
     upper bound max(Mv/v) of the power iteration on I + M_CC, scaled below
     r = 1 (see :func:`_power_iteration`), within ``POWER_TOL_DEFAULT`` of
-    r_C.  No two classes of equal radius can stall it.  A block whose iteration spends
-    its step budget gets the largest modulus of its eigenvalues instead.
+    r_C.  No two classes of equal radius can stall it.  A block whose
+    iteration spends its step budget, or stops at rounding with its lower
+    bound more than ``POWER_TOL_DEFAULT`` below the upper (a nearly split
+    class), gets the largest modulus of its eigenvalues instead.
     ``components`` is the (count, label per index) pair of the classes, as
     :attr:`SystemModel.strong_components` holds it for a model's matrix;
     None computes it from the support of ``entries``.
@@ -208,8 +210,11 @@ def matrix_spectral_radius(
         # much as its iteration
         block = entries if ncomp == 1 else entries[np.ix_(idx, idx)]
         try:
-            r_c = _power_iteration(block, np.ones(len(idx)), None, POWER_TOL_DEFAULT)[4]
+            *_, lower, r_c = _power_iteration(block, np.ones(len(idx)), None, POWER_TOL_DEFAULT)
+            met = r_c - lower <= POWER_TOL_DEFAULT * r_c
         except NoConvergenceError:
+            met = False
+        if not met:
             r_c = float(np.abs(np.linalg.eigvals(block)).max())
         r = max(r, r_c)
     return r

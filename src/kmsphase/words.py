@@ -23,15 +23,18 @@ partial series.  The groups stay because one ``fsum`` over a whole shell
 builds a list of every word in it, which measured slower on shells of
 millions of words.
 
-Every value this module returns is such an exact sum.  Plain numpy sums
-only steer: ``_shell_enclosures`` brackets each exact shell sum from a
-plain ``w.sum()``, and the bisection of
-:func:`critical.abscissa_estimate` takes its steps on those brackets,
-replaying the exact sums only where two brackets overlap.
+Two per-level kernels do all the arithmetic on the weights a replay gives
+a level: :func:`_exact` takes the exact sum, and :func:`_enclosure` a
+certified bracket of it from a plain ``w.sum()``.  Every value this module
+returns is an exact sum.  Plain sums only steer: each bisection step of
+:func:`critical.abscissa_estimate` replays the tree once, brackets its
+last two levels, and takes their exact sums, from the same arrays, only
+where the two brackets overlap.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from math import fsum, inf, log
 
@@ -160,34 +163,17 @@ def _replay(model: SystemModel, tree: list[_Level], beta: float):
         yield level, w
 
 
-def _shell_sums(
-    model: SystemModel,
-    tree: list[_Level],
-    beta: float,
-    first: int = 1,
-    target: int | None = None,
-) -> list[float]:
-    """Shell sums of lengths first..len(tree) at beta, one replay of the tree.
-
-    Each value equals :func:`shell_sum` of that length bit for bit.
-    """
-    out = []
-    for n, (level, w) in enumerate(_replay(model, tree, beta), start=1):
-        if n < first:
-            continue
-        out.append(fsum(fsum(w[start:stop].tolist())
-                        for y, start, stop in level.groups if target is None or y == target))
-    return out
+def _exact(level: _Level, w: np.ndarray, target: int | None = None) -> float:
+    """The exact sum of one level's weights ``w``: each last-letter group
+    (only ``target``'s, if given) summed by ``fsum``, and one ``fsum`` over
+    the group sums."""
+    return fsum(fsum(w[start:stop].tolist())
+                for y, start, stop in level.groups if target is None or y == target)
 
 
-def _shell_enclosures(
-    model: SystemModel,
-    tree: list[_Level],
-    beta: float,
-    first: int = 1,
-) -> list[tuple[float, float]]:
-    """Certified [lo, hi] around each :func:`_shell_sums` value of lengths
-    first..len(tree) at beta, from one replay and a plain ``w.sum()`` per shell.
+def _enclosure(w: np.ndarray) -> tuple[float, float]:
+    """Certified [lo, hi] around the :func:`_exact` sum of one level's
+    weights ``w``, from a plain ``w.sum()``.
 
     A plain sum R of n nonnegative terms, in any order, lies within
     gamma_{n-1} T of their real sum T, gamma_k = k u / (1 - k u) with u the
@@ -201,19 +187,19 @@ def _shell_enclosures(
     [0, inf], which decides no comparison.
     """
     u = 2.0 ** -53
-    out = []
-    for n, (_, w) in enumerate(_replay(model, tree, beta), start=1):
-        if n < first:
-            continue
-        rough = float(w.sum())
-        if not 0.0 < rough < inf:
-            out.append((0.0, inf))
-            continue
-        k = (w.size - 1) * u
-        gamma = k / (1.0 - k)
-        rel = (gamma + 2.0 * u + u * u) / (1.0 - gamma) + 8.0 * u
-        out.append((rough * (1.0 - rel), rough * (1.0 + rel)))
-    return out
+    rough = float(w.sum())
+    if not 0.0 < rough < inf:
+        return 0.0, inf
+    k = (w.size - 1) * u
+    gamma = k / (1.0 - k)
+    rel = (gamma + 2.0 * u + u * u) / (1.0 - gamma) + 8.0 * u
+    return rough * (1.0 - rel), rough * (1.0 + rel)
+
+
+def _shell_sums(model: SystemModel, tree: list[_Level], beta: float,
+                target: int | None = None) -> list[float]:
+    """Shell sums of lengths 1..len(tree) at beta, one replay of the tree."""
+    return [_exact(level, w, target) for level, w in _replay(model, tree, beta)]
 
 
 def _check_ends(model: SystemModel, source: int | None, target: int | None) -> None:
@@ -243,8 +229,8 @@ def shell_sum(
     if n == 0:
         return 1.0 if source is None and target is None else 0.0
     _shell_counts(model, n, cap)
-    tree = _word_tree(model, n, source)
-    return _shell_sums(model, tree, beta, first=n, target=target)[0]
+    level, w = deque(_replay(model, _word_tree(model, n, source), beta), maxlen=1)[0]
+    return _exact(level, w, target)
 
 
 def partial_series(

@@ -11,9 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from kmsphase import cli, errors, words
+from kmsphase import cli, critical, errors, words
 from kmsphase.cli import dumps, main
 from kmsphase.critical import AbscissaEstimate
+from kmsphase.model import SystemModel
 from kmsphase.states import QState, TypeTag
 
 from conftest import coexistence_models, full_model, golden_mean_model, random_irreducible
@@ -274,6 +275,27 @@ class TestStarCommand:
         assert out["truncations"][0]["beta_c"] < out["truncations"][1]["beta_c"] < 1.0
         s0, s1 = out["critical_states"]
         assert abs(s0["rho_q0"] - s1["rho_q0"]) > 1e-3
+
+
+def test_only_analyze_builds_the_property_report(monkeypatch, capsys):
+    # every other command reads irreducibility off the strong components and
+    # zero columns off one scan of the matrix
+    def refuse(self):
+        raise AssertionError("PropertyReport built")
+
+    golden = json.dumps(GOLDEN)
+    bc = repr(critical.beta_c(cli.load_model(None, golden)).beta_c)
+    monkeypatch.setattr(SystemModel, "_properties", property(refuse))
+    for argv in (["critical"], ["oa", "--beta", bc], ["oa", "--scan"],
+                 ["partition", "--sweep", "0.2:2:5"]):
+        assert main([argv[0], "--model-json", golden, *argv[1:]]) == 0, argv
+    for beta, kind in (("0.2", "below"), (bc, "critical"), ("2.0", "above"), ("inf", "ground")):
+        capsys.readouterr()
+        assert main(["kms", "--model-json", golden, f"--beta={beta}"]) == 0
+        assert json.loads(capsys.readouterr().out)["regime"]["kind"] == kind
+    assert main(["star", "--levels", "8,16", "--head-count", "20000"]) == 0
+    with pytest.raises(AssertionError, match="PropertyReport built"):
+        main(["analyze", "--model-json", golden])
 
 
 class TestErrors:

@@ -5,6 +5,7 @@ import json
 import math
 import time
 import weakref
+from collections import deque
 
 import numpy as np
 import pytest
@@ -110,6 +111,33 @@ class TestSpectralRadius:
         assert matrix_spectral_radius(entries) == pytest.approx(PHI, rel=1e-12)
         assert calls == [(2, 2)]
 
+    # Nearly split classes, whose power iteration stops at its stagnation
+    # exit with bounds far apart: (model, beta, r) with r from 60-digit
+    # eigenvalues (mpmath).  LAPACK builds may differ in the last bits of
+    # eigvals, so the printed radius is pinned to 1e-12 relative.
+    _UNMET_BOUNDS = [
+        ({"matrix": [[0, 1], [1, 0]], "energies": [1e6, 2]}, 5.0, 1.7677669529663688e-16),
+        ({"matrix": [[0, 0, 1, 1, 0, 0, 1, 1], [1, 0, 1, 1, 1, 0, 0, 0], [0, 1, 1, 0, 1, 1, 0, 0],
+                     [1, 0, 0, 1, 1, 0, 1, 1], [1, 1, 0, 0, 0, 1, 1, 1], [0, 1, 0, 1, 0, 1, 0, 0],
+                     [1, 0, 1, 1, 0, 1, 0, 1], [1, 1, 1, 0, 1, 1, 0, 1]],
+          "energies": [1.0005157238695448, 1.000000012604163, 1.00008106625618,
+                       1.0076212364878119, 1.3451249468662612, 1.000000008401292,
+                       1.0000000034779435, 1.003439786195398]},
+         710603.3455511095, 0.99404779870563116),
+    ]
+
+    @pytest.mark.parametrize("model, beta, want", _UNMET_BOUNDS, ids=["two-cycle", "near-one"])
+    def test_unmet_bounds_fall_back_to_eigvals(self, monkeypatch, capsys, model, beta, want):
+        calls = []
+        real_eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or real_eigvals(a))
+        argv = ["partition", "--model-json", json.dumps(model), f"--beta={beta!r}"]
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)["partition"]
+        assert calls == [(len(model["energies"]),) * 2]
+        assert report["spectral_radius"] == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert report["convergent"] is True
+
     def test_strictly_decreasing_in_beta(self, rng):
         for _ in range(5):
             m = random_irreducible(rng, 4, energy_range=(1.5, 4.0))
@@ -185,15 +213,28 @@ class TestAbscissaEstimate:
 
     @staticmethod
     def _count_exact_sums(monkeypatch):
-        betas = []
-        original = words._shell_sums
+        """The beta of each exact sum: each replay notes its beta, each
+        ``words._exact`` call records the last one noted."""
+        betas, replayed = [], []
+        replay, exact = words._replay, words._exact
 
-        def counted(model, tree, beta, *args, **kwargs):
-            betas.append(beta)
-            return original(model, tree, beta, *args, **kwargs)
+        def counted_replay(model, tree, beta):
+            replayed.append(beta)
+            return replay(model, tree, beta)
 
-        monkeypatch.setattr(words, "_shell_sums", counted)
+        def counted_exact(level, w, target=None):
+            betas.append(replayed[-1])
+            return exact(level, w, target)
+
+        monkeypatch.setattr(words, "_replay", counted_replay)
+        monkeypatch.setattr(words, "_exact", counted_exact)
         return betas
+
+    @staticmethod
+    def _exact_points(betas):
+        # the abscissa takes the exact sums of both shells at each point
+        assert betas[::2] == betas[1::2], betas
+        return betas[::2]
 
     def test_exact_tie_defers_to_exact_sums(self, monkeypatch):
         # Every word of full_model(2) weighs 2^-n at beta = 1, so S_n(1) = 1
@@ -201,12 +242,13 @@ class TestAbscissaEstimate:
         # exact sums can say that g(1) = 0 is not above.
         model, L = full_model(2), 10
         tree = words._word_tree(model, L)
-        (lo_s, hi_s), (lo_l, hi_l) = words._shell_enclosures(model, tree, 1.0, first=L - 1)
+        (_, shorter), (_, longer) = deque(words._replay(model, tree, 1.0), maxlen=2)
+        (lo_s, hi_s), (lo_l, hi_l) = words._enclosure(shorter), words._enclosure(longer)
         assert lo_l <= hi_s and lo_s <= hi_l
         want = abscissa_reference(model, L)
         betas = self._count_exact_sums(monkeypatch)
         est = abscissa_estimate(model, L)
-        assert 1.0 in betas
+        assert 1.0 in self._exact_points(betas)
         assert (_hex(est.estimate), _hex(est.residual)) == (_hex(want[0]), _hex(want[1]))
 
     def test_few_exact_sums_on_certify_sized_models(self, monkeypatch):
@@ -222,7 +264,30 @@ class TestAbscissaEstimate:
             L = min(range(2, 41), key=lambda n: abs(math.log(counts[n] / 1e4)))
             betas.clear()
             abscissa_estimate(model, L)
-            assert len(betas) <= 4, (m_size, L, betas)
+            # beta = 0 and the estimate at least, at most two overlaps
+            assert 2 <= len(self._exact_points(betas)) <= 4, (m_size, L, betas)
+
+    def test_one_replay_per_step(self, monkeypatch):
+        # Each bisection step brackets the last two levels of one replay and,
+        # at beta = 1 on full_model(2), takes their exact sums from the same
+        # arrays; beta = 0 and the estimate replay once more each.
+        model, L = full_model(2), 10
+        replays, enclosures = [], []
+        replay, enclosure = words._replay, words._enclosure
+
+        def counted_replay(*args):
+            replays.append(args[2])
+            return replay(*args)
+
+        def counted_enclosure(w):
+            enclosures.append(w)
+            return enclosure(w)
+
+        monkeypatch.setattr(words, "_replay", counted_replay)
+        monkeypatch.setattr(words, "_enclosure", counted_enclosure)
+        abscissa_estimate(model, L)
+        assert 1.0 in replays
+        assert len(replays) == len(enclosures) // 2 + 2
 
 
 class TestPerronVector:
@@ -497,7 +562,8 @@ def abscissa_reference(model, L, cap=words.WORD_CAP_DEFAULT):
     tree = words._word_tree(model, L)
 
     def g(b):
-        shorter, longer = words._shell_sums(model, tree, b, first=L - 1)
+        shorter, longer = (words._exact(level, w)
+                           for level, w in deque(words._replay(model, tree, b), maxlen=2))
         return longer / shorter - 1.0
 
     if g(0.0) <= 0.0:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from kmsphase import build_model, enumerate_words, partial_series, shell_sum, words
 from kmsphase.critical import abscissa_estimate
 from kmsphase.errors import DegenerateShellsError, LengthTooLargeError, NoConvergenceError
-from kmsphase.words import _shell_counts, _shell_enclosures, _shell_sums, _word_tree
+from kmsphase.words import _enclosure, _exact, _replay, _shell_counts, _word_tree
 
 from conftest import cycle_model, full_model, golden_mean_model, random_irreducible, random_matrix
 
@@ -322,11 +322,10 @@ class TestShellEnclosures:
         model = build_model(random_matrix(rng, m_size), np.exp(rng.uniform(0.01, 7.0, m_size)))
         while _shell_counts(model, L, math.inf)[-1] > 20_000:
             L -= 1
-        tree = _word_tree(model, L)
-        exact = _shell_sums(model, tree, beta)
-        brackets = _shell_enclosures(model, tree, beta)
-        assert len(brackets) == len(exact) == L
-        for n, (value, (lo, hi)) in enumerate(zip(exact, brackets), start=1):
+        levels = list(_replay(model, _word_tree(model, L), beta))
+        assert len(levels) == L
+        for n, (level, w) in enumerate(levels, start=1):
+            value, (lo, hi) = _exact(level, w), _enclosure(w)
             assert lo <= value <= hi, (n, value, lo, hi)
             if value == 0.0:
                 assert (lo, hi) == (0.0, math.inf)

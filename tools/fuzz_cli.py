@@ -16,13 +16,16 @@ subcommand: ``analyze``, ``critical`` (plain and with ``--abscissa-check``),
 ``oracle`` and ``star``; ``oracle`` and ``critical --abscissa-check`` also
 run once to length 10^5 under a cap of 1000 words.  The temperatures are
 read off the model's class roots: each root, half and twice the largest,
-and +inf where it is allowed.
+and +inf where it is allowed; ``partition --beta`` also runs at 8 and 32
+times the largest root.
 
 Every run calls ``kmsphase.cli.main`` in this process with RuntimeWarning
 turned into an error, as ``python -W error::RuntimeWarning`` would, and
 every other warning printed.  A run is reported when its exit status is
-neither 0 nor 1, when its stderr holds a warning or a traceback, or when
-it takes over 1 s.  Each report is one line: the family, the reason, the
+neither 0 nor 1, when its stderr holds a warning or a traceback, when it
+takes over 1 s, or when it is a ``partition --beta`` that exits 0 with a
+``spectral_radius`` more than 1e-9 of it plus 8 m eps ||M||_1 away from
+max |eigvals(M)|, M = A N^-beta.  Each report is one line: the family, the reason, the
 wall time and the argv.  The model JSON is inline in the argv, and a
 ``check-state`` line shows the state JSON in place of its file, so the
 line is its own reproducer.  The last line, on stderr, counts models, runs and reports;
@@ -54,6 +57,7 @@ FAMILIES = ("uniform", "split", "near-one")
 SLOW_S = 1.0
 WORD_CAP = 100_000
 LONG_LENGTH, SMALL_CAP = 100_000, 1000
+EPS = float(np.finfo(float).eps)
 
 
 def _energies(rng: np.random.Generator, family: str, m: int) -> list[float]:
@@ -136,6 +140,19 @@ def _problem(status, err: str, seconds: float) -> str | None:
     return None
 
 
+def _radius_problem(model, argv: list[str], out: str) -> str | None:
+    """A ``partition --beta`` radius more than 1e-9 relative plus
+    8 m eps ||M||_1 away from max |eigvals(M)|, M = A N^-beta; else None."""
+    beta = float(next(a for a in argv if a.startswith("--beta=")).split("=", 1)[1])
+    got = json.loads(out)["partition"]["spectral_radius"]
+    entries = model.matrix * model.weights(beta)
+    want = float(np.abs(np.linalg.eigvals(entries)).max())
+    slack = 1e-9 * want + 8 * model.m * EPS * float(entries.sum(axis=0).max())
+    if abs(got - want) > slack:
+        return f"radius {got!r}, eigenvalues give {want!r}"
+    return None
+
+
 def _state_from_kms(out: str) -> dict | None:
     """The barycentre of the extreme states a `kms` report printed, or None."""
     try:
@@ -159,6 +176,10 @@ def _commands(rng: np.random.Generator, model_json: str, roots: list[float], top
     for beta in sorted({*roots, 0.5 * top, 2.0 * top}):
         yield ["partition", *model, f"--beta={beta!r}"]
         yield ["oa", *model, f"--beta={beta!r}"]
+    # far above the roots, where a nearly split class can stall the power
+    # iteration (no draw from rng, so every other run keeps its arguments)
+    for beta in (8.0 * top, 32.0 * top):
+        yield ["partition", *model, f"--beta={beta!r}"]
     yield ["partition", *model, "--sweep", f"{0.5 * top!r}:{2.0 * top!r}:6"]
     yield ["oa", *model, "--scan"]
     for beta in (0.5 * top, top, 2.0 * top, math.inf):
@@ -191,7 +212,8 @@ def fuzz(seed: int, count: int, families: tuple[str, ...]) -> tuple[int, int, fl
             matrix = _matrix(rng, m, reducible=bool(rng.integers(2)))
             energies = _energies(rng, family, m)
             model_json = json.dumps({"matrix": matrix.tolist(), "energies": energies})
-            roots, top = _betas(build_model(matrix, energies))
+            built = build_model(matrix, energies)
+            roots, top = _betas(built)
             state = None
             for argv in _commands(rng, model_json, roots, top, state_path):
                 if argv[0] == "check-state":
@@ -205,6 +227,9 @@ def fuzz(seed: int, count: int, families: tuple[str, ...]) -> tuple[int, int, fl
                 if argv[0] == "kms":
                     state = _state_from_kms(stdout) if status == 0 else None
                 problem = _problem(status, stderr, seconds)
+                if problem is None and status == 0 and argv[0] == "partition" \
+                        and "--sweep" not in argv:
+                    problem = _radius_problem(built, argv, stdout)
                 if problem is not None:
                     problems += 1
                     shown = [json.dumps(state) if a == state_path else a for a in argv]
