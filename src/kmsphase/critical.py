@@ -226,8 +226,11 @@ def perron_vector(model: SystemModel, beta: float) -> np.ndarray:
     last Newton iterate, so at beta_c it takes about one check;
     NoConvergenceError is raised when its Collatz-Wielandt bounds are more
     than ``PERRON_VECTOR_TOL`` apart relative to r, since then Mv = rv
-    holds no better than that.
+    holds no better than that.  Raises ValueError for beta = +inf, where the
+    transfer matrix is zero and no vector can be normalized.
     """
+    if beta == math.inf:
+        raise ValueError("the Perron vector needs a finite beta, got inf")
     if model.strong_components[0] != 1:
         raise NotIrreducibleError("the Perron vector needs an irreducible matrix")
     start = class_roots(model)[0].pair

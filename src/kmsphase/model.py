@@ -66,8 +66,13 @@ class SystemModel:
         return np.flatnonzero(self.matrix[x])
 
     def weights(self, beta: float) -> np.ndarray:
-        """N(x)^-beta per generator; beta = +inf gives zeros."""
-        if math.isinf(beta) and beta > 0:
+        """N(x)^-beta per generator; beta = +inf gives zeros.
+
+        Raises ValueError for a NaN or -inf beta, where N^-beta is no number.
+        """
+        if math.isnan(beta) or beta == -math.inf:
+            raise ValueError(f"N^-beta needs a beta above -inf, got {float(beta)!r}")
+        if beta == math.inf:
             return np.zeros(self.m)
         return self.energies ** (-beta)
 

@@ -224,8 +224,6 @@ def star_z0(sys: StarSystem, beta: float) -> float:
     """
     lo, hi = zeta_enclosure(sys, beta)
     two = 2.0 ** (-beta)
-    if two * lo >= 1.0:
-        return math.inf
     zeta_mid = 0.5 * (lo + hi)
     ratio = two * zeta_mid
     if ratio >= 1.0:

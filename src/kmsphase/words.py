@@ -11,10 +11,11 @@ word ``cap`` bounds their running total: each enumerating function first
 calls :func:`_shell_counts` once, which stops at the first total above it.
 
 Shell sums enumerate a word tree once per length bound: level k holds the
-admissible words of length k, each stored as the index of its parent word
-of length k - 1 plus its last letter, grouped by last letter in ascending
-order.  Replaying the tree at a beta gives each word its own weight, the
-left-to-right product w(parent) * N(letter)^-beta; one tree serves any
+admissible words of length k grouped by last letter in ascending order,
+stored as ``(parents, counts)``: the index of each word's parent of length
+k - 1, and the number of words that end in each letter, so that a word's
+letter follows from its position.  Replaying the tree at a beta gives each
+word its own weight, the left-to-right product w(parent) * N(letter)^-beta; one tree serves any
 number of betas and every level up to its depth.  The sum of a shell is
 fixed bit for bit: each last-letter group is summed exactly rounded
 (``math.fsum``, so the order inside a group does not matter), and the
@@ -114,61 +115,49 @@ def _shell_counts(model: SystemModel, n: int, cap: int = WORD_CAP_DEFAULT) -> li
     return counts
 
 
-@dataclass(frozen=True)
-class _Level:
-    """The admissible words of one length in a word tree.
-
-    Word i extends word ``parents[i]`` of the previous level (``None`` on the
-    first level) by the letter ``letters[i]``.  ``groups`` lists, for each
-    last letter in ascending order that ends at least one word, the letter
-    and the slice (start, stop) of its words.
-    """
-
-    parents: np.ndarray | None
-    letters: np.ndarray
-    groups: tuple[tuple[int, int, int], ...]
-
-
-def _word_tree(model: SystemModel, n: int, source: int | None = None) -> list[_Level]:
+def _word_tree(model: SystemModel, n: int, source: int | None = None) -> list[tuple]:
     """Admissible words of lengths 1..n (first letter ``source`` if given).
 
-    Applies no cap: each caller checks :func:`_shell_counts` first.
+    Level k is ``(parents, counts)``: ``counts[y]`` words end in letter y,
+    grouped in ascending order of y, and word i extends word ``parents[i]``
+    of level k - 1 (``parents`` is None on the first level).  Each level is
+    one step over the edges x -> y, taken by y and then by x: an edge
+    extends the ``counts[x]`` words that end in x.  Applies no cap: each
+    caller checks :func:`_shell_counts` first.
     """
-    first = np.arange(model.m) if source is None else np.array([source])
-    tree = [_Level(None, first, tuple((int(x), i, i + 1) for i, x in enumerate(first)))]
-    into = model.matrix.T.astype(bool)  # into[y, x] = A(x, y)
+    counts = np.bincount(range(model.m) if source is None else [source], minlength=model.m)
+    tree = [(None, counts)]
+    _, x = np.nonzero(model.matrix.T)
     for _ in range(n - 1):
-        prev = tree[-1].letters
-        parts, groups, start = [], [], 0
-        for y in range(model.m):
-            parents = np.flatnonzero(into[y][prev])
-            if parents.size:
-                parts.append(parents)
-                groups.append((y, start, start + parents.size))
-                start += parents.size
-        letters = np.repeat([y for y, _, _ in groups], [stop - lo for _, lo, stop in groups])
-        tree.append(_Level(np.concatenate(parts), letters, tuple(groups)))
+        k = counts[x]
+        ends = k.cumsum()  # no zero rows, so every letter has an edge
+        parents = np.arange(int(ends[-1])) + (counts.cumsum()[x] - ends).repeat(k)
+        counts = counts @ model.matrix
+        tree.append((parents, counts))
     return tree
 
 
-def _replay(model: SystemModel, tree: list[_Level], beta: float):
+def _replay(model: SystemModel, tree: list[tuple], beta: float):
     """Each level of ``tree`` with the weights of its words at beta, level by level."""
     nw = model.weights(beta)
     for level in tree:
-        if level.parents is None:
-            w = nw[level.letters]
+        parents, counts = level
+        if parents is None:
+            w = nw.repeat(counts)
         else:
-            w = w[level.parents]
-            w *= nw[level.letters]  # w(parent) * N(letter)^-beta, in place
+            w = w[parents]
+            w *= nw.repeat(counts)  # w(parent) * N(letter)^-beta, in place
         yield level, w
 
 
-def _exact(level: _Level, w: np.ndarray, target: int | None = None) -> float:
-    """The exact sum of one level's weights ``w``: each last-letter group
-    (only ``target``'s, if given) summed by ``fsum``, and one ``fsum`` over
-    the group sums."""
-    return fsum(fsum(w[start:stop].tolist())
-                for y, start, stop in level.groups if target is None or y == target)
+def _exact(level: tuple, w: np.ndarray, target: int | None = None) -> float:
+    """The exact sum of one level's weights ``w``: each nonempty last-letter
+    group (only ``target``'s, if given) summed by ``fsum``, and one ``fsum``
+    over the group sums."""
+    _, counts = level
+    return fsum(fsum(w[stop - count:stop].tolist())
+                for y, (count, stop) in enumerate(zip(counts.tolist(), counts.cumsum().tolist()))
+                if count and (target is None or y == target))
 
 
 def _enclosure(w: np.ndarray) -> tuple[float, float]:
@@ -196,13 +185,14 @@ def _enclosure(w: np.ndarray) -> tuple[float, float]:
     return rough * (1.0 - rel), rough * (1.0 + rel)
 
 
-def _shell_sums(model: SystemModel, tree: list[_Level], beta: float,
+def _shell_sums(model: SystemModel, tree: list[tuple], beta: float,
                 target: int | None = None) -> list[float]:
     """Shell sums of lengths 1..len(tree) at beta, one replay of the tree."""
     return [_exact(level, w, target) for level, w in _replay(model, tree, beta)]
 
 
-def _check_ends(model: SystemModel, source: int | None, target: int | None) -> None:
+def _check_args(model: SystemModel, beta: float, source: int | None, target: int | None) -> None:
+    model.weights(beta)  # rejects a NaN or -inf beta, whatever the length
     for name, x in (("source", source), ("target", target)):
         if x is not None and not 0 <= x < model.m:
             raise ValueError(f"{name} must be a letter in 0..{model.m - 1}, got {x}")
@@ -220,12 +210,12 @@ def shell_sum(
 
     ``source``/``target`` restrict to words with that first/last letter.
     For n = 0 the value is 1 when both constraints are absent (the empty
-    word) and 0 otherwise.  Raises ValueError for a source or target
-    outside the alphabet.
+    word) and 0 otherwise.  Raises ValueError for a NaN or -inf beta and
+    for a source or target outside the alphabet, at every n.
     """
     if n < 0:
         raise ValueError("shell index must be nonnegative")
-    _check_ends(model, source, target)
+    _check_args(model, beta, source, target)
     if n == 0:
         return 1.0 if source is None and target is None else 0.0
     _shell_counts(model, n, cap)
@@ -245,11 +235,12 @@ def partial_series(
 
     The length-0 term (the empty word, weight 1) belongs only to the
     unconstrained series; the fixed-source/fixed-target series start at n=1.
-    Raises ValueError for a source or target outside the alphabet.
+    Raises ValueError for a NaN or -inf beta and for a source or target
+    outside the alphabet, at every L.
     """
     if L < 0:
         raise ValueError("truncation length must be nonnegative")
-    _check_ends(model, source, target)
+    _check_args(model, beta, source, target)
     _shell_counts(model, L, cap)
     shells = [1.0] if source is None and target is None else []
     if L > 0:

@@ -530,6 +530,8 @@ _ERROR_CASES = [
           "error: target must be a letter in 0..1, got 7"),
     _case("oracle-max-length-negative", ["oracle", *_G, "--beta", "1", "--max-length=-3"], 1,
           "error: --max-length must be nonnegative"),
+    *[_case(f"oracle-beta-{beta}", ["oracle", *_G, f"--beta={beta}", "--max-length", "2"], 1,
+            f"error: N^-beta needs a beta above -inf, got {beta}") for beta in ("nan", "-inf")],
     _case("abscissa-check-1", ["critical", *_G, "--abscissa-check", "1"], 1,
           "error: need at least two shells"),
     _case("abscissa-check-cap", ["critical", *_G, "--abscissa-check", "30", "--cap", "10"], 1,

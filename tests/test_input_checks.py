@@ -19,8 +19,10 @@ from kmsphase import (
     kms_oa,
     omega_infinity_mass,
     partial_series,
+    perron_vector,
     qstate_from_atoms,
     shell_sum,
+    spectral_radius,
     z_gamma,
 )
 from kmsphase.errors import ZeroMeasureError
@@ -29,6 +31,7 @@ from kmsphase.states import FINITE
 from conftest import golden_mean_model
 
 PARTITION_BETA = "partition functions are defined for beta > 0 or beta = +inf"
+NO_WEIGHTS = "N^-beta needs a beta above -inf, got {}"
 
 
 def _state(model, beta=2.0):
@@ -80,6 +83,18 @@ CASES = [
     _case("shell_sum-length", lambda m: shell_sum(m, 1.0, -1), "shell index must be nonnegative"),
     _case("partial_series-length", lambda m: partial_series(m, 1.0, -1),
           "truncation length must be nonnegative"),
+    # N^-beta is no number at beta = NaN or -inf, whatever the length
+    *[_case(f"{name}-beta-{b}", lambda m, b=b, call=call: call(m, b), NO_WEIGHTS.format(b))
+      for b in (math.nan, -math.inf)
+      for name, call in [("weights", lambda m, b: m.weights(b)),
+                         ("spectral_radius", spectral_radius),
+                         ("perron_vector", perron_vector),
+                         ("shell_sum-n0", lambda m, b: shell_sum(m, b, 0)),
+                         ("shell_sum-n3", lambda m, b: shell_sum(m, b, 3, target=1)),
+                         ("partial_series-L0", lambda m, b: partial_series(m, b, 0, source=0)),
+                         ("partial_series-L3", lambda m, b: partial_series(m, b, 3))]],
+    _case("perron_vector-beta-inf", lambda m: perron_vector(m, math.inf),
+          "the Perron vector needs a finite beta, got inf"),
 ]
 
 

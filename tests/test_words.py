@@ -310,6 +310,59 @@ class TestWordTreeBitwise:
             assert (info.value.count, info.value.cap) == (count, 1000)
 
 
+# --- the (parents, counts) level format against the per-letter loop ---------
+
+def word_tree_reference(model, n, source=None):
+    """Levels (parents, letters) of lengths 1..n by one pass per letter: for
+    each y in ascending order, the words of the level before whose letter
+    leads to y."""
+    letters = np.arange(model.m) if source is None else np.array([source])
+    tree = [(None, letters)]
+    into = model.matrix.T.astype(bool)  # into[y, x] = A(x, y)
+    for _ in range(n - 1):
+        parts = [np.flatnonzero(into[y][letters]) for y in range(model.m)]
+        letters = np.repeat(np.arange(model.m), [p.size for p in parts])
+        tree.append((np.concatenate(parts), letters))
+    return tree
+
+
+class TestWordTreeLevels:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 7), st.integers(0, 10_000))
+    def test_levels_match_the_per_letter_loop(self, m_size, seed):
+        # random_matrix draws reducible models as well as irreducible ones
+        model = build_model(random_matrix(np.random.default_rng(seed), m_size), [2.0] * m_size)
+        for source in (None, *range(m_size)):
+            for n in range(1, 8):
+                if sum(_shell_counts(model, n, math.inf)) > 20_000:
+                    break
+                tree, want = _word_tree(model, n, source), word_tree_reference(model, n, source)
+                assert len(tree) == len(want) == n
+                for k, ((parents, counts), (ref_parents, ref_letters)) in enumerate(zip(tree, want)):
+                    if ref_parents is None:
+                        assert parents is None
+                    else:
+                        assert np.array_equal(parents, ref_parents), (source, n, k)
+                    assert np.array_equal(np.repeat(np.arange(m_size), counts), ref_letters), \
+                        (source, n, k)
+
+    @pytest.mark.parametrize("source", [None, 0, 1])
+    def test_a_level_is_one_index_per_word_and_one_count_per_letter(self, source):
+        model = golden_mean_model()
+        tree = _word_tree(model, 6, source)
+        sizes = [sum(source in (None, w.letters[0]) for w in enumerate_words(model, n))
+                 for n in range(1, 7)]
+        for n, level in enumerate(tree, start=1):
+            assert len(level) == 2
+            parents, counts = level
+            assert counts.shape == (model.m,) and counts.dtype.kind == "i"
+            assert int(counts.sum()) == sizes[n - 1]
+            if n == 1:
+                assert parents is None
+            else:
+                assert parents.shape == (sizes[n - 1],) and parents.dtype.kind == "i"
+
+
 class TestShellEnclosures:
     # The brackets steer the abscissa bisection: each must hold the exact
     # shell sum, be narrow enough to decide, and decide nothing when the

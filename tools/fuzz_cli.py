@@ -13,11 +13,12 @@ m = 2..8 letters, cycling through the energy families
 subcommand: ``analyze``, ``critical`` (plain and with ``--abscissa-check``),
 ``partition`` (``--beta`` and ``--sweep``), ``kms``, ``oa`` (``--beta`` and
 ``--scan``), ``check-state --exhaustive`` on a state that ``kms`` printed,
-``oracle`` and ``star``; ``oracle`` and ``critical --abscissa-check`` also
-run once to length 10^5 under a cap of 1000 words.  The temperatures are
-read off the model's class roots: each root, half and twice the largest,
-and +inf where it is allowed; ``partition --beta`` also runs at 8 and 32
-times the largest root.
+``oracle`` (all words, and from letter 0 to letter m - 1) and ``star``;
+``oracle`` and ``critical --abscissa-check`` also run once to length 10^5
+under a cap of 1000 words.  The temperatures are read off the model's
+class roots: each root, half and twice the largest, and +inf where it is
+allowed; ``partition --beta`` also runs at 8 and 32 times the largest
+root.
 
 Every run calls ``kmsphase.cli.main`` in this process with RuntimeWarning
 turned into an error, as ``python -W error::RuntimeWarning`` would, and
@@ -25,11 +26,16 @@ every other warning printed.  A run is reported when its exit status is
 neither 0 nor 1, when its stderr holds a warning or a traceback, when it
 takes over 1 s, or when it is a ``partition --beta`` that exits 0 with a
 ``spectral_radius`` more than 1e-9 of it plus 8 m eps ||M||_1 away from
-max |eigvals(M)|, M = A N^-beta.  Each report is one line: the family, the reason, the
-wall time and the argv.  The model JSON is inline in the argv, and a
-``check-state`` line shows the state JSON in place of its file, so the
-line is its own reproducer.  The last line, on stderr, counts models, runs and reports;
-the exit status is 1 when anything was reported.
+max |eigvals(M)|, M = A N^-beta, or an ``oracle`` that exits 0 with a row
+that ``kmsphase.enumerate_words``, the independent depth-first search,
+does not reproduce: in every shell of at most 2 10^4 words the count must
+match exactly and the sum within 1e-12 relative (the search weighs a word
+by exp(-beta log N(mu)), not by products).  Each report is one line: the
+family, the reason, the wall time and the argv.  The model JSON is inline
+in the argv, and a ``check-state`` line shows the state JSON in place of
+its file, so the line is its own reproducer.  The last line, on stderr,
+counts models, runs and reports; the exit status is 1 when anything was
+reported.
 """
 
 from __future__ import annotations
@@ -51,12 +57,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from kmsphase import build_model, cli, partition  # noqa: E402
+from kmsphase import build_model, cli, enumerate_words, partition  # noqa: E402
 
 FAMILIES = ("uniform", "split", "near-one")
 SLOW_S = 1.0
 WORD_CAP = 100_000
 LONG_LENGTH, SMALL_CAP = 100_000, 1000
+ORACLE_WORDS, ORACLE_RTOL = 20_000, 1e-12
 EPS = float(np.finfo(float).eps)
 
 
@@ -153,6 +160,27 @@ def _radius_problem(model, argv: list[str], out: str) -> str | None:
     return None
 
 
+def _oracle_problem(model, argv: list[str], out: str) -> str | None:
+    """The first ``oracle`` row, among the shells of at most ``ORACLE_WORDS``
+    words, whose count differs from the depth-first enumeration's or whose
+    sum is more than ``ORACLE_RTOL`` relative away from its; else None."""
+    beta = float(next(a for a in argv if a.startswith("--beta=")).split("=", 1)[1])
+    source, target = (int(argv[argv.index(flag) + 1]) if flag in argv else None
+                      for flag in ("--source", "--target"))
+    for row in out.splitlines()[1:]:
+        n, count, got = row.split(",")
+        n, count, got = int(n), int(count), float(got)
+        if count > ORACLE_WORDS:
+            break
+        found = enumerate_words(model, n)
+        # the count column counts every word; the sum keeps the ends asked for
+        want = math.fsum(w.weight(beta) for w in found if source in (None, *w.letters[:1])
+                         and target in (None, *w.letters[-1:]))
+        if len(found) != count or abs(got - want) > ORACLE_RTOL * want:
+            return f"oracle row {n}: {count}, {got!r}; enumeration gives {len(found)}, {want!r}"
+    return None
+
+
 def _state_from_kms(out: str) -> dict | None:
     """The barycentre of the extreme states a `kms` report printed, or None."""
     try:
@@ -165,7 +193,7 @@ def _state_from_kms(out: str) -> dict | None:
     return {"beta": regime["beta"], "atom_masses": np.mean(masses, axis=0).tolist()}
 
 
-def _commands(rng: np.random.Generator, model_json: str, roots: list[float], top: float,
+def _commands(rng: np.random.Generator, m: int, model_json: str, roots: list[float], top: float,
               state_path: str):
     """The argv of every run on one model; ``check-state`` follows a `kms` run that printed states."""
     model = ["--model-json", model_json]
@@ -185,8 +213,12 @@ def _commands(rng: np.random.Generator, model_json: str, roots: list[float], top
     for beta in (0.5 * top, top, 2.0 * top, math.inf):
         yield ["kms", *model, f"--beta={beta!r}"]
         yield ["check-state", *model, "--state", state_path, "--exhaustive"]
-    yield ["oracle", *model, f"--beta={top!r}", "--max-length", str(int(rng.integers(1, 9))),
-           "--cap", str(WORD_CAP)]
+    length = str(int(rng.integers(1, 9)))
+    yield ["oracle", *model, f"--beta={top!r}", "--max-length", length, "--cap", str(WORD_CAP)]
+    # the words from letter 0 to letter m - 1 (no draw from rng, so every
+    # other run keeps its arguments)
+    yield ["oracle", *model, f"--beta={top!r}", "--max-length", length, "--cap", str(WORD_CAP),
+           "--source", "0", "--target", str(m - 1)]
     # lengths far past a small cap: the cap, not the length, must bound the
     # work (no draw from rng, so every other run keeps its arguments)
     yield ["oracle", *model, f"--beta={top!r}", "--max-length", str(LONG_LENGTH),
@@ -215,7 +247,7 @@ def fuzz(seed: int, count: int, families: tuple[str, ...]) -> tuple[int, int, fl
             built = build_model(matrix, energies)
             roots, top = _betas(built)
             state = None
-            for argv in _commands(rng, model_json, roots, top, state_path):
+            for argv in _commands(rng, m, model_json, roots, top, state_path):
                 if argv[0] == "check-state":
                     if state is None:
                         continue
@@ -230,6 +262,8 @@ def fuzz(seed: int, count: int, families: tuple[str, ...]) -> tuple[int, int, fl
                 if problem is None and status == 0 and argv[0] == "partition" \
                         and "--sweep" not in argv:
                     problem = _radius_problem(built, argv, stdout)
+                if problem is None and status == 0 and argv[0] == "oracle":
+                    problem = _oracle_problem(built, argv, stdout)
                 if problem is not None:
                     problems += 1
                     shown = [json.dumps(state) if a == state_path else a for a in argv]
