@@ -38,6 +38,12 @@ __all__ = [
 ]
 
 
+def check_beta(beta: float) -> None:
+    """Raise ValueError for a NaN or -inf beta, where N^-beta is no number."""
+    if math.isnan(beta) or beta == -math.inf:
+        raise ValueError(f"N^-beta needs a beta above -inf, got {float(beta)!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class SystemModel:
     """A validated transition matrix with per-generator energies.
@@ -68,10 +74,9 @@ class SystemModel:
     def weights(self, beta: float) -> np.ndarray:
         """N(x)^-beta per generator; beta = +inf gives zeros.
 
-        Raises ValueError for a NaN or -inf beta, where N^-beta is no number.
+        Raises ValueError for a NaN or -inf beta (:func:`check_beta`).
         """
-        if math.isnan(beta) or beta == -math.inf:
-            raise ValueError(f"N^-beta needs a beta above -inf, got {float(beta)!r}")
+        check_beta(beta)
         if beta == math.inf:
             return np.zeros(self.m)
         return self.energies ** (-beta)

@@ -27,10 +27,12 @@ millions of words.
 Two per-level kernels do all the arithmetic on the weights a replay gives
 a level: :func:`_exact` takes the exact sum, and :func:`_enclosure` a
 certified bracket of it from a plain ``w.sum()``.  Every value this module
-returns is an exact sum.  Plain sums only steer: each bisection step of
-:func:`critical.abscissa_estimate` replays the tree once, brackets its
-last two levels, and takes their exact sums, from the same arrays, only
-where the two brackets overlap.
+returns is an exact sum.  Plain sums only steer: each probe of the ITP
+search in :func:`critical.abscissa_estimate` replays the tree once,
+brackets its last two levels, decides on the brackets where they are
+disjoint and interpolates on the log ratio of the plain sums; only where
+the brackets of a probe and of its neighbours overlap does it take the
+exact sums, from the probe's own arrays.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from math import fsum, inf, log
 import numpy as np
 
 from .errors import LengthTooLargeError
-from .model import SystemModel
+from .model import SystemModel, check_beta
 
 __all__ = ["AdmissibleWord", "WORD_CAP_DEFAULT", "enumerate_words", "shell_sum", "partial_series"]
 
@@ -59,7 +61,10 @@ class AdmissibleWord:
         return len(self.letters)
 
     def weight(self, beta: float) -> float:
-        return float(np.exp(-beta * self.weight_exponent))
+        """N(mu)^-beta = exp(-beta log N(mu)); the empty word weighs 1 at
+        every beta.  Raises ValueError for a NaN or -inf beta."""
+        check_beta(beta)
+        return float(np.exp(-beta * self.weight_exponent)) if self.letters else 1.0
 
 
 def enumerate_words(model: SystemModel, n: int, cap: int = WORD_CAP_DEFAULT) -> list[AdmissibleWord]:
@@ -155,9 +160,12 @@ def _exact(level: tuple, w: np.ndarray, target: int | None = None) -> float:
     group (only ``target``'s, if given) summed by ``fsum``, and one ``fsum``
     over the group sums."""
     _, counts = level
+    if target is not None:
+        # an fsum over one group sum is that sum
+        stop = int(counts[:target + 1].sum())
+        return fsum(w[stop - int(counts[target]):stop].tolist())
     return fsum(fsum(w[stop - count:stop].tolist())
-                for y, (count, stop) in enumerate(zip(counts.tolist(), counts.cumsum().tolist()))
-                if count and (target is None or y == target))
+                for count, stop in zip(counts.tolist(), counts.cumsum().tolist()) if count)
 
 
 def _enclosure(w: np.ndarray) -> tuple[float, float]:
@@ -192,7 +200,7 @@ def _shell_sums(model: SystemModel, tree: list[tuple], beta: float,
 
 
 def _check_args(model: SystemModel, beta: float, source: int | None, target: int | None) -> None:
-    model.weights(beta)  # rejects a NaN or -inf beta, whatever the length
+    check_beta(beta)  # whatever the length
     for name, x in (("source", source), ("target", target)):
         if x is not None and not 0 <= x < model.m:
             raise ValueError(f"{name} must be a letter in 0..{model.m - 1}, got {x}")

@@ -9,6 +9,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from kmsphase import (
@@ -26,7 +28,7 @@ from kmsphase import (
     words,
 )
 from kmsphase import cli, critical, partition
-from kmsphase.critical import BISECT_TOL_DEFAULT, _bisect, matrix_spectral_radius
+from kmsphase.critical import BISECT_TOL_DEFAULT, _itp, matrix_spectral_radius
 from kmsphase.partition import class_roots
 from kmsphase.errors import NoConvergenceError, NotIrreducibleError
 
@@ -212,10 +214,12 @@ class TestAbscissaEstimate:
             assert abs(est.estimate - beta_c(m).beta_c) <= 5e-2
 
     @staticmethod
-    def _count_exact_sums(monkeypatch):
-        """The beta of each exact sum: each replay notes its beta, each
-        ``words._exact`` call records the last one noted."""
-        betas, replayed = [], []
+    def _count_exact_sums(monkeypatch, replayed=None):
+        """The beta of each exact sum: each replay notes its beta (in
+        ``replayed``, if given), each ``words._exact`` call records the last
+        one noted."""
+        betas = []
+        replayed = [] if replayed is None else replayed
         replay, exact = words._replay, words._exact
 
         def counted_replay(model, tree, beta):
@@ -249,28 +253,31 @@ class TestAbscissaEstimate:
         betas = self._count_exact_sums(monkeypatch)
         est = abscissa_estimate(model, L)
         assert 1.0 in self._exact_points(betas)
-        assert (_hex(est.estimate), _hex(est.residual)) == (_hex(want[0]), _hex(want[1]))
+        assert_reference_estimate(model, L, est, want)
 
     def test_few_exact_sums_on_certify_sized_models(self, monkeypatch):
-        # Models the size of the benchmark's certify models: m = 6..9 and
-        # about 10^4 words in shell L.  The bisection takes ~40 steps, the
-        # exact sums are needed only at 0, at the estimate and at the rare
-        # step whose brackets overlap.
-        rng = np.random.default_rng(400)
+        # The brackets decide beta = 0 and every probe of the search, so
+        # the exact sums run once: for the residual at the estimate.
         betas = self._count_exact_sums(monkeypatch)
-        for m_size in (6, 6, 7, 7, 8, 9, 9):
-            model = random_irreducible(rng, m_size, non_permutation=True, energy_range=(1.5, 4.0))
-            counts = words._shell_counts(model, 40, math.inf)
-            L = min(range(2, 41), key=lambda n: abs(math.log(counts[n] / 1e4)))
+        for model, L in _certify_sized_models():
             betas.clear()
+            est = abscissa_estimate(model, L)
+            assert self._exact_points(betas) == [est.estimate], (model.m, L, betas)
+
+    def test_few_replays_on_certify_sized_models(self, monkeypatch):
+        # beta = 0, the doublings and the ITP probes, then the estimate:
+        # the bisection took one replay per halving, about 38 in all.
+        replays = []
+        self._count_exact_sums(monkeypatch, replays)
+        for model, L in _certify_sized_models():
+            replays.clear()
             abscissa_estimate(model, L)
-            # beta = 0 and the estimate at least, at most two overlaps
-            assert 2 <= len(self._exact_points(betas)) <= 4, (m_size, L, betas)
+            assert len(replays) <= 16, (model.m, L, replays)
 
     def test_one_replay_per_step(self, monkeypatch):
-        # Each bisection step brackets the last two levels of one replay and,
-        # at beta = 1 on full_model(2), takes their exact sums from the same
-        # arrays; beta = 0 and the estimate replay once more each.
+        # Each probe brackets the last two levels of one replay and, at
+        # beta = 1 on full_model(2), takes their exact sums from the same
+        # arrays; the estimate replays once more, for its residual.
         model, L = full_model(2), 10
         replays, enclosures = [], []
         replay, enclosure = words._replay, words._enclosure
@@ -285,9 +292,19 @@ class TestAbscissaEstimate:
 
         monkeypatch.setattr(words, "_replay", counted_replay)
         monkeypatch.setattr(words, "_enclosure", counted_enclosure)
-        abscissa_estimate(model, L)
-        assert 1.0 in replays
-        assert len(replays) == len(enclosures) // 2 + 2
+        est = abscissa_estimate(model, L)
+        assert 1.0 in replays and replays[-1] == est.estimate
+        assert len(replays) == len(enclosures) // 2 + 1
+
+
+def _certify_sized_models():
+    """(model, L): models the size of the benchmark's certify models, m = 6..9,
+    with about 10^4 words in shell L."""
+    rng = np.random.default_rng(400)
+    for m_size in (6, 6, 7, 7, 8, 9, 9):
+        model = random_irreducible(rng, m_size, non_permutation=True, energy_range=(1.5, 4.0))
+        counts = words._shell_counts(model, 40, math.inf)
+        yield model, min(range(2, 41), key=lambda n: abs(math.log(counts[n] / 1e4)))
 
 
 class TestPerronVector:
@@ -497,10 +514,11 @@ class TestScaledPowerIteration:
 
 # --- the three bisection loops the shared bracket replaced ------------------
 #
-# Kept as references.  `_bisect` must reproduce the abscissa loop bit for bit
-# wherever it terminated (its 1e6 cap aside); beta_c and the quotient
-# temperatures now come from Newton, which must land inside the bisection's
-# bracket with a certified enclosure that overlaps it.
+# Kept as references.  beta_c and the quotient temperatures now come from
+# Newton, which must land inside the bisection's bracket with a certified
+# enclosure that overlaps it; the shell-ratio abscissa now comes from an ITP
+# search, which must land within the bisection tolerance of the old estimate
+# and print the exact g at its own estimate.
 
 def beta_c_reference(model, tol=BISECT_TOL_DEFAULT):
     """(beta_c, bracket_width) by the old doubling-then-bisection loop."""
@@ -556,15 +574,20 @@ def oa_betas_reference(model, bisect_tol=1e-10):
     return [(b, width) for b, width in deduped if kms_oa(model, b).extreme_vectors]
 
 
+def shell_ratio_reference(model, tree, b):
+    """g(b) = S_L(b) / S_{L-1}(b) - 1 from the exact sums of the last two levels of ``tree``."""
+    shorter, longer = (words._exact(level, w)
+                       for level, w in deque(words._replay(model, tree, b), maxlen=2))
+    return longer / shorter - 1.0
+
+
 def abscissa_reference(model, L, cap=words.WORD_CAP_DEFAULT):
     """(estimate, residual) of `abscissa_estimate` by the old loop."""
     words._shell_counts(model, L, cap)
     tree = words._word_tree(model, L)
 
     def g(b):
-        shorter, longer = (words._exact(level, w)
-                           for level, w in deque(words._replay(model, tree, b), maxlen=2))
-        return longer / shorter - 1.0
+        return shell_ratio_reference(model, tree, b)
 
     if g(0.0) <= 0.0:
         return 0.0, g(0.0)
@@ -582,6 +605,35 @@ def abscissa_reference(model, L, cap=words.WORD_CAP_DEFAULT):
             hi = mid
     est = 0.5 * (lo + hi)
     return est, g(est)
+
+
+def assert_reference_estimate(model, L, est, want):
+    """``est`` lies within the bisection tolerance of the old loop's estimate
+    ``want[0]``, and its residual is the exact g at ``est.estimate``, bit for bit."""
+    assert abs(est.estimate - want[0]) <= BISECT_TOL_DEFAULT, (est, want)
+    g = shell_ratio_reference(model, words._word_tree(model, L), est.estimate)
+    assert _hex(est.residual) == _hex(g)
+
+
+def bisect_reference(above, tol):
+    """Bracket [lo, hi] of the loop the ITP search replaced: hi doubles from 1
+    while ``above(hi)``, then bisection from [hi / 2, hi] while wider than
+    ``tol`` and while the midpoint splits the bracket."""
+    hi = 1.0
+    while above(hi):
+        hi *= 2.0
+        if math.isinf(hi):
+            raise NoConvergenceError("failed to bracket the root")
+    lo = 0.5 * hi if hi > 1.0 else 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def _reference_models():
@@ -620,8 +672,9 @@ def _overlaps(lo, hi, center, width):
 
 
 class TestSharedBracketMatchesOldLoops:
-    # The beta_c and quotient-temperature tests keep the node ids of the
-    # bitwise comparisons they replace; they compare enclosures now.
+    # The tests keep the node ids of the bitwise comparisons they replace:
+    # beta_c and the quotient temperatures compare enclosures now, and the
+    # abscissa its estimate within the tolerance and its residual bitwise.
     @pytest.mark.parametrize("name,model", REFERENCE_MODELS, ids=[n for n, _ in REFERENCE_MODELS])
     def test_beta_c_bitwise(self, name, model):
         rep = beta_c(model)
@@ -649,8 +702,7 @@ class TestSharedBracketMatchesOldLoops:
     def test_abscissa_bitwise(self, name, model):
         L = _abscissa_length(model)
         est = abscissa_estimate(model, L)
-        want = abscissa_reference(model, L)
-        assert (_hex(est.estimate), _hex(est.residual)) == tuple(_hex(v) for v in want)
+        assert_reference_estimate(model, L, est, abscissa_reference(model, L))
 
 
 class TestNearOneEnergies:
@@ -760,9 +812,15 @@ class TestNewtonRoots:
 
 
 class TestBisect:
+    # The ITP search that replaced the bisection keeps the bisection's
+    # properties; a predicate with no steer takes the midpoint every step.
+    @staticmethod
+    def _search(above, tol=1e-10):
+        return _itp(lambda b: (above(b), None, None), tol)
+
     def test_stops_when_the_midpoint_no_longer_splits(self):
         root = 3.0e9
-        lo, hi = _bisect(lambda b: b < root, 1e-10)
+        lo, hi = self._search(lambda b: b < root)
         assert lo < root <= hi and np.nextafter(lo, math.inf) == hi
 
     def test_starts_from_the_last_doubling(self):
@@ -773,15 +831,69 @@ class TestBisect:
             asked.append(b)
             return b < 3.0
 
-        lo, hi = _bisect(above, 1e-10)
+        lo, hi = self._search(above)
         assert lo < 3.0 <= hi and asked[:4] == [1.0, 2.0, 4.0, 3.0]
         assert asked.count(2.0) == 1
 
     def test_raises_only_on_overflow(self):
         with pytest.raises(NoConvergenceError):
-            _bisect(lambda b: True, 1e-10)
-        lo, hi = _bisect(lambda b: b < 1e300, 1e-10)
+            self._search(lambda b: True)
+        lo, hi = self._search(lambda b: b < 1e300)
         assert lo < 1e300 <= hi
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-6, 1e9), st.floats(0.1, 5.0), st.floats(-12.0, 12.0))
+    def test_never_more_probes_than_bisection_plus_one(self, root, power, skew):
+        # steers |root - b|^power, scaled by 10^skew on the side where the
+        # predicate holds: regula falsi alone would crawl from one end
+        asked = []
+
+        def probe(b):
+            asked.append(b)
+            assert len(asked) <= 200, "a crawl the budget does not stop"
+            steer = abs(root - b) ** power * (10.0 ** skew if b < root else 1.0)
+            return b < root, math.copysign(steer, root - b), None
+
+        lo, hi = _itp(probe, 1e-10, root ** power * 10.0 ** skew)
+        bisected = []
+        bisect_reference(lambda b: bisected.append(b) or b < root, 1e-10)
+        assert lo < root <= hi
+        assert hi - lo <= 1e-10 or not lo < 0.5 * (lo + hi) < hi
+        assert len(asked) <= len(bisected) + 1
+
+    @staticmethod
+    def _undecided_near(root, zone):
+        """A probe whose cheap test cannot tell within ``zone`` of ``root``,
+        with a linear steer; it records the points probed and those asked
+        for the exact decision."""
+        asked, exact = [], []
+
+        def probe(b):
+            asked.append(b)
+            above = None if abs(b - root) < zone else b < root
+            return above, root - b, lambda: exact.append(b) or root - b
+
+        return probe, asked, exact
+
+    @pytest.mark.parametrize("root", [0.7, 1.3, 3.1, 17.9])
+    def test_undecided_probe_asks_its_neighbours(self, root):
+        # The linear steer puts a probe x within 1e-13 of the root; its
+        # neighbours at x -+ tol / 2 (one of them may be clamped to an end)
+        # decide, and their interval is the bracket.
+        probe, asked, exact = self._undecided_near(root, 1e-13)
+        lo, hi = _itp(probe, 1e-10, root)
+        x = next(b for b in asked if abs(b - root) < 1e-13)
+        assert exact == [] and hi == asked[-1] and asked.index(x) >= len(asked) - 3
+        assert lo < x < hi and lo < root <= hi and hi - lo <= 1e-10 * (1 + 1e-6)
+
+    @pytest.mark.parametrize("root", [0.7, 1.3, 3.1, 17.9])
+    def test_exact_only_where_the_neighbours_do_not_decide(self, root):
+        # Within 1e-9 of the root the neighbours cannot tell either, so the
+        # exact decision is asked at each such probe and only there.
+        probe, asked, exact = self._undecided_near(root, 1e-9)
+        lo, hi = _itp(probe, 1e-10, root)
+        assert exact and all(abs(b - root) < 1e-9 for b in exact)
+        assert set(exact) <= set(asked) and lo <= root <= hi and hi - lo <= 1e-10
 
 
 class TestRegime:

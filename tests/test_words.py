@@ -36,6 +36,21 @@ class TestEnumerate:
         out = enumerate_words(full_model(2), 0)
         assert len(out) == 1 and out[0].letters == () and out[0].weight_exponent == 0.0
 
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_weight_checks_beta_as_the_model_does(self, n):
+        # a NaN or -inf beta raises SystemModel.weights' ValueError; finite
+        # and +inf betas weigh the word, the empty word 1 at every beta
+        model = golden_mean_model()
+        for word in enumerate_words(model, n):
+            for beta in (math.nan, -math.inf):
+                with pytest.raises(ValueError) as want:
+                    model.weights(beta)
+                with pytest.raises(ValueError) as got:
+                    word.weight(beta)
+                assert str(got.value) == str(want.value)
+            assert word.weight(0.7) == float(np.exp(-0.7 * word.weight_exponent))
+            assert word.weight(math.inf) == (0.0 if n else 1.0)
+
     def test_weight_exponent_is_log_energy_sum(self):
         m = build_model([[1, 1], [1, 1]], [2.0, 3.0])
         for w in enumerate_words(m, 3):
@@ -227,13 +242,19 @@ def partial_series_reference(model, beta, L, source=None, target=None, cap=10_00
     return fsum(shells)
 
 
+def shell_ratio_reference(model, b, L, cap=10_000_000):
+    """g(b) = S_L(b) / S_{L-1}(b) - 1, with both shells re-enumerated."""
+    longer, shorter = (shell_sum_reference(model, b, n, cap=cap) for n in (L, L - 1))
+    return longer / shorter - 1.0
+
+
 def abscissa_reference(model, L, cap=10_000_000):
     """Bisection on the shell ratio, with both shells re-enumerated per beta."""
     if shell_sum_reference(model, 0.0, L, cap=cap) == 0.0:
         raise DegenerateShellsError("empty shell at beta = 0")
 
     def g(b):
-        return shell_sum_reference(model, b, L, cap=cap) / shell_sum_reference(model, b, L - 1, cap=cap) - 1.0
+        return shell_ratio_reference(model, b, L, cap=cap)
 
     if g(0.0) <= 0.0:
         return 0.0, g(0.0)
@@ -293,9 +314,12 @@ class TestWordTreeBitwise:
                                                       energy_range=(1.5, 4.0))]
         for model in models:
             for L in (2, 6, 9):
+                # the ITP search lands within the bisection tolerance of the
+                # old estimate and prints the exact g at its own estimate
                 got = abscissa_estimate(model, L)
                 want = abscissa_reference(model, L)
-                assert (got.estimate.hex(), got.residual.hex()) == (want[0].hex(), want[1].hex())
+                assert abs(got.estimate - want[0]) <= 1e-10, (L, got, want)
+                assert got.residual.hex() == shell_ratio_reference(model, got.estimate, L).hex()
 
     def test_small_cap_raises(self):
         model = full_model(4)
@@ -363,8 +387,28 @@ class TestWordTreeLevels:
                 assert parents.shape == (sizes[n - 1],) and parents.dtype.kind == "i"
 
 
+def exact_reference(level, w, target=None):
+    """`words._exact` by its per-letter comprehension: every letter's group
+    visited, only ``target``'s kept."""
+    _, counts = level
+    return fsum(fsum(w[stop - count:stop].tolist())
+                for y, (count, stop) in enumerate(zip(counts.tolist(), counts.cumsum().tolist()))
+                if count and (target is None or y == target))
+
+
+class TestExactSums:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 7), st.integers(1, 6), st.floats(0.0, 3.0), st.integers(0, 10_000))
+    def test_target_group_matches_the_comprehension(self, m_size, L, beta, seed):
+        rng = np.random.default_rng(seed)
+        model = build_model(random_matrix(rng, m_size), rng.uniform(1.5, 4.0, m_size))
+        for level, w in _replay(model, _word_tree(model, L), beta):
+            for target in (None, *range(m_size)):
+                assert _exact(level, w, target).hex() == exact_reference(level, w, target).hex()
+
+
 class TestShellEnclosures:
-    # The brackets steer the abscissa bisection: each must hold the exact
+    # The brackets decide the abscissa search: each must hold the exact
     # shell sum, be narrow enough to decide, and decide nothing when the
     # plain sum is zero.  Energies up to e^7 at beta up to 60 underflow
     # whole shells and leave others subnormal.

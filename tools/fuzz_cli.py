@@ -30,7 +30,13 @@ max |eigvals(M)|, M = A N^-beta, or an ``oracle`` that exits 0 with a row
 that ``kmsphase.enumerate_words``, the independent depth-first search,
 does not reproduce: in every shell of at most 2 10^4 words the count must
 match exactly and the sum within 1e-12 relative (the search weighs a word
-by exp(-beta log N(mu)), not by products).  Each report is one line: the
+by exp(-beta log N(mu)), not by products), or a ``critical
+--abscissa-check L`` that exits 0 with an estimate the same search does
+not confirm, where shell L holds at most 2 10^4 words: an estimate of 0
+needs shell L to hold no more words than shell L - 1, and any other needs
+the shell ratio S_L / S_{L-1} above 1 at max(0, est - d) and below 1 at
+est + d, d = 1e-6 max(1, est) (a point where a shell sum underflows to 0
+is not judged).  Each report is one line: the
 family, the reason, the wall time and the argv.  The model JSON is inline
 in the argv, and a ``check-state`` line shows the state JSON in place of
 its file, so the line is its own reproducer.  The last line, on stderr,
@@ -64,6 +70,7 @@ SLOW_S = 1.0
 WORD_CAP = 100_000
 LONG_LENGTH, SMALL_CAP = 100_000, 1000
 ORACLE_WORDS, ORACLE_RTOL = 20_000, 1e-12
+ABSCISSA_STEP = 1e-6
 EPS = float(np.finfo(float).eps)
 
 
@@ -181,6 +188,32 @@ def _oracle_problem(model, argv: list[str], out: str) -> str | None:
     return None
 
 
+def _abscissa_problem(model, argv: list[str], out: str) -> str | None:
+    """A ``critical --abscissa-check L`` estimate that the depth-first
+    enumeration does not confirm, in a shell L of at most ``ORACLE_WORDS``
+    words; else None."""
+    L = int(argv[argv.index("--abscissa-check") + 1])
+    paths = np.ones(model.m, dtype=np.int64)
+    for _ in range(L - 1):
+        # words of each first letter; with no zero row, shells never shrink
+        paths = model.matrix @ paths
+        if paths.sum() > ORACLE_WORDS:
+            return None
+    est = json.loads(out)["abscissa_estimate"]["estimate"]
+    longer, shorter = enumerate_words(model, L), enumerate_words(model, L - 1)
+    if est == 0.0:
+        if len(longer) > len(shorter):
+            return (f"abscissa 0, but shell {L} holds {len(longer)} words "
+                    f"and shell {L - 1} {len(shorter)}")
+        return None
+    d = ABSCISSA_STEP * max(1.0, est)
+    for beta, grows in ((max(0.0, est - d), True), (est + d, False)):
+        s_l, s_s = (math.fsum(w.weight(beta) for w in found) for found in (longer, shorter))
+        if s_l > 0.0 and s_s > 0.0 and (s_l > s_s) != grows:
+            return f"abscissa {est!r}, but S_{L} / S_{L - 1} = {s_l / s_s!r} at beta = {beta!r}"
+    return None
+
+
 def _state_from_kms(out: str) -> dict | None:
     """The barycentre of the extreme states a `kms` report printed, or None."""
     try:
@@ -264,6 +297,8 @@ def fuzz(seed: int, count: int, families: tuple[str, ...]) -> tuple[int, int, fl
                     problem = _radius_problem(built, argv, stdout)
                 if problem is None and status == 0 and argv[0] == "oracle":
                     problem = _oracle_problem(built, argv, stdout)
+                if problem is None and status == 0 and "--abscissa-check" in argv:
+                    problem = _abscissa_problem(built, argv, stdout)
                 if problem is not None:
                     problems += 1
                     shown = [json.dumps(state) if a == state_path else a for a in argv]
