@@ -195,8 +195,7 @@ def _cmd_partition(args) -> dict | None:
         crit = critical.beta_c(m)
         # every row before the header, so that a rejected sweep prints no CSV
         rows = []
-        for b in grid:
-            rep = partition.evaluate(m, float(b), margin=args.margin)
+        for b, rep in zip(grid, partition.evaluate(m, grid, margin=args.margin)):
             z = "inf" if not rep.convergent else format(rep.z_total, ".17g")
             rows.append(f"{b:.17g},{rep.spectral_radius:.17g},{z},{crit.regime(b)}")
         print("beta,spectral_radius,z_total,regime")

@@ -25,6 +25,15 @@ class, and certified bounds on r_C at any beta
 set U needs no table: its own solve of I - M_UU gives a Collatz-Wielandt
 vector, and so a certificate that r(M_UU) < 1 (see
 :func:`_restricted_resolvent`).
+
+:func:`evaluate` takes one beta or a 1-D grid of them.  A grid is
+evaluated in chunks of at most ``STACK_BYTES`` of transfer matrices: the
+radii of a chunk come from one :func:`matrix_spectral_radius` call on
+its (k, m, m) stack, which runs one power-iteration loop per class over
+all k blocks (each on its own schedule, :class:`_Schedule`), and its
+convergent points share one stacked solve.  Each report has the bits of
+a call at its own beta.  The condition estimate is
+kappa_1 = ||I - M||_1 ||Z||_1, read off the inverse at hand.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -72,6 +81,8 @@ BISECT_TOL_DEFAULT = 1e-10
 CHECK_STEPS = 4
 STAGNATION_CHECKS = 3
 MAX_BLOCK = 32
+# evaluate stacks at most this many bytes of transfer matrices at a time
+STACK_BYTES = 2 ** 19
 # Newton on log r computes the Perron pair to a relative gap of
 # INEXACT_FACTOR * f^2, f being the previous iterate's log r, until that
 # falls below POWER_TOL_DEFAULT (see :func:`_class_root`).
@@ -94,7 +105,11 @@ class PartitionReport:
 
     When ``convergent`` is False the arrays are None and ``z_total`` is
     +inf.  ``near_critical`` flags values computed inside the convergence
-    margin band, where conditioning degrades.
+    margin band, where conditioning degrades.  ``condition_estimate`` is
+    kappa_1 = ||I - M||_1 ||Z||_1 of the solve, Z the computed inverse of
+    I - M (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 15): within a factor m of the 2-norm condition number, and 1 at
+    beta = +inf; None when the series diverge.
     """
 
     beta: float
@@ -118,6 +133,45 @@ def transfer_matrix(model: SystemModel, beta: float) -> TransferMatrix:
     return TransferMatrix(beta=float(beta), entries=model.matrix * model.weights(beta))
 
 
+class _Schedule:
+    """The check-and-step schedule of one power iteration (see :func:`_power_iteration`).
+
+    One per iterated matrix: the single-matrix loop and the stacked loop
+    of :func:`_power_iteration_stack` both consult it at every check, so
+    each matrix checks and steps as it would alone.
+    """
+
+    __slots__ = ("best", "stale", "block", "steps")
+
+    def __init__(self):
+        self.best, self.stale, self.block, self.steps = math.inf, 0, CHECK_STEPS, 0
+
+    def stops(self, gap: float, upper: float, tol: float) -> bool:
+        """Whether the iteration stops at a check with this gap and upper bound.
+
+        If not, ``block`` is the number of steps to run before the next check.
+        """
+        if gap <= tol * upper:
+            return True
+        gap /= upper
+        if gap < self.best:
+            if self.best < math.inf:
+                # as many steps as the last block's contraction needs to reach
+                # tol (or one ulp: no gap below that is reached anyway)
+                needed = self.block * math.log(max(tol, _EPS) / gap) / math.log(gap / self.best)
+                self.block = min(MAX_BLOCK, max(1, math.ceil(needed)))
+            self.best, self.stale = gap, 0
+            return False
+        self.stale, self.block = self.stale + 1, CHECK_STEPS
+        return self.stale >= STAGNATION_CHECKS
+
+    def spend(self) -> bool:
+        """Count the next block; False when it reaches ``POWER_MAXITER_DEFAULT``
+        steps, and the iteration gives up without running it."""
+        self.steps += self.block
+        return self.steps < POWER_MAXITER_DEFAULT
+
+
 def _power_iteration(
     entries: np.ndarray, v: np.ndarray, u: np.ndarray | None, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, float, float]:
@@ -137,11 +191,12 @@ def _power_iteration(
     reducible M a lower bound held below r by a class of smaller radius.
     Otherwise it runs as many steps as the contraction since the last
     check says the gap needs to reach ``tol`` (``CHECK_STEPS`` at first and
-    after a check that did not shrink it, at most ``MAX_BLOCK``).  Raises
-    NoConvergenceError once ``POWER_MAXITER_DEFAULT`` steps are spent.
+    after a check that did not shrink it, at most ``MAX_BLOCK``); the
+    bookkeeping is :class:`_Schedule`'s.  Raises NoConvergenceError in
+    place of a block that would bring the steps to ``POWER_MAXITER_DEFAULT``.
     """
-    best, stale, block, steps = math.inf, 0, CHECK_STEPS, 0
-    while steps < POWER_MAXITER_DEFAULT:
+    schedule = _Schedule()
+    while True:
         mv = entries @ v
         ratios = mv / v
         lower, upper = float(ratios.min()), float(ratios.max())
@@ -150,20 +205,10 @@ def _power_iteration(
             um = u @ entries
             left = um / u
             gap = max(gap, float(left.max() - left.min()))
-        if gap <= tol * upper:
+        if schedule.stops(gap, upper, tol):
             return v, mv, u, lower, upper
-        gap /= upper
-        if gap < best:
-            if best < math.inf:
-                # as many steps as the last block's contraction needs to reach
-                # tol (or one ulp: no gap below that is reached anyway)
-                needed = block * math.log(max(tol, _EPS) / gap) / math.log(gap / best)
-                block = min(MAX_BLOCK, max(1, math.ceil(needed)))
-            best, stale = gap, 0
-        else:
-            stale, block = stale + 1, CHECK_STEPS
-            if stale >= STAGNATION_CHECKS:
-                return v, mv, u, lower, upper
+        if not schedule.spend():
+            raise NoConvergenceError("power iteration did not converge")
         step = entries
         if upper < 1.0:
             step = entries / upper
@@ -171,53 +216,105 @@ def _power_iteration(
             if u is not None:
                 um = um / upper
         v = mv + v
-        for _ in range(block - 1):
+        for _ in range(schedule.block - 1):
             v += step @ v
         v /= v.max()
         if u is not None:
             u = um + u
-            for _ in range(block - 1):
+            for _ in range(schedule.block - 1):
                 u += u @ step
             u /= u.max()
-        steps += block
-    raise NoConvergenceError("power iteration did not converge")
+
+
+def _power_iteration_stack(entries: np.ndarray, tol: float) -> list[tuple[float, float] | None]:
+    """:func:`_power_iteration` from v = 1, with no left vector, on every slice of a
+    (k, n, n) stack at once.
+
+    Each slice keeps its own :class:`_Schedule`, and so the bits it would
+    get alone: one ``np.matmul`` per step runs over the stack (it gives
+    every slice the bits of its own matrix-vector product), a slice scaled
+    below r = 1 is divided by its own upper bound, a slice whose block is
+    shorter than the round's longest adds an exact 0.0 for the steps it
+    sits out, and a slice that stops leaves the stack.  A stack of one
+    runs the single-matrix loop, which costs less per step.  Returns the
+    (lower, upper) bounds per slice, None where the step budget ran out.
+    """
+    if len(entries) == 1:
+        try:
+            *_, lower, upper = _power_iteration(entries[0], np.ones(entries.shape[1]), None, tol)
+        except NoConvergenceError:
+            return [None]
+        return [(lower, upper)]
+    out: list[tuple[float, float] | None] = [None] * len(entries)
+    live = list(range(len(entries)))
+    schedules = [_Schedule() for _ in live]
+    v = np.ones(entries.shape[:2])
+    while True:
+        mv = np.matmul(entries, v[..., None])[..., 0]
+        ratios = mv / v
+        lowers, uppers = ratios.min(axis=1).tolist(), ratios.max(axis=1).tolist()
+        going = []
+        for i, j in enumerate(live):
+            if schedules[j].stops(uppers[i] - lowers[i], uppers[i], tol):
+                out[j] = (lowers[i], uppers[i])
+            elif schedules[j].spend():
+                going.append(i)
+        if not going:
+            return out
+        if len(going) < len(live):
+            entries, v, mv = entries[going], v[going], mv[going]
+            live, uppers = [live[i] for i in going], [uppers[i] for i in going]
+        scale = np.array([upper if upper < 1.0 else 1.0 for upper in uppers])
+        step = entries / scale[:, None, None]
+        v = mv / scale[:, None] + v
+        blocks = np.array([schedules[j].block for j in live])
+        for s in range(1, int(blocks.max())):
+            w = np.matmul(step, v[..., None])[..., 0]
+            w[blocks <= s] = 0.0
+            v += w
+        v /= v.max(axis=1, keepdims=True)
 
 
 def matrix_spectral_radius(
     entries: np.ndarray, components: tuple[int, np.ndarray] | None = None
-) -> float:
+) -> float | np.ndarray:
     """Spectral radius of a nonnegative matrix M, the largest over its strong classes.
 
-    M is block-triangular in the strong classes C of its support, so r(M)
-    is the largest r(M_CC).  A class of one letter is its diagonal entry;
+    ``entries`` is one (m, m) matrix, which gives a float, or a (k, m, m)
+    stack of matrices on one support, which gives the k radii as an array;
+    each radius has the bits that its matrix gives alone.  M is
+    block-triangular in the strong classes C of its support, so r(M) is
+    the largest r(M_CC).  A class of one letter is its diagonal entry;
     any other block is irreducible, and its radius is the Collatz-Wielandt
     upper bound max(Mv/v) of the power iteration on I + M_CC, scaled below
     r = 1 (see :func:`_power_iteration`), within ``POWER_TOL_DEFAULT`` of
-    r_C.  No two classes of equal radius can stall it.  A block whose
-    iteration spends its step budget, or stops at rounding with its lower
-    bound more than ``POWER_TOL_DEFAULT`` below the upper (a nearly split
-    class), gets the largest modulus of its eigenvalues instead.
-    ``components`` is the (count, label per index) pair of the classes, as
+    r_C.  A stack iterates the blocks of one class together
+    (:func:`_power_iteration_stack`).  No two classes of equal radius can
+    stall it.  A block whose iteration spends its step budget, or stops at
+    rounding with its lower bound more than ``POWER_TOL_DEFAULT`` below the
+    upper (a nearly split class), gets the largest modulus of its
+    eigenvalues instead, slice by slice.  ``components`` is the (count,
+    label per index) pair of the classes, as
     :attr:`SystemModel.strong_components` holds it for a model's matrix;
-    None computes it from the support of ``entries``.
+    None computes it from the support of ``entries`` (of its first slice,
+    for a stack).
     """
-    ncomp, labels = _strong_components(entries) if components is None else components
+    stack = entries if entries.ndim == 3 else entries[None]
+    ncomp, labels = _strong_components(stack[0]) if components is None else components
     sizes = np.bincount(labels)
-    r = float(entries.diagonal()[sizes[labels] == 1].max(initial=0.0))
+    r = stack.diagonal(axis1=1, axis2=2)[:, sizes[labels] == 1].max(axis=1, initial=0.0)
     for c in np.flatnonzero(sizes > 1):
         idx = np.flatnonzero(labels == c)
         # an irreducible M is its own block; a copy would cost about as
         # much as its iteration
-        block = entries if ncomp == 1 else entries[np.ix_(idx, idx)]
-        try:
-            *_, lower, r_c = _power_iteration(block, np.ones(len(idx)), None, POWER_TOL_DEFAULT)
-            met = r_c - lower <= POWER_TOL_DEFAULT * r_c
-        except NoConvergenceError:
-            met = False
-        if not met:
-            r_c = float(np.abs(np.linalg.eigvals(block)).max())
-        r = max(r, r_c)
-    return r
+        block = stack if ncomp == 1 else np.ascontiguousarray(stack[:, idx[:, None], idx])
+        for i, bounds in enumerate(_power_iteration_stack(block, POWER_TOL_DEFAULT)):
+            if bounds is not None and bounds[1] - bounds[0] <= POWER_TOL_DEFAULT * bounds[1]:
+                r_c = bounds[1]
+            else:
+                r_c = float(np.abs(np.linalg.eigvals(block[i])).max())
+            r[i] = max(r[i], r_c)
+    return r if entries.ndim == 3 else float(r[0])
 
 
 class PerronPair(NamedTuple):
@@ -399,47 +496,77 @@ def class_roots(model: SystemModel) -> tuple[ClassRoot, ...]:
 
 def evaluate(
     model: SystemModel,
-    beta: float,
+    beta: float | np.ndarray,
     margin: float = CONVERGENCE_MARGIN_DEFAULT,
-) -> PartitionReport:
+) -> PartitionReport | Iterator[PartitionReport]:
     """Evaluate Z, Z_y and Z_xy at beta, or flag them divergent.
 
     Convergent when the spectral radius r of the transfer matrix satisfies
     r < 1 - margin; values with 1 - margin <= r < 1 are still computed but
     flagged ``near_critical``.
+
+    ``beta`` is one inverse temperature, which gives its
+    :class:`PartitionReport`, or a 1-D array of them, which gives an
+    iterator over their reports in grid order.  The grid is evaluated in
+    chunks of at most ``STACK_BYTES`` of transfer matrices: one
+    :func:`matrix_spectral_radius` call over the chunk's stack, and one
+    stacked solve for its convergent points.  Every report has the bits a
+    call at its own beta gives.  A chunk's reports are made only once the
+    iterator reaches it, so a long grid on a large model never holds every
+    Z_xy at once.  Every beta is checked before anything is evaluated; a
+    solve that fails the single-letter floor raises as its report is reached.
     """
-    if not (beta > 0):
+    betas = np.asarray(beta, dtype=float)
+    if not (betas > 0).all():
         raise ValueError("partition functions are defined for beta > 0 or beta = +inf")
-    nw = model.weights(beta)
-    tm = model.matrix * nw               # the transfer matrix, from the same weights
-    r = matrix_spectral_radius(tm, model.strong_components)
-    if r >= 1.0:
-        return PartitionReport(
-            beta=beta, spectral_radius=r, convergent=False, z_total=math.inf,
-            z_y=None, z_xy=None, near_critical=False, condition_estimate=None,
+    if betas.ndim == 0:
+        return next(_evaluate_chunk(model, [float(betas)], margin))
+    per_chunk = max(1, STACK_BYTES // (8 * model.m * model.m))
+    return (report for start in range(0, len(betas), per_chunk)
+            for report in _evaluate_chunk(model, betas[start:start + per_chunk].tolist(), margin))
+
+
+def _evaluate_chunk(
+    model: SystemModel, betas: list[float], margin: float
+) -> Iterator[PartitionReport]:
+    """The reports of :func:`evaluate` at each beta, from one stack of transfer matrices."""
+    nw = np.stack([model.weights(b) for b in betas])
+    tm = model.matrix * nw[:, None, :]   # the transfer matrices, from the same weights
+    radii = matrix_spectral_radius(tm, model.strong_components).tolist()
+    convergent = [i for i, r in enumerate(radii) if not r >= 1.0]
+    eye = np.eye(model.m)
+    solved = iter(())
+    if convergent:
+        stack = eye - tm[convergent]
+        solved = zip(stack, np.linalg.solve(stack, np.broadcast_to(eye, stack.shape)))
+    for b, w, r in zip(betas, nw, radii):
+        if r >= 1.0:
+            yield PartitionReport(
+                beta=b, spectral_radius=r, convergent=False, z_total=math.inf,
+                z_y=None, z_xy=None, near_critical=False, condition_estimate=None,
+            )
+            continue
+        lhs, resolvent = next(solved)
+        z_xy = w[:, None] * resolvent
+        z_y = z_xy.sum(axis=0)
+        z_total = 1.0 + float(z_y.sum())
+
+        # Every single-letter word y is admissible, so Z_y >= N(y)^-beta > 0.
+        if not (z_y >= w - 1e-12).all():
+            raise IllConditionedSolveError(
+                "fixed-target partition values fell below the single-letter floor")
+
+        yield PartitionReport(
+            beta=b,
+            spectral_radius=r,
+            convergent=True,
+            z_total=z_total,
+            z_y=z_y,
+            z_xy=z_xy,
+            near_critical=bool(r >= 1.0 - margin),
+            # kappa_1 of I - M, from the inverse at hand
+            condition_estimate=float(np.linalg.norm(lhs, 1) * np.linalg.norm(resolvent, 1)),
         )
-
-    lhs = np.eye(model.m) - tm
-    resolvent = np.linalg.solve(lhs, np.eye(model.m))
-    z_xy = nw[:, None] * resolvent
-    z_y = z_xy.sum(axis=0)
-    z_total = 1.0 + float(z_y.sum())
-
-    # Every single-letter word y is admissible, so Z_y >= N(y)^-beta > 0.
-    if not (z_y >= nw - 1e-12).all():
-        raise IllConditionedSolveError(
-            "fixed-target partition values fell below the single-letter floor")
-
-    return PartitionReport(
-        beta=beta,
-        spectral_radius=r,
-        convergent=True,
-        z_total=z_total,
-        z_y=z_y,
-        z_xy=z_xy,
-        near_critical=bool(r >= 1.0 - margin),
-        condition_estimate=float(np.linalg.cond(lhs)),
-    )
 
 
 @lru_cache(maxsize=1)

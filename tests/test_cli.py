@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from kmsphase import cli, critical, errors, words
+from kmsphase import cli, critical, errors, partition, words
 from kmsphase.cli import dumps, main
 from kmsphase.critical import AbscissaEstimate
 from kmsphase.model import SystemModel
@@ -93,6 +93,18 @@ class TestPartition:
         assert first[2] == "inf" and first[3] == "below"
         last = lines[-1].split(",")
         assert last[3] == "above" and float(last[2]) == pytest.approx(2.0)
+
+    def test_sweep_evaluates_the_grid_in_one_call(self, full2_file, capsys, monkeypatch):
+        calls = []
+        evaluate = partition.evaluate
+
+        def recorded(model, beta, **kwargs):
+            calls.append(np.shape(beta))
+            return evaluate(model, beta, **kwargs)
+
+        monkeypatch.setattr(partition, "evaluate", recorded)
+        assert main(["partition", "--model", full2_file, "--sweep", "0.5:2.0:4"]) == 0
+        assert calls == [(4,)] and len(capsys.readouterr().out.splitlines()) == 5
 
     def test_divergent_prints_inf(self, golden_file, capsys):
         main(["partition", "--model", golden_file, "--beta", "0.2"])
@@ -559,6 +571,18 @@ _ERROR_CASES = [
                         1.000000128772144, 1.0000706720780261, 1.0000000052392255,
                         1.000018260112853]),
            "--beta=39858706.53893556"], 2,
+          "numeric failure: fixed-target partition values fell below the single-letter floor"),
+    # far above the roots of near-one energies: r < 1 by eigenvalues, and the
+    # first point's solve fails the floor; a sweep prints no CSV either
+    _case("partition-sweep-single-letter-floor",
+          ["partition", "--model-json",
+           _model_json([[1, 1, 0, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 1],
+                        [0, 0, 0, 0, 1, 1, 1], [0, 0, 0, 1, 1, 0, 0], [0, 0, 0, 1, 1, 0, 0],
+                        [0, 0, 0, 1, 1, 1, 0]],
+                       [1.0712714029519481, 1.0000000136694553, 1.0000325498964306,
+                        7.263366833534863, 1.0000369528901187, 1.0660163943209902,
+                        1.000016431444845]),
+           "--sweep=1495.641549517069:1600:3"], 2,
           "numeric failure: fixed-target partition values fell below the single-letter floor"),
 ]
 

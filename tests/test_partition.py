@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmsphase import (
+    PartitionReport,
     RootMeasure,
     build_model,
+    build_star,
     column_space,
     cooling,
     decompose,
@@ -17,11 +22,16 @@ from kmsphase import (
     geometric_bound,
     partial_series,
     transfer_matrix,
+    truncated_model,
     z_gamma,
 )
 from kmsphase import partition
 from kmsphase.critical import beta_c
-from kmsphase.errors import DivergentNormalizerError
+from kmsphase.errors import (
+    DivergentNormalizerError,
+    IllConditionedSolveError,
+    NoConvergenceError,
+)
 from kmsphase.partition import _restricted_resolvent, class_roots, restricted_fixed_pairs
 
 from conftest import (
@@ -33,6 +43,7 @@ from conftest import (
     random_irreducible,
     random_matrix,
 )
+from test_critical import _SPLIT_MODEL
 
 
 GROUND_SIZES = (1, 2, 3, 5, 8, 17, 64, 150, 400)
@@ -130,6 +141,220 @@ class TestEvaluate:
                     assert part <= rep.z_total + 1e-12
                     prev = part
                 assert rep.z_total - prev <= rep.spectral_radius ** 15 * rep.z_total * m.m
+
+
+# --- the beta grid in stacks ---------------------------------------------------
+
+def evaluate_reference(model, beta, margin=partition.CONVERGENCE_MARGIN_DEFAULT):
+    """The per-beta evaluation the stacked grid replaced: a radius, a solve and
+    the floor check at one beta.  Its ``condition_estimate`` is kappa_1 of
+    its own inverse."""
+    nw = model.weights(beta)
+    tm = model.matrix * nw
+    r = partition.matrix_spectral_radius(tm, model.strong_components)
+    if r >= 1.0:
+        return PartitionReport(beta, r, False, math.inf, None, None, False, None)
+    lhs = np.eye(model.m) - tm
+    resolvent = np.linalg.solve(lhs, np.eye(model.m))
+    z_xy = nw[:, None] * resolvent
+    z_y = z_xy.sum(axis=0)
+    if not (z_y >= nw - 1e-12).all():
+        raise IllConditionedSolveError(
+            "fixed-target partition values fell below the single-letter floor")
+    kappa = float(np.linalg.norm(lhs, 1) * np.linalg.norm(resolvent, 1))
+    return PartitionReport(beta, r, True, 1.0 + float(z_y.sum()), z_y, z_xy,
+                           bool(r >= 1.0 - margin), kappa)
+
+
+def _assert_same_report(got, want):
+    for field in ("beta", "spectral_radius", "z_total"):
+        assert getattr(got, field).hex() == getattr(want, field).hex(), field
+    assert got.convergent is want.convergent and got.near_critical is want.near_critical
+    for field in ("z_y", "z_xy"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a is None) == (b is None), field
+        if a is not None:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+    if want.condition_estimate is None:
+        assert got.condition_estimate is None
+    else:
+        assert got.condition_estimate.hex() == want.condition_estimate.hex()
+
+
+def _assert_grid_is_per_beta(model, grid, margin=partition.CONVERGENCE_MARGIN_DEFAULT):
+    reports = list(evaluate(model, np.asarray(grid, dtype=float), margin=margin))
+    assert len(reports) == len(grid)
+    for beta, report in zip(grid, reports):
+        _assert_same_report(report, evaluate_reference(model, float(beta), margin))
+        _assert_same_report(evaluate(model, float(beta), margin=margin), report)
+    return reports
+
+
+def _crossing_grid(model, n):
+    """n points from half to one and a half times beta_c (0.1 to 3 when beta_c = 0)."""
+    bc = beta_c(model).beta_c
+    return np.linspace(0.5 * bc, 1.5 * bc, n) if bc > 0 else np.linspace(0.1, 3.0, n)
+
+
+# a 2-letter class, a looped letter, a loopless letter (r_C = 0) and a sink loop
+_MIXED_CLASSES = build_model([[1, 1, 0, 0, 0], [1, 0, 1, 0, 0], [0, 0, 1, 1, 0],
+                              [0, 0, 0, 0, 1], [0, 0, 0, 0, 1]], [2.0, 3.0, 1.7, 2.5, 4.0])
+
+
+# the near-one model of the partition-sweep-single-letter-floor CLI case
+_NEAR_ONE = {"matrix": [[1, 1, 0, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 1],
+                        [0, 0, 0, 0, 1, 1, 1], [0, 0, 0, 1, 1, 0, 0], [0, 0, 0, 1, 1, 0, 0],
+                        [0, 0, 0, 1, 1, 1, 0]],
+             "energies": [1.0712714029519481, 1.0000000136694553, 1.0000325498964306,
+                          7.263366833534863, 1.0000369528901187, 1.0660163943209902,
+                          1.000016431444845]}
+
+
+class TestStackedGrid:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.integers(2, 9),
+           st.sampled_from([None, 1, 2, 3]), st.booleans())
+    def test_hypothesis_models(self, m_size, seed, n, max_row_ones, cold):
+        rng = np.random.default_rng(seed)
+        model = build_model(random_matrix(rng, m_size, max_row_ones), rng.uniform(1.5, 4.0, m_size))
+        grid = _crossing_grid(model, n)
+        _assert_grid_is_per_beta(model, np.append(grid, math.inf) if cold else grid)
+
+    def test_mixed_classes(self):
+        sizes = np.bincount(_MIXED_CLASSES.strong_components[1])
+        assert sorted(sizes.tolist()) == [1, 1, 1, 2]
+        reports = _assert_grid_is_per_beta(_MIXED_CLASSES, _crossing_grid(_MIXED_CLASSES, 12))
+        assert {r.convergent for r in reports} == {True, False}
+
+    @pytest.mark.parametrize("m,n", ((64, 40), (150, 7), (400, 3)))
+    def test_several_chunks(self, m, n):
+        # 2**19 bytes hold 16, 2 and 1 transfer matrices of these sizes
+        assert n > partition.STACK_BYTES // (8 * m * m)
+        model = ground_model(m)
+        _assert_grid_is_per_beta(model, _crossing_grid(model, n))
+
+    def test_chunk_boundaries(self, rng, monkeypatch):
+        model = random_irreducible(rng, 6, non_permutation=True, energy_range=(1.5, 4.0))
+        grid = _crossing_grid(model, 11)
+        for points in (1, 2, 3, 7):
+            monkeypatch.setattr(partition, "STACK_BYTES", 8 * 36 * points)
+            _assert_grid_is_per_beta(model, grid)
+
+    @pytest.mark.parametrize("K", (8, 32))
+    def test_star_truncation(self, K):
+        # period 2: the power iteration runs on I + M
+        model = truncated_model(build_star("default"), K)
+        _assert_grid_is_per_beta(model, _crossing_grid(model, 16))
+
+    def test_split_model_falls_back_slice_by_slice(self, monkeypatch):
+        split = json.loads(_SPLIT_MODEL)
+        model = build_model(split["matrix"], split["energies"])
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        # the 2-cycle of energies 1e6 and 2 stalls past beta ~ 4
+        grid = np.linspace(0.1, 12.0, 30)
+        list(evaluate(model, grid))
+        assert 0 < len(calls) < len(grid) and set(calls) == {(2, 2)}
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        _assert_grid_is_per_beta(model, grid)
+
+    def test_reports_come_chunk_by_chunk(self, monkeypatch):
+        model = ground_model(64)
+        solves = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            solves.append(len(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        reports = evaluate(model, np.linspace(10.0, 20.0, 40))
+        assert solves == []
+        next(reports)
+        assert solves == [16]
+        assert len(list(reports)) == 39 and solves == [16, 16, 8]
+
+    def test_every_beta_is_checked_first(self):
+        model = full_model(2)
+        for grid in ([1.0, 2.0, 0.0], [math.nan, 1.0], [-math.inf]):
+            with pytest.raises(ValueError, match="defined for beta > 0"):
+                evaluate(model, np.array(grid))
+
+    def test_floor_failure_raises_at_its_report(self):
+        model = build_model(_NEAR_ONE["matrix"], _NEAR_ONE["energies"])
+        reports = evaluate(model, np.array([2.0, 1495.641549517069]))
+        assert next(reports).beta == 2.0
+        with pytest.raises(IllConditionedSolveError, match="single-letter floor"):
+            next(reports)
+
+
+class TestStackedPowerIteration:
+    @staticmethod
+    def _stacks(rng):
+        for m_size in (2, 3, 5, 8, 13, 32):
+            model = random_irreducible(rng, m_size, non_permutation=True, energy_range=(1.5, 4.0))
+            root = class_roots(model)[0].beta
+            betas = (0.0, 0.5 * root, 0.9 * root, root, 1.1 * root, 2.0 * root, 8.0 * root)
+            yield np.stack([transfer_matrix(model, b).entries for b in betas])
+        split = json.loads(_SPLIT_MODEL)
+        model = build_model(split["matrix"], split["energies"])
+        labels = model.strong_components[1]
+        idx = np.flatnonzero(labels == np.bincount(labels).argmax())
+        yield np.stack([transfer_matrix(model, b).entries[np.ix_(idx, idx)]
+                        for b in np.linspace(0.1, 3.0, 12)])
+
+    @staticmethod
+    def _alone(entries, tol):
+        try:
+            *_, lower, upper = partition._power_iteration(entries, np.ones(len(entries)), None, tol)
+        except NoConvergenceError:
+            return None
+        return lower, upper
+
+    @pytest.mark.parametrize("tol", (1e-12, 1e-4))
+    def test_each_slice_as_alone(self, rng, tol):
+        for stack in self._stacks(rng):
+            got = partition._power_iteration_stack(stack, tol)
+            assert got == [self._alone(entries, tol) for entries in stack]
+            assert partition._power_iteration_stack(stack[-1:], tol) == got[-1:]
+
+    def test_spent_budget_per_slice(self, rng, monkeypatch):
+        stacks = list(self._stacks(rng))
+        monkeypatch.setattr(partition, "POWER_MAXITER_DEFAULT", 24)
+        seen = set()
+        for stack in stacks:
+            got = partition._power_iteration_stack(stack, 1e-12)
+            assert got == [self._alone(entries, 1e-12) for entries in stack]
+            seen |= {bounds is None for bounds in got}
+        assert seen == {True, False}
+
+
+class TestConditionEstimate:
+    """condition_estimate is kappa_1 = ||I - M||_1 ||Z||_1, Z the solve's inverse."""
+
+    def test_within_a_factor_m_of_kappa_2(self, rng):
+        for m_size in (2, 3, 5, 8, 13, 32):
+            model = random_irreducible(rng, m_size, energy_range=(1.5, 4.0))
+            bc = beta_c(model).beta_c
+            for factor in (1.001, 1.2, 2.0, 8.0):
+                beta = factor * bc
+                report = evaluate(model, beta)
+                assert report.convergent
+                kappa_2 = np.linalg.cond(np.eye(m_size) - transfer_matrix(model, beta).entries)
+                assert kappa_2 / m_size * (1 - 1e-9) <= report.condition_estimate
+                assert report.condition_estimate <= m_size * kappa_2 * (1 + 1e-9)
+
+    @pytest.mark.parametrize("m", GROUND_SIZES)
+    def test_ground_temperature_is_one(self, m):
+        for report in (evaluate(ground_model(m), math.inf),
+                       *evaluate(ground_model(m), np.array([math.inf, math.inf]))):
+            assert report.condition_estimate == 1.0
 
 
 class TestZGamma:

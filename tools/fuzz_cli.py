@@ -26,8 +26,10 @@ every other warning printed.  A run is reported when its exit status is
 neither 0 nor 1, when its stderr holds a warning or a traceback, when it
 takes over 1 s, or when it is a ``partition --beta`` that exits 0 with a
 ``spectral_radius`` more than 1e-9 of it plus 8 m eps ||M||_1 away from
-max |eigvals(M)|, M = A N^-beta, or an ``oracle`` that exits 0 with a row
-that ``kmsphase.enumerate_words``, the independent depth-first search,
+max |eigvals(M)|, M = A N^-beta, or a ``partition --sweep`` that exits 0
+with a row whose radius misses the same test or whose z_total is not inf
+exactly when that radius is at least 1, or an ``oracle`` that exits 0 with
+a row that ``kmsphase.enumerate_words``, the independent depth-first search,
 does not reproduce: in every shell of at most 2 10^4 words the count must
 match exactly and the sum within 1e-12 relative (the search weighs a word
 by exp(-beta log N(mu)), not by products), or a ``critical
@@ -155,10 +157,25 @@ def _problem(status, err: str, seconds: float) -> str | None:
 
 
 def _radius_problem(model, argv: list[str], out: str) -> str | None:
-    """A ``partition --beta`` radius more than 1e-9 relative plus
-    8 m eps ||M||_1 away from max |eigvals(M)|, M = A N^-beta; else None."""
+    """A ``partition --beta`` radius, or that of a ``--sweep`` row, more than
+    1e-9 relative plus 8 m eps ||M||_1 away from max |eigvals(M)|,
+    M = A N^-beta, or a sweep row whose z_total is not inf exactly when its
+    radius is at least 1; else None."""
+    if "--sweep" in argv:
+        for row in out.splitlines()[1:]:
+            beta, radius, z_total, _ = row.split(",")
+            beta, radius = float(beta), float(radius)
+            problem = _radius_gap(model, beta, radius)
+            if problem is None and (z_total == "inf") != (radius >= 1.0):
+                problem = f"radius {radius!r} with z_total {z_total}"
+            if problem is not None:
+                return f"sweep row {beta!r}: {problem}"
+        return None
     beta = float(next(a for a in argv if a.startswith("--beta=")).split("=", 1)[1])
-    got = json.loads(out)["partition"]["spectral_radius"]
+    return _radius_gap(model, beta, json.loads(out)["partition"]["spectral_radius"])
+
+
+def _radius_gap(model, beta: float, got: float) -> str | None:
     entries = model.matrix * model.weights(beta)
     want = float(np.abs(np.linalg.eigvals(entries)).max())
     slack = 1e-9 * want + 8 * model.m * EPS * float(entries.sum(axis=0).max())
@@ -292,8 +309,7 @@ def fuzz(seed: int, count: int, families: tuple[str, ...]) -> tuple[int, int, fl
                 if argv[0] == "kms":
                     state = _state_from_kms(stdout) if status == 0 else None
                 problem = _problem(status, stderr, seconds)
-                if problem is None and status == 0 and argv[0] == "partition" \
-                        and "--sweep" not in argv:
+                if problem is None and status == 0 and argv[0] == "partition":
                     problem = _radius_problem(built, argv, stdout)
                 if problem is None and status == 0 and argv[0] == "oracle":
                     problem = _oracle_problem(built, argv, stdout)
