@@ -12,6 +12,7 @@ a star beta below the abscissa, or a ValueError), 2 any other KmsError
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -113,11 +114,11 @@ def load_model(path: str | None, inline: str | None) -> model_mod.SystemModel:
 
 
 def _number(value, what: str) -> float:
-    """float(value), with a JSON value of the wrong type (list, object, null) rejected as input."""
-    try:
-        return float(value)
-    except TypeError:
-        raise ConfigParseError(f"{what} must be a number, got {value!r}") from None
+    """float(value), with a JSON boolean, list, object or null rejected as input."""
+    if not isinstance(value, bool):  # float(True) is 1.0
+        with contextlib.suppress(TypeError):
+            return float(value)
+    raise ConfigParseError(f"{what} must be a number, got {value!r}")
 
 
 def load_state(path: str, space: model_mod.ColumnSpace, beta_override: float | None):
@@ -140,7 +141,7 @@ def load_state(path: str, space: model_mod.ColumnSpace, beta_override: float | N
                 raise ConfigParseError(f"unknown column point {key!r}")
             atoms[space.points.index(bits)] = _number(value, f"atom mass {key!r}")
     elif isinstance(masses, list):
-        atoms = np.asarray(masses, dtype=float)
+        atoms = np.array([_number(value, f"atom mass {i}") for i, value in enumerate(masses)])
     else:
         raise ConfigParseError('state JSON needs "atom_masses" (list or bitstring dict)')
     return states.qstate_from_atoms(space, _number(beta, "beta"), atoms, states.FINITE)
@@ -295,16 +296,10 @@ def _cmd_oracle(args) -> None:
         raise ConfigParseError("--max-length must be nonnegative")
     if args.cap < 0:
         raise ConfigParseError("--cap must be nonnegative")
-    # every row before the header, so that a rejected input prints no CSV.
-    # Row 0 holds the empty-word convention and checks the ends.  One count
-    # of shells 0..L applies the cap, as the shell_sum of the first row
-    # above it would, and gives the count column; rows 1..L come from one
-    # word tree, each bit for bit its shell_sum.
-    sums = [words.shell_sum(m, args.beta, 0, source=args.source, target=args.target)]
-    counts = words._shell_counts(m, args.max_length, args.cap)
-    if args.max_length > 0:
-        tree = words._word_tree(m, args.max_length, args.source)
-        sums += words._shell_sums(m, tree, args.beta, target=args.target)
+    # every row before the header, so that a rejected input prints no CSV:
+    # the shell table of partial_series, whose word tree applies the cap
+    counts, sums = words._shell_table(m, args.beta, args.max_length, args.source,
+                                      args.target, args.cap)
     print("n,count,shell_sum")
     for n, s in enumerate(sums):
         print(f"{n},{counts[n]},{s:.17g}")

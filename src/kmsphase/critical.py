@@ -253,8 +253,7 @@ def abscissa_estimate(
     """
     if L < 2:
         raise ValueError("need at least two shells")
-    words._shell_counts(model, L, cap)
-    tree = words._word_tree(model, L)
+    _, tree = words._word_tree(model, L, cap=cap)
 
     def last_two(b: float) -> deque:
         return deque(words._replay(model, tree, b), maxlen=2)

@@ -286,7 +286,7 @@ def star_kms_at_critical(sys: StarSystem, t: float) -> StarCriticalState:
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
     beta = sys.beta_bar
-    zeta = zeta_value(sys, beta)
+    zeta = 0.5 * sum(sys.zeta_at_abscissa_bounds)  # zeta_value at beta_bar, as validated
     two = 2.0 ** (-beta)
     f = 1.0 / (1.0 - two * zeta)        # geometric factor of alternating loops
     z0 = two * (1.0 + zeta) * f         # fixed-target Z_0

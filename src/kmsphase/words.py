@@ -7,8 +7,10 @@ weight is N(mu)^-beta with N(mu) the product of the letter energies.  The
 empty word is admissible with weight 1.
 
 An enumeration to length n visits the words of every length 1..n, so a
-word ``cap`` bounds their running total: each enumerating function first
-calls :func:`_shell_counts` once, which stops at the first total above it.
+word ``cap`` bounds their running total: :func:`_word_tree` calls
+:func:`_shell_counts` once, which stops at the first total above it, before
+it builds any level.  :func:`_shell_table` gives the counts and exact sums
+of shells 0..L that ``partial_series`` adds up and ``oracle`` prints.
 
 Shell sums enumerate a word tree once per length bound: level k holds the
 admissible words of length k grouped by last letter in ascending order,
@@ -120,18 +122,21 @@ def _shell_counts(model: SystemModel, n: int, cap: int = WORD_CAP_DEFAULT) -> li
     return counts
 
 
-def _word_tree(model: SystemModel, n: int, source: int | None = None) -> list[tuple]:
-    """Admissible words of lengths 1..n (first letter ``source`` if given).
+def _word_tree(model: SystemModel, n: int, source: int | None = None,
+               cap: int = WORD_CAP_DEFAULT) -> tuple[list[int], list[tuple]]:
+    """The :func:`_shell_counts` of lengths 0..n, which apply ``cap`` before
+    any level is built, and the admissible words of lengths 1..n (first
+    letter ``source`` if given); n = 0 gives no levels.
 
     Level k is ``(parents, counts)``: ``counts[y]`` words end in letter y,
     grouped in ascending order of y, and word i extends word ``parents[i]``
     of level k - 1 (``parents`` is None on the first level).  Each level is
     one step over the edges x -> y, taken by y and then by x: an edge
-    extends the ``counts[x]`` words that end in x.  Applies no cap: each
-    caller checks :func:`_shell_counts` first.
+    extends the ``counts[x]`` words that end in x.
     """
+    shells = _shell_counts(model, n, cap)
     counts = np.bincount(range(model.m) if source is None else [source], minlength=model.m)
-    tree = [(None, counts)]
+    tree = [(None, counts)] if n else []
     _, x = np.nonzero(model.matrix.T)
     for _ in range(n - 1):
         k = counts[x]
@@ -139,7 +144,7 @@ def _word_tree(model: SystemModel, n: int, source: int | None = None) -> list[tu
         parents = np.arange(int(ends[-1])) + (counts.cumsum()[x] - ends).repeat(k)
         counts = counts @ model.matrix
         tree.append((parents, counts))
-    return tree
+    return shells, tree
 
 
 def _replay(model: SystemModel, tree: list[tuple], beta: float):
@@ -193,12 +198,6 @@ def _enclosure(w: np.ndarray) -> tuple[float, float]:
     return rough * (1.0 - rel), rough * (1.0 + rel)
 
 
-def _shell_sums(model: SystemModel, tree: list[tuple], beta: float,
-                target: int | None = None) -> list[float]:
-    """Shell sums of lengths 1..len(tree) at beta, one replay of the tree."""
-    return [_exact(level, w, target) for level, w in _replay(model, tree, beta)]
-
-
 def _check_args(model: SystemModel, beta: float, source: int | None, target: int | None) -> None:
     check_beta(beta)  # whatever the length
     for name, x in (("source", source), ("target", target)):
@@ -226,9 +225,22 @@ def shell_sum(
     _check_args(model, beta, source, target)
     if n == 0:
         return 1.0 if source is None and target is None else 0.0
-    _shell_counts(model, n, cap)
-    level, w = deque(_replay(model, _word_tree(model, n, source), beta), maxlen=1)[0]
+    level, w = deque(_replay(model, _word_tree(model, n, source, cap)[1], beta), maxlen=1)[0]
     return _exact(level, w, target)
+
+
+def _shell_table(model: SystemModel, beta: float, L: int, source: int | None,
+                 target: int | None, cap: int) -> tuple[list[int], list[float]]:
+    """Counts (of words with every first letter) and exact sums of shells
+    0..L.  Row 0 is ``shell_sum(n=0)``, which checks beta and the ends
+    before the cap; rows 1..L are one replay of the tree, each bit for bit
+    its ``shell_sum``."""
+    if L < 0:
+        raise ValueError("truncation length must be nonnegative")
+    sums = [shell_sum(model, beta, 0, source, target)]
+    counts, tree = _word_tree(model, L, source, cap)
+    sums += [_exact(level, w, target) for level, w in _replay(model, tree, beta)]
+    return counts, sums
 
 
 def partial_series(
@@ -246,11 +258,4 @@ def partial_series(
     Raises ValueError for a NaN or -inf beta and for a source or target
     outside the alphabet, at every L.
     """
-    if L < 0:
-        raise ValueError("truncation length must be nonnegative")
-    _check_args(model, beta, source, target)
-    _shell_counts(model, L, cap)
-    shells = [1.0] if source is None and target is None else []
-    if L > 0:
-        shells += _shell_sums(model, _word_tree(model, L, source), beta, target=target)
-    return fsum(shells)
+    return fsum(_shell_table(model, beta, L, source, target, cap)[1])

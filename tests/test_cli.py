@@ -371,6 +371,9 @@ _ERROR_FILES = {
     "state-beta-list.json": json.dumps(dict(beta=[2], atom_masses=[0.5, 0.5])),
     "state-mass-null.json": json.dumps(dict(beta=2, atom_masses={"01": None, "11": 1})),
     "state-not-object.json": json.dumps([2, [0.5, 0.5]]),
+    "state-beta-true.json": json.dumps(dict(beta=True, atom_masses=[0.5, 0.5])),
+    "state-mass-list-bool.json": json.dumps(dict(beta=2, atom_masses=[True, False])),
+    "state-mass-dict-bool.json": json.dumps(dict(beta=2, atom_masses={"01": True, "11": False})),
 }
 
 _G = ["--model", "{dir}/golden.json"]
@@ -502,6 +505,15 @@ _ERROR_CASES = [
           "error: atom mass '01' must be a number, got None"),
     _case("state-not-object", ["check-state", *_G, "--state", "{dir}/state-not-object.json"], 1,
           "error: state JSON must be an object"),
+    # JSON booleans are not numbers, though float() and numpy read them as 1 and 0
+    _case("state-beta-true", ["check-state", *_G, "--state", "{dir}/state-beta-true.json"], 1,
+          "error: beta must be a number, got True"),
+    _case("state-mass-list-bool",
+          ["check-state", *_G, "--state", "{dir}/state-mass-list-bool.json"], 1,
+          "error: atom mass 0 must be a number, got True"),
+    _case("state-mass-dict-bool",
+          ["check-state", *_G, "--state", "{dir}/state-mass-dict-bool.json"], 1,
+          "error: atom mass '01' must be a number, got True"),
     _case("check-state-exhaustive-m13",
           ["check-state", "--model", "{dir}/full13.json", "--state", "{dir}/state-one-point.json",
            "--exhaustive"], 1,

@@ -245,7 +245,7 @@ class TestAbscissaEstimate:
         # for every n: the brackets of S_L and S_{L-1} overlap and only the
         # exact sums can say that g(1) = 0 is not above.
         model, L = full_model(2), 10
-        tree = words._word_tree(model, L)
+        tree = words._word_tree(model, L)[1]
         (_, shorter), (_, longer) = deque(words._replay(model, tree, 1.0), maxlen=2)
         (lo_s, hi_s), (lo_l, hi_l) = words._enclosure(shorter), words._enclosure(longer)
         assert lo_l <= hi_s and lo_s <= hi_l
@@ -584,7 +584,7 @@ def shell_ratio_reference(model, tree, b):
 def abscissa_reference(model, L, cap=words.WORD_CAP_DEFAULT):
     """(estimate, residual) of `abscissa_estimate` by the old loop."""
     words._shell_counts(model, L, cap)
-    tree = words._word_tree(model, L)
+    tree = words._word_tree(model, L)[1]
 
     def g(b):
         return shell_ratio_reference(model, tree, b)
@@ -611,7 +611,7 @@ def assert_reference_estimate(model, L, est, want):
     """``est`` lies within the bisection tolerance of the old loop's estimate
     ``want[0]``, and its residual is the exact g at ``est.estimate``, bit for bit."""
     assert abs(est.estimate - want[0]) <= BISECT_TOL_DEFAULT, (est, want)
-    g = shell_ratio_reference(model, words._word_tree(model, L), est.estimate)
+    g = shell_ratio_reference(model, words._word_tree(model, L)[1], est.estimate)
     assert _hex(est.residual) == _hex(g)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import time
 from math import fsum
@@ -10,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmsphase import build_model, enumerate_words, partial_series, shell_sum, words
+from kmsphase.cli import main
 from kmsphase.critical import abscissa_estimate
 from kmsphase.errors import DegenerateShellsError, LengthTooLargeError, NoConvergenceError
 from kmsphase.words import _enclosure, _exact, _replay, _shell_counts, _word_tree
 
-from conftest import cycle_model, full_model, golden_mean_model, random_irreducible, random_matrix
+from conftest import (coexistence_models, cycle_model, full_model, golden_mean_model,
+                      random_irreducible, random_matrix)
 
 
 class TestEnumerate:
@@ -170,6 +173,7 @@ _ENUMERATORS = {
     "shell_sum": lambda model, n, cap: shell_sum(model, 1.0, n, cap=cap),
     "partial_series": lambda model, n, cap: partial_series(model, 1.0, n, cap=cap),
     "abscissa_estimate": lambda model, n, cap: abscissa_estimate(model, n, cap=cap),
+    "_word_tree": lambda model, n, cap: _word_tree(model, n, cap=cap),
 }
 
 
@@ -334,6 +338,44 @@ class TestWordTreeBitwise:
             assert (info.value.count, info.value.cap) == (count, 1000)
 
 
+# --- one shell table for the oracle CSV and partial_series -----------------
+
+def _table_models():
+    rng = np.random.default_rng(2718)
+    random6 = build_model(random_matrix(rng, 6), rng.uniform(1.5, 4.0, 6))
+    return [pytest.param(golden_mean_model(), id="golden"),
+            pytest.param(coexistence_models()[0], id="reducible"),
+            pytest.param(random6, id="random6")]
+
+
+class TestShellTable:
+    @pytest.mark.parametrize("model", _table_models())
+    @pytest.mark.parametrize("L", [0, 1, 5])
+    def test_printed_rows_are_the_series_and_its_shells(self, capsys, model, L):
+        text = json.dumps({"matrix": model.matrix.tolist(), "energies": model.energies.tolist()})
+        ends = (None, 0, model.m - 1)
+        for source in ends:
+            for target in ends:
+                argv = ["oracle", "--model-json", text, "--beta", "0.9", "--max-length", str(L)]
+                argv += ["--source", str(source)] if source is not None else []
+                argv += ["--target", str(target)] if target is not None else []
+                assert main(argv) == 0
+                lines = capsys.readouterr().out.splitlines()
+                assert lines[0] == "n,count,shell_sum" and len(lines) == L + 2
+                rows = [line.split(",") for line in lines[1:]]
+                assert [int(n) for n, _, _ in rows] == list(range(L + 1))
+                assert [int(c) for _, c, _ in rows] == _shell_counts(model, L)
+                sums = [float(s) for _, _, s in rows]
+                want = partial_series(model, 0.9, L, source=source, target=target)
+                assert fsum(sums).hex() == want.hex(), (source, target)
+                for n in range(1, L + 1):
+                    got = shell_sum(model, 0.9, n, source=source, target=target)
+                    assert sums[n].hex() == got.hex(), (n, source, target)
+
+    def test_length_zero_builds_no_level(self):
+        assert _word_tree(golden_mean_model(), 0) == ([1], [])
+
+
 # --- the (parents, counts) level format against the per-letter loop ---------
 
 def word_tree_reference(model, n, source=None):
@@ -360,7 +402,7 @@ class TestWordTreeLevels:
             for n in range(1, 8):
                 if sum(_shell_counts(model, n, math.inf)) > 20_000:
                     break
-                tree, want = _word_tree(model, n, source), word_tree_reference(model, n, source)
+                tree, want = _word_tree(model, n, source)[1], word_tree_reference(model, n, source)
                 assert len(tree) == len(want) == n
                 for k, ((parents, counts), (ref_parents, ref_letters)) in enumerate(zip(tree, want)):
                     if ref_parents is None:
@@ -373,7 +415,7 @@ class TestWordTreeLevels:
     @pytest.mark.parametrize("source", [None, 0, 1])
     def test_a_level_is_one_index_per_word_and_one_count_per_letter(self, source):
         model = golden_mean_model()
-        tree = _word_tree(model, 6, source)
+        tree = _word_tree(model, 6, source)[1]
         sizes = [sum(source in (None, w.letters[0]) for w in enumerate_words(model, n))
                  for n in range(1, 7)]
         for n, level in enumerate(tree, start=1):
@@ -402,7 +444,7 @@ class TestExactSums:
     def test_target_group_matches_the_comprehension(self, m_size, L, beta, seed):
         rng = np.random.default_rng(seed)
         model = build_model(random_matrix(rng, m_size), rng.uniform(1.5, 4.0, m_size))
-        for level, w in _replay(model, _word_tree(model, L), beta):
+        for level, w in _replay(model, _word_tree(model, L)[1], beta):
             for target in (None, *range(m_size)):
                 assert _exact(level, w, target).hex() == exact_reference(level, w, target).hex()
 
@@ -419,7 +461,7 @@ class TestShellEnclosures:
         model = build_model(random_matrix(rng, m_size), np.exp(rng.uniform(0.01, 7.0, m_size)))
         while _shell_counts(model, L, math.inf)[-1] > 20_000:
             L -= 1
-        levels = list(_replay(model, _word_tree(model, L), beta))
+        levels = list(_replay(model, _word_tree(model, L)[1], beta))
         assert len(levels) == L
         for n, (level, w) in enumerate(levels, start=1):
             value, (lo, hi) = _exact(level, w), _enclosure(w)
