@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys as _sys
 
 import numpy as np
@@ -97,16 +98,53 @@ def dumps(obj) -> str:
 
 # --- ingestion ------------------------------------------------------------
 
+# a "matrix" member's array, from its "[" to the first "]]"
+_MATRIX_OPEN = re.compile(r'"matrix"[ \t\n\r]*:[ \t\n\r]*\[')
+_MATRIX_CLOSE = re.compile(r"\][ \t\n\r]*\]")
+_ONE_AS_ZERO = bytes.maketrans(b"1", b"0")
+_DIGIT_VALUE = bytes.maketrans(b"01", b"\0\1")
+
+
+def _loads_model(text: str):
+    """json.loads(text), with a "matrix" of bare 0s and 1s read by numpy.
+
+    Stripped of JSON whitespace, such a matrix spells [[d,...,d],...] with m
+    rows of m digits.  The span is the top-level "matrix" value when the
+    text with the bare token NaN in its place, and no other NaN, parses to
+    an object whose "matrix" is nan (a sentinel string could be spelled
+    again with escapes); JSON being context-free, the text itself then
+    parses to that object with the span's matrix in place.  Any other text
+    takes json.loads whole, so its values and error messages are json's.
+    """
+    key = _MATRIX_OPEN.search(text)
+    close = key and _MATRIX_CLOSE.search(text, key.end())
+    if close:
+        start, end = key.end() - 1, close.end()
+        head, span, tail = text[:start], text[start:end], text[end:]
+        compact = span.encode().translate(None, b" \t\n\r") if span.isascii() else b""
+        m = (compact.find(b"]") - 1) // 2
+        if m > 0 and len(compact) == 2 * m * (m + 1) + 1 and "NaN" not in head + tail:
+            row = b"[" + b"0," * (m - 1) + b"0]"
+            if compact.translate(_ONE_AS_ZERO) == b"[" + b",".join([row] * m) + b"]":
+                with contextlib.suppress(json.JSONDecodeError):
+                    raw = json.loads(head + "NaN" + tail)
+                    if type(raw) is dict and type(v := raw.get("matrix")) is float and v != v:
+                        digits = compact.translate(_DIGIT_VALUE, b"[],")
+                        raw["matrix"] = np.frombuffer(digits, np.int8).reshape(m, m)
+                        return raw
+    return json.loads(text)
+
+
 def load_model(path: str | None, inline: str | None) -> model_mod.SystemModel:
     if (path is None) == (inline is None):
         raise ConfigParseError("provide exactly one of --model or --model-json")
     try:
-        if inline:
-            raw = json.loads(inline)
-        else:
+        text = inline
+        if text is None:
             with open(path) as fh:
-                raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+                text = fh.read()
+        raw = _loads_model(text)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigParseError(f"cannot read model: {exc}") from exc
     if not isinstance(raw, dict) or "matrix" not in raw or "energies" not in raw:
         raise ConfigParseError('model JSON needs "matrix" and "energies"')
@@ -259,7 +297,9 @@ def _cmd_star(args) -> dict:
     drop = None if args.drop == "auto" else int(args.drop)
     sys_ = star.build_star("default", drop=drop, head_count=args.head_count)
     beta = args.beta if args.beta is not None else sys_.beta_bar
-    part = star.star_partition(sys_, beta)
+    # one zeta(beta) enclosure for the partition, z0 and every truncation bound
+    enclosure = star.zeta_enclosure(sys_, beta)
+    part = star._partition(beta, enclosure)
     levels = [int(k) for k in args.levels.split(",")] if args.levels else [8, 32, 128]
     table = []
     for K in levels:
@@ -271,7 +311,7 @@ def _cmd_star(args) -> dict:
             "K": K,
             "beta_c": crit_k.beta_c,
             "z0_truncated": z0_k,
-            "bound": star.z0_truncation_bound(sys_, beta, K, z0_k),
+            "bound": star._truncation_bound(sys_, beta, K, z0_k, enclosure[1]),
         })
     return {
         "system": {
@@ -283,7 +323,7 @@ def _cmd_star(args) -> dict:
         },
         "beta": beta,
         "partition": part,
-        "z0_displayed": star.star_z0(sys_, beta),
+        "z0_displayed": star._z0_displayed(beta, enclosure),
         "z0_convention": star.Z0_CONVENTION,
         "truncations": table,
         "critical_states": [star.star_kms_at_critical(sys_, t) for t in (0.0, 1.0)],

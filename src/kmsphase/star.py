@@ -222,7 +222,12 @@ def star_z0(sys: StarSystem, beta: float) -> float:
     Returns +inf when the geometric ratio reaches 1.  See Z0_CONVENTION:
     subtract 1 for the fixed-target series over words ending in 0.
     """
-    lo, hi = zeta_enclosure(sys, beta)
+    return _z0_displayed(beta, zeta_enclosure(sys, beta))
+
+
+def _z0_displayed(beta: float, enclosure: tuple[float, float]) -> float:
+    """star_z0 from the enclosure of zeta(beta)."""
+    lo, hi = enclosure
     two = 2.0 ** (-beta)
     zeta_mid = 0.5 * (lo + hi)
     ratio = two * zeta_mid
@@ -248,8 +253,13 @@ class StarPartition:
 
 
 def star_partition(sys: StarSystem, beta: float) -> StarPartition:
-    z0_disp = star_z0(sys, beta)
-    zeta = zeta_value(sys, beta)
+    return _partition(beta, zeta_enclosure(sys, beta))
+
+
+def _partition(beta: float, enclosure: tuple[float, float]) -> StarPartition:
+    """star_partition from the enclosure of zeta(beta)."""
+    z0_disp = _z0_displayed(beta, enclosure)
+    zeta = 0.5 * (enclosure[0] + enclosure[1])
     if math.isinf(z0_disp):
         return StarPartition(
             beta=beta, zeta=zeta, z0=math.inf, zk_factor=math.inf, z_total=math.inf
@@ -334,8 +344,13 @@ def z0_truncation_bound(sys: StarSystem, beta: float, K: int, z0_truncated: floa
     (1 + z0_truncated) * tail * (loop factor); every factor is evaluated at
     its certified upper value.
     """
+    return _truncation_bound(sys, beta, K, z0_truncated, zeta_enclosure(sys, beta)[1])
+
+
+def _truncation_bound(sys: StarSystem, beta: float, K: int, z0_truncated: float,
+                      zeta_hi: float) -> float:
+    """z0_truncation_bound from the upper end of the enclosure of zeta(beta)."""
     tail_up = zeta_tail_after(sys, beta, K)
-    _, zeta_hi = zeta_enclosure(sys, beta)
     two = 2.0 ** (-beta)
     if two * zeta_hi >= 1.0:
         return math.inf

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from kmsphase import cli, critical, errors, partition, words
+from kmsphase import cli, critical, errors, partition, star, words
 from kmsphase.cli import dumps, main
 from kmsphase.critical import AbscissaEstimate
 from kmsphase.model import SystemModel
@@ -288,6 +288,26 @@ class TestStarCommand:
         s0, s1 = out["critical_states"]
         assert abs(s0["rho_q0"] - s1["rho_q0"]) > 1e-3
 
+    @pytest.mark.parametrize("beta", [None, "1.3"])
+    def test_one_zeta_enclosure_per_report(self, monkeypatch, capsys, beta):
+        """The report sums the zeta head once, and prints what the public
+        star functions give, each from its own enclosure."""
+        argv = ["star", "--levels", "8,32,128", "--head-count", "20000"]
+        argv += ["--beta", beta] if beta else []
+        calls = []
+        real = star.zeta_enclosure
+        monkeypatch.setattr(star, "zeta_enclosure", lambda *a: calls.append(a) or real(*a))
+        assert main(argv) == 0
+        assert len(calls) == 1
+        out = json.loads(capsys.readouterr().out)
+        monkeypatch.undo()
+        sys_ = star.build_star("default", head_count=20000)
+        b = out["beta"]
+        assert out["partition"] == json.loads(dumps(star.star_partition(sys_, b)))
+        assert out["z0_displayed"] == star.star_z0(sys_, b)
+        for row in out["truncations"]:
+            assert row["bound"] == star.z0_truncation_bound(sys_, b, row["K"], row["z0_truncated"])
+
 
 def test_only_analyze_builds_the_property_report(monkeypatch, capsys):
     # every other command reads irreducibility off the strong components and
@@ -355,6 +375,7 @@ def _model_json(matrix, energies, **extra) -> str:
 _ERROR_FILES = {
     "golden.json": json.dumps(GOLDEN),
     "broken.json": "{",
+    "not-utf-8.json": b'\xff\xfe{"matrix": [[1]], "energies": [2]}',
     "full13.json": _model_json([[1] * 13] * 13, [2.0] * 13),
     "state-ok.json": json.dumps(dict(beta=2.0, atom_masses=[0.5, 0.5])),
     "state-broken.json": "[",
@@ -394,6 +415,11 @@ _ERROR_CASES = [
           "line 1 column 2 (char 1)"),
     _case("model-not-json", ["analyze", "--model-json", "not json"], 1,
           "error: cannot read model: Expecting value: line 1 column 1 (char 0)"),
+    _case("model-json-empty", ["analyze", "--model-json", ""], 1,
+          "error: cannot read model: Expecting value: line 1 column 1 (char 0)"),
+    _case("model-not-utf-8", ["analyze", "--model", "{dir}/not-utf-8.json"], 1,
+          "error: cannot read model: 'utf-8' codec can't decode byte 0xff in position 0: "
+          "invalid start byte"),
     _case("model-not-object", ["analyze", "--model-json", "[1, 2]"], 1,
           'error: model JSON needs "matrix" and "energies"'),
     _case("model-no-energies", ["analyze", "--model-json", '{"matrix": [[1]]}'], 1,
@@ -602,7 +628,10 @@ _ERROR_CASES = [
 @pytest.mark.parametrize("argv,status,line,seconds", _ERROR_CASES)
 def test_error_path(tmp_path, capsys, argv, status, line, seconds):
     for name, text in _ERROR_FILES.items():
-        (tmp_path / name).write_text(text)
+        if isinstance(text, bytes):
+            (tmp_path / name).write_bytes(text)
+        else:
+            (tmp_path / name).write_text(text)
 
     def fill(text: str) -> str:
         return text.replace("{dir}", str(tmp_path))

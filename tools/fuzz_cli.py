@@ -40,7 +40,8 @@ the shell ratio S_L / S_{L-1} above 1 at max(0, est - d) and below 1 at
 est + d, d = 1e-6 max(1, est) (a point where a shell sum underflows to 0
 is not judged).  Each report is one line: the
 family, the reason, the wall time and the argv.  The model JSON is inline
-in the argv, and a ``check-state`` line shows the state JSON in place of
+in the argv (on one line for even model numbers, indented by one space for
+odd ones), and a ``check-state`` line shows the state JSON in place of
 its file, so the line is its own reproducer.  The last line, on stderr,
 counts models, runs and reports; the exit status is 1 when anything was
 reported.
@@ -293,7 +294,9 @@ def fuzz(seed: int, count: int, families: tuple[str, ...]) -> tuple[int, int, fl
             m = int(rng.integers(2, 9))
             matrix = _matrix(rng, m, reducible=bool(rng.integers(2)))
             energies = _energies(rng, family, m)
-            model_json = json.dumps({"matrix": matrix.tolist(), "energies": energies})
+            # every other model indented: load_model's byte decoder meets both layouts
+            model_json = json.dumps({"matrix": matrix.tolist(), "energies": energies},
+                                    indent=1 if i % 2 else None)
             built = build_model(matrix, energies)
             roots, top = _betas(built)
             state = None
