@@ -163,7 +163,7 @@ def load_state(path: str, space: model_mod.ColumnSpace, beta_override: float | N
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigParseError(f"cannot read state: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigParseError("state JSON must be an object")

@@ -5,11 +5,10 @@ target, fixed source and target) coincide, and for irreducible A the
 common critical value beta_c is the unique root of r(beta) = 1, where
 r is the spectral radius of the transfer matrix.  For reducible A, r is
 the largest radius of a strong class, so beta_c is the largest of the
-class roots.  :func:`matrix_spectral_radius` (from :mod:`partition`)
-computes r so for every matrix, class by class: a letter alone is its
-diagonal entry, any other block gets a power iteration, and a block
-whose iteration runs out of steps, or stops with Collatz-Wielandt bounds
-that did not meet, falls back to its eigenvalues.
+class roots.  :func:`matrix_spectral_radius` computes r so for every
+matrix, class by class, and :func:`partition.perron_pair` the Perron
+pairs, both on the ladder :mod:`partition` describes: a power iteration,
+then a certified dense rung where it gives up.
 
 Each class root is found once per model by Newton on
 f(beta) = log r_C(beta) (:func:`partition.class_roots`).  Every entry of

@@ -12,9 +12,9 @@ read off its own solve (below).
 M is block-triangular in the strong classes C of A, so r(beta) is the
 largest class radius r_C(beta) = r(M_CC).  One loop over the classes,
 :func:`matrix_spectral_radius`, computes it for every matrix: a class of
-one letter is its diagonal entry, any other block gets a power
-iteration, and a block whose iteration runs out of steps, or stops with
-bounds that did not meet, falls back to its eigenvalues.
+one letter is its diagonal entry, any other block climbs the Perron ladder
+of :func:`perron_pair`: power iteration, then, where that gives up, the
+vectors of ``np.linalg.eig`` that their bounds certify (else max |lambda|).
 :func:`spectral_radius` and :func:`evaluate` hand it the model's classes;
 a raw matrix gets those of its support.  :func:`class_roots` keeps, per
 model, each class's root of r_C(beta) = 1 with a certified enclosure
@@ -138,19 +138,18 @@ class _Schedule:
 
     One per iterated matrix: the single-matrix loop and the stacked loop
     of :func:`_power_iteration_stack` both consult it at every check, so
-    each matrix checks and steps as it would alone.
+    each matrix checks, steps and gives up as it would alone.
     """
 
-    __slots__ = ("best", "stale", "block", "steps")
+    __slots__ = ("best", "stale", "late", "block", "steps")
 
     def __init__(self):
-        self.best, self.stale, self.block, self.steps = math.inf, 0, CHECK_STEPS, 0
+        self.best, self.stale, self.late, self.block, self.steps = math.inf, 0, 0, CHECK_STEPS, 0
 
     def stops(self, gap: float, upper: float, tol: float) -> bool:
-        """Whether the iteration stops at a check with this gap and upper bound.
-
-        If not, ``block`` is the number of steps to run before the next check.
-        """
+        """Whether the iteration stops at a check with this gap and upper bound (the
+        gap meets tol, stalls, or the schedule :meth:`gives_up`); if not,
+        ``block`` is the number of steps to run before the next check."""
         if gap <= tol * upper:
             return True
         gap /= upper
@@ -160,21 +159,54 @@ class _Schedule:
                 # tol (or one ulp: no gap below that is reached anyway)
                 needed = self.block * math.log(max(tol, _EPS) / gap) / math.log(gap / self.best)
                 self.block = min(MAX_BLOCK, max(1, math.ceil(needed)))
+                self.late = self.late + 1 if self.steps + needed > POWER_MAXITER_DEFAULT else 0
             self.best, self.stale = gap, 0
-            return False
-        self.stale, self.block = self.stale + 1, CHECK_STEPS
-        return self.stale >= STAGNATION_CHECKS
-
-    def spend(self) -> bool:
-        """Count the next block; False when it reaches ``POWER_MAXITER_DEFAULT``
-        steps, and the iteration gives up without running it."""
+        else:
+            self.stale, self.block, self.late = self.stale + 1, CHECK_STEPS, 0
         self.steps += self.block
-        return self.steps < POWER_MAXITER_DEFAULT
+        return self.stale >= STAGNATION_CHECKS or self.gives_up()
+
+    def gives_up(self) -> bool:
+        """Whether the steps reach ``POWER_MAXITER_DEFAULT`` or the last ``STAGNATION_CHECKS``
+        checks in a row each shrank the gap and predicted they would."""
+        return self.steps >= POWER_MAXITER_DEFAULT or self.late >= STAGNATION_CHECKS
+
+
+def _bounds(entries: np.ndarray, v: np.ndarray, u: np.ndarray | None):
+    """(Mv, uM, lower, upper, gap): the Collatz-Wielandt bounds of v, gap the
+    larger of upper - lower and the spread of uM/u."""
+    mv, um = entries @ v, None if u is None else u @ entries
+    ratios = mv / v
+    lower, upper = float(ratios.min()), float(ratios.max())
+    left = None if u is None else um / u
+    gap = upper - lower if left is None else max(upper - lower, float(left.max() - left.min()))
+    return mv, um, lower, upper, gap
+
+
+_Found = tuple[np.ndarray, np.ndarray | None, np.ndarray | None, float, float]
+
+
+def _dense(entries: np.ndarray, left: bool, tol: float) -> _Found | None:
+    """The dense rung: (v, Mv, u, lower, upper) from the ``np.linalg.eig`` vectors of M (and
+    M' for u) at its eigenvalue of largest real part, if positive with bounds meeting ``tol``;
+    else None for a pair, and (v, None, None, rho, rho) for a radius, rho the largest |lambda|."""
+    found = []
+    for a in (entries, entries.T)[:1 + left]:
+        w, vectors = np.linalg.eig(a)
+        x = vectors[:, w.real.argmax()].real
+        found.append(x / x[np.abs(x).argmax()])
+    v, u = found[0], found[1] if left else None
+    with np.errstate(all="ignore"):
+        mv, _, lower, upper, gap = _bounds(entries, v, u)
+    if all((x > 0.0).all() for x in found) and gap <= tol * upper < math.inf:
+        return v, mv, u, lower, upper
+    rho = float(np.abs(w).max())
+    return None if left else (v, None, None, rho, rho)
 
 
 def _power_iteration(
     entries: np.ndarray, v: np.ndarray, u: np.ndarray | None, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, float, float]:
+) -> _Found | None:
     """Power iteration on I + M for the right vector v and, unless u is None, the left u.
 
     I + M is primitive whenever M is irreducible, so the iterates converge
@@ -192,23 +224,19 @@ def _power_iteration(
     Otherwise it runs as many steps as the contraction since the last
     check says the gap needs to reach ``tol`` (``CHECK_STEPS`` at first and
     after a check that did not shrink it, at most ``MAX_BLOCK``); the
-    bookkeeping is :class:`_Schedule`'s.  Raises NoConvergenceError in
-    place of a block that would bring the steps to ``POWER_MAXITER_DEFAULT``.
+    bookkeeping is :class:`_Schedule`'s.  An unmet radius, or a pair that gives up,
+    takes :func:`_dense`; a pair it cannot certify iterates on (None out of steps).
     """
-    schedule = _Schedule()
+    schedule, tried = _Schedule(), False
     while True:
-        mv = entries @ v
-        ratios = mv / v
-        lower, upper = float(ratios.min()), float(ratios.max())
-        gap = upper - lower
-        if u is not None:
-            um = u @ entries
-            left = um / u
-            gap = max(gap, float(left.max() - left.min()))
+        mv, um, lower, upper, gap = _bounds(entries, v, u)
         if schedule.stops(gap, upper, tol):
-            return v, mv, u, lower, upper
-        if not schedule.spend():
-            raise NoConvergenceError("power iteration did not converge")
+            if gap <= tol * upper or u is not None and not schedule.gives_up():
+                return v, mv, u, lower, upper
+            found = None if tried else _dense(entries, u is not None, tol)
+            if found is not None or schedule.steps >= POWER_MAXITER_DEFAULT:
+                return found
+            tried = True   # the rung cannot certify this pair: iterate on without it
         step = entries
         if upper < 1.0:
             step = entries / upper
@@ -226,7 +254,7 @@ def _power_iteration(
             u /= u.max()
 
 
-def _power_iteration_stack(entries: np.ndarray, tol: float) -> list[tuple[float, float] | None]:
+def _power_iteration_stack(entries: np.ndarray, tol: float) -> list[tuple[float, float]]:
     """:func:`_power_iteration` from v = 1, with no left vector, on every slice of a
     (k, n, n) stack at once.
 
@@ -235,17 +263,13 @@ def _power_iteration_stack(entries: np.ndarray, tol: float) -> list[tuple[float,
     every slice the bits of its own matrix-vector product), a slice scaled
     below r = 1 is divided by its own upper bound, a slice whose block is
     shorter than the round's longest adds an exact 0.0 for the steps it
-    sits out, and a slice that stops leaves the stack.  A stack of one
-    runs the single-matrix loop, which costs less per step.  Returns the
-    (lower, upper) bounds per slice, None where the step budget ran out.
+    sits out, and a slice that stops (or takes the dense rung) leaves the
+    stack.  A stack of one runs the single-matrix loop, which costs less
+    per step.  Returns the (lower, upper) bounds per slice.
     """
     if len(entries) == 1:
-        try:
-            *_, lower, upper = _power_iteration(entries[0], np.ones(entries.shape[1]), None, tol)
-        except NoConvergenceError:
-            return [None]
-        return [(lower, upper)]
-    out: list[tuple[float, float] | None] = [None] * len(entries)
+        return [_power_iteration(entries[0], np.ones(entries.shape[1]), None, tol)[-2:]]
+    out: list[tuple[float, float]] = [(0.0, 0.0)] * len(entries)
     live = list(range(len(entries)))
     schedules = [_Schedule() for _ in live]
     v = np.ones(entries.shape[:2])
@@ -255,10 +279,13 @@ def _power_iteration_stack(entries: np.ndarray, tol: float) -> list[tuple[float,
         lowers, uppers = ratios.min(axis=1).tolist(), ratios.max(axis=1).tolist()
         going = []
         for i, j in enumerate(live):
-            if schedules[j].stops(uppers[i] - lowers[i], uppers[i], tol):
-                out[j] = (lowers[i], uppers[i])
-            elif schedules[j].spend():
+            gap = uppers[i] - lowers[i]
+            if not schedules[j].stops(gap, uppers[i], tol):
                 going.append(i)
+            elif gap <= tol * uppers[i]:
+                out[j] = (lowers[i], uppers[i])
+            else:
+                out[j] = _dense(entries[i], False, tol)[-2:]
         if not going:
             return out
         if len(going) < len(live):
@@ -285,19 +312,15 @@ def matrix_spectral_radius(
     each radius has the bits that its matrix gives alone.  M is
     block-triangular in the strong classes C of its support, so r(M) is
     the largest r(M_CC).  A class of one letter is its diagonal entry;
-    any other block is irreducible, and its radius is the Collatz-Wielandt
-    upper bound max(Mv/v) of the power iteration on I + M_CC, scaled below
-    r = 1 (see :func:`_power_iteration`), within ``POWER_TOL_DEFAULT`` of
-    r_C.  A stack iterates the blocks of one class together
+    any other block is irreducible, and its radius is the upper bound that
+    the power iteration on I + M_CC or its dense rung returns (see
+    :func:`_power_iteration`; the largest eigenvalue modulus where no vector
+    is certified).  A stack iterates the blocks of one class together
     (:func:`_power_iteration_stack`).  No two classes of equal radius can
-    stall it.  A block whose iteration spends its step budget, or stops at
-    rounding with its lower bound more than ``POWER_TOL_DEFAULT`` below the
-    upper (a nearly split class), gets the largest modulus of its
-    eigenvalues instead, slice by slice.  ``components`` is the (count,
-    label per index) pair of the classes, as
-    :attr:`SystemModel.strong_components` holds it for a model's matrix;
-    None computes it from the support of ``entries`` (of its first slice,
-    for a stack).
+    stall it.  ``components`` is the (count, label per index) pair of the
+    classes, as :attr:`SystemModel.strong_components` holds it for a model's
+    matrix; None computes it from the support of ``entries`` (of its first
+    slice, for a stack).
     """
     stack = entries if entries.ndim == 3 else entries[None]
     ncomp, labels = _strong_components(stack[0]) if components is None else components
@@ -308,12 +331,8 @@ def matrix_spectral_radius(
         # an irreducible M is its own block; a copy would cost about as
         # much as its iteration
         block = stack if ncomp == 1 else np.ascontiguousarray(stack[:, idx[:, None], idx])
-        for i, bounds in enumerate(_power_iteration_stack(block, POWER_TOL_DEFAULT)):
-            if bounds is not None and bounds[1] - bounds[0] <= POWER_TOL_DEFAULT * bounds[1]:
-                r_c = bounds[1]
-            else:
-                r_c = float(np.abs(np.linalg.eigvals(block[i])).max())
-            r[i] = max(r[i], r_c)
+        for i, (_, upper) in enumerate(_power_iteration_stack(block, POWER_TOL_DEFAULT)):
+            r[i] = max(r[i], upper)
     return r if entries.ndim == 3 else float(r[0])
 
 
@@ -343,14 +362,16 @@ def perron_pair(
 ) -> PerronPair:
     """Perron root and vectors of an irreducible nonnegative matrix M.
 
-    Power iteration on I + M (:func:`_power_iteration`), which needs no
-    eigenvalue fallback; both vectors start from ``start`` (all ones by
-    default).
+    Power iteration on I + M, or its dense rung (:func:`_power_iteration`),
+    from ``start`` (all ones by default).  The one place that raises
+    NoConvergenceError for them: when neither certifies a pair in time.
     """
     m = entries.shape[0]
     v = np.ones(m) if start is None else start.v
     u = np.ones(m) if start is None else start.u
-    v, mv, u, lower, upper = _power_iteration(entries, v, u, tol)
+    if (found := _power_iteration(entries, v, u, tol)) is None:
+        raise NoConvergenceError("power iteration did not converge")
+    v, mv, u, lower, upper = found
     r = float(u @ mv) / float(u @ v)
     return PerronPair(min(max(r, lower), upper), v, u, lower, upper)
 

@@ -379,6 +379,7 @@ _ERROR_FILES = {
     "full13.json": _model_json([[1] * 13] * 13, [2.0] * 13),
     "state-ok.json": json.dumps(dict(beta=2.0, atom_masses=[0.5, 0.5])),
     "state-broken.json": "[",
+    "state-not-utf-8.json": b'\xff{"beta": 2}',
     "state-no-beta.json": json.dumps(dict(atom_masses=[0.5, 0.5])),
     "state-no-masses.json": json.dumps(dict(beta=2.0)),
     "state-unknown-point.json": json.dumps(dict(beta=2.0, atom_masses={"00": 1.0})),
@@ -508,6 +509,9 @@ _ERROR_CASES = [
           "error: cannot read state: [Errno 2] No such file or directory: '{dir}/missing.json'"),
     _case("state-broken", ["check-state", *_G, "--state", "{dir}/state-broken.json"], 1,
           "error: cannot read state: Expecting value: line 1 column 2 (char 1)"),
+    _case("state-not-utf-8", ["check-state", *_G, "--state", "{dir}/state-not-utf-8.json"], 1,
+          "error: cannot read state: 'utf-8' codec can't decode byte 0xff in position 0: "
+          "invalid start byte"),
     _case("state-no-beta", ["check-state", *_G, "--state", "{dir}/state-no-beta.json"], 1,
           "error: state JSON needs a beta (or pass --beta)"),
     _case("state-no-masses", ["check-state", *_G, "--state", "{dir}/state-no-masses.json"], 1,

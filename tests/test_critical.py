@@ -67,29 +67,33 @@ class TestSpectralRadius:
     def test_one_iteration_per_class(self, monkeypatch):
         # two golden-mean blocks, the first feeding the second, tie at every
         # beta: on the whole matrix the upper bound would creep to r like 1/k;
-        # class by class each block converges at once and no eigvals is needed
+        # class by class each block converges at once and no dense rung is needed
         tied = build_model(
             [[1, 1, 1, 0], [1, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, 0]], [2.0, 3.0, 2.0, 3.0])
-        calls = {"iterations": 0, "eigvals": 0}
-        real_iteration, real_eigvals = partition._power_iteration, np.linalg.eigvals
+        calls = {"iterations": 0, "dense": 0}
+        real_iteration, real_eigvals, real_eig = (
+            partition._power_iteration, np.linalg.eigvals, np.linalg.eig)
 
         def iteration(*args, **kwargs):
             calls["iterations"] += 1
             return real_iteration(*args, **kwargs)
 
-        def eigvals(*args, **kwargs):
-            calls["eigvals"] += 1
-            return real_eigvals(*args, **kwargs)
+        def dense(real):
+            def call(*args, **kwargs):
+                calls["dense"] += 1
+                return real(*args, **kwargs)
+            return call
 
         monkeypatch.setattr(partition, "_power_iteration", iteration)
-        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        monkeypatch.setattr(np.linalg, "eigvals", dense(real_eigvals))
+        monkeypatch.setattr(np.linalg, "eig", dense(real_eig))
         for model in [tied, *coexistence_models()]:
             _, labels = model.strong_components
             nontrivial = int((np.bincount(labels) > 1).sum())
             for beta in (0.0, 0.4, 1.3):
                 calls["iterations"] = 0
                 r = spectral_radius(model, beta)
-                assert calls == {"iterations": nontrivial, "eigvals": 0}
+                assert calls == {"iterations": nontrivial, "dense": 0}
                 want = np.abs(real_eigvals(transfer_matrix(model, beta).entries)).max()
                 assert r == pytest.approx(want, rel=1e-11)
         # raw matrices take the classes of their support: a tied pair of
@@ -99,24 +103,24 @@ class TestSpectralRadius:
         for entries, nontrivial in raws:
             calls["iterations"] = 0
             r = matrix_spectral_radius(entries)
-            assert calls == {"iterations": nontrivial, "eigvals": 0}
+            assert calls == {"iterations": nontrivial, "dense": 0}
             assert r == pytest.approx(np.abs(real_eigvals(entries)).max(), rel=1e-12)
 
     def test_block_out_of_steps_falls_back_to_eigvals(self, monkeypatch):
         # a letter feeding a golden-mean block: four steps do not close the
-        # block's gap, so its eigenvalues give its radius
+        # block's gap, so the dense rung (np.linalg.eig) gives its radius
         entries = np.array([[0.5, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 0.0]])
         calls = []
-        real_eigvals = np.linalg.eigvals
+        real_eig = np.linalg.eig
         monkeypatch.setattr(partition, "POWER_MAXITER_DEFAULT", 4)
-        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or real_eigvals(a))
+        monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or real_eig(a))
         assert matrix_spectral_radius(entries) == pytest.approx(PHI, rel=1e-12)
         assert calls == [(2, 2)]
 
     # Nearly split classes, whose power iteration stops at its stagnation
-    # exit with bounds far apart: (model, beta, r) with r from 60-digit
-    # eigenvalues (mpmath).  LAPACK builds may differ in the last bits of
-    # eigvals, so the printed radius is pinned to 1e-12 relative.
+    # exit with bounds far apart, so the dense rung answers: (model, beta, r)
+    # with r from 60-digit eigenvalues (mpmath).  LAPACK builds may differ in
+    # the last bits of eig, so the printed radius is pinned to 1e-12 relative.
     _UNMET_BOUNDS = [
         ({"matrix": [[0, 1], [1, 0]], "energies": [1e6, 2]}, 5.0, 1.7677669529663688e-16),
         ({"matrix": [[0, 0, 1, 1, 0, 0, 1, 1], [1, 0, 1, 1, 1, 0, 0, 0], [0, 1, 1, 0, 1, 1, 0, 0],
@@ -131,8 +135,8 @@ class TestSpectralRadius:
     @pytest.mark.parametrize("model, beta, want", _UNMET_BOUNDS, ids=["two-cycle", "near-one"])
     def test_unmet_bounds_fall_back_to_eigvals(self, monkeypatch, capsys, model, beta, want):
         calls = []
-        real_eigvals = np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or real_eigvals(a))
+        real_eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or real_eig(a))
         argv = ["partition", "--model-json", json.dumps(model), f"--beta={beta!r}"]
         assert cli.main(argv) == 0
         report = json.loads(capsys.readouterr().out)["partition"]
@@ -355,9 +359,24 @@ class TestPerronVector:
         assert (pair.lower, pair.upper) == (ratios.min(), ratios.max())
         assert pair.lower <= pair.r <= pair.upper
         assert pair.upper - pair.lower <= 1e-13 * pair.upper
+        # out of steps, the dense rung answers with the certificate of its own vectors
         monkeypatch.setattr(partition, "POWER_MAXITER_DEFAULT", 8)
-        with pytest.raises(NoConvergenceError):
-            partition.perron_pair(entries, tol=0.0)
+        pair = partition.perron_pair(entries)
+        ratios, left = (entries @ pair.v) / pair.v, (pair.u @ entries) / pair.u
+        assert (pair.lower, pair.upper) == (ratios.min(), ratios.max())
+        assert pair.lower <= pair.r <= pair.upper
+        assert max(pair.upper - pair.lower, left.max() - left.min()) <= 1e-12 * pair.upper
+        # a rung that cannot certify (a vector with a 0) leaves the pair to raise
+        real_eig = np.linalg.eig
+
+        def zeroed(a):
+            w, vectors = real_eig(a)
+            vectors[0, w.real.argmax()] = 0.0
+            return w, vectors
+
+        monkeypatch.setattr(np.linalg, "eig", zeroed)
+        with pytest.raises(NoConvergenceError, match="power iteration did not converge"):
+            partition.perron_pair(entries)
         # a 1x1 block is exact at the first check, whatever tol and budget
         for a in (0.0, 0.37, 1e-300, 1.0 - 1e-10):
             pair = partition.perron_pair(np.array([[a]]), tol=0.0)
@@ -750,28 +769,33 @@ def _newton_models():
 NEWTON_MODELS = _newton_models()
 
 
+def _count_calls(monkeypatch) -> dict[str, int]:
+    """Count the Perron pairs, ``np.linalg.eigvals`` and ``np.linalg.eig`` calls from now on."""
+    counts = {"pairs": 0, "eigvals": 0, "eig": 0}
+
+    def counted(key, real):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+        return call
+
+    pair = counted("pairs", partition.perron_pair)
+    monkeypatch.setattr(partition, "perron_pair", pair)
+    monkeypatch.setattr(critical, "perron_pair", pair)
+    monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+    monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
+    return counts
+
+
 class TestNewtonRoots:
     @pytest.mark.parametrize("name", list(NEWTON_MODELS))
     def test_few_pair_evaluations_and_no_eigvals(self, name, monkeypatch):
         model = NEWTON_MODELS[name]()
-        counts = {"pairs": 0, "eigvals": 0}
-        real_pair, real_eigvals = partition.perron_pair, np.linalg.eigvals
-
-        def pair(*args, **kwargs):
-            counts["pairs"] += 1
-            return real_pair(*args, **kwargs)
-
-        def eigvals(*args, **kwargs):
-            counts["eigvals"] += 1
-            return real_eigvals(*args, **kwargs)
-
-        monkeypatch.setattr(partition, "perron_pair", pair)
-        monkeypatch.setattr(critical, "perron_pair", pair)
-        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        counts = _count_calls(monkeypatch)
         rep = beta_c(model)
         assert not rep.permutation_like and rep.perron_at_critical is not None
         assert counts["pairs"] <= 10
-        assert counts["eigvals"] == 0
+        assert counts["eigvals"] == counts["eig"] == 0
 
     @pytest.mark.parametrize("name", list(NEWTON_MODELS))
     def test_dense_eigvals_confirm_enclosure(self, name):
@@ -793,8 +817,11 @@ class TestNewtonRoots:
         # the first check runs no step and the next block CHECK_STEPS, so this
         # budget lets the Perron vector after beta_c take two checks, not three
         monkeypatch.setattr(partition, "POWER_MAXITER_DEFAULT", partition.CHECK_STEPS + 1)
+        counts = _count_calls(monkeypatch)
         rep = beta_c(model)
         monkeypatch.undo()
+        # a cold start would give up and certify its pair on the dense rung
+        assert counts["eig"] == 0
         cold = critical._certified_vector(
             partition.perron_pair(transfer_matrix(model, rep.beta_c).entries))
         cold = cold / float(model.weights(rep.beta_c) @ cold)
@@ -809,6 +836,56 @@ class TestNewtonRoots:
         del model
         gc.collect()
         assert ref() is None
+
+
+# Two golden-mean blocks joined through two letters of energy 1e6: near its
+# root the class is nearly split, and its power iteration would need far more
+# than POWER_MAXITER_DEFAULT steps, so every command reaches the dense rung.
+TIED = {"matrix": [[1, 1, 0, 0, 1, 0], [1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 1],
+                   [0, 0, 1, 1, 0, 0], [0, 0, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0]],
+        "energies": [2, 2, 2, 2, 1e6, 1e6]}
+
+
+class TestTiedModel:
+    @staticmethod
+    def _model():
+        return build_model(TIED["matrix"], TIED["energies"])
+
+    @pytest.mark.parametrize("argv", [["critical"], ["analyze"], ["kms", "--beta=0.5"],
+                                      ["oa", "--scan"], ["partition", "--sweep", "0.1:2:20"]],
+                             ids=["critical", "analyze", "kms", "oa-scan", "sweep"])
+    def test_commands_answer(self, capsys, argv):
+        assert cli.main([argv[0], "--model-json", json.dumps(TIED), *argv[1:]]) == 0
+
+    def test_beta_c_brackets_the_eigvals_root(self):
+        model = self._model()
+        (root,) = class_roots(model)
+
+        def radius(beta):
+            return float(np.abs(np.linalg.eigvals(transfer_matrix(model, beta).entries)).max())
+
+        assert radius(root.lo - 1e-9) > 1.0 > radius(root.hi + 1e-9)
+        assert root.lo <= beta_c(model).beta_c <= root.hi
+        assert root.hi - root.lo <= BISECT_TOL_DEFAULT
+
+    def test_fast_in_process(self):
+        # best of three fresh models, so that no root table is reused
+        def seconds(call):
+            start = time.perf_counter()
+            call()
+            return time.perf_counter() - start
+
+        assert min(seconds(lambda: beta_c(self._model())) for _ in range(3)) < 0.020
+        model = self._model()
+        assert min(seconds(lambda: spectral_radius(model, 0.7)) for _ in range(3)) < 0.010
+        want = float(np.abs(np.linalg.eigvals(transfer_matrix(model, 0.7).entries)).max())
+        assert spectral_radius(model, 0.7) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_takes_the_dense_rung(self, monkeypatch):
+        counts = _count_calls(monkeypatch)
+        rep = beta_c(self._model())
+        assert rep.perron_at_critical is not None
+        assert counts["eig"] > 0 and counts["eigvals"] == 0
 
 
 class TestBisect:

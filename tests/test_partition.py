@@ -30,7 +30,6 @@ from kmsphase.critical import beta_c
 from kmsphase.errors import (
     DivergentNormalizerError,
     IllConditionedSolveError,
-    NoConvergenceError,
 )
 from kmsphase.partition import _restricted_resolvent, class_roots, restricted_fixed_pairs
 
@@ -250,18 +249,19 @@ class TestStackedGrid:
         split = json.loads(_SPLIT_MODEL)
         model = build_model(split["matrix"], split["energies"])
         calls = []
-        eigvals = np.linalg.eigvals
+        eig = np.linalg.eig
 
         def counted(a):
             calls.append(a.shape)
-            return eigvals(a)
+            return eig(a)
 
-        monkeypatch.setattr(np.linalg, "eigvals", counted)
-        # the 2-cycle of energies 1e6 and 2 stalls past beta ~ 4
+        monkeypatch.setattr(np.linalg, "eig", counted)
+        # the 2-cycle of energies 1e6 and 2 stalls past beta ~ 4, and takes
+        # the dense rung
         grid = np.linspace(0.1, 12.0, 30)
         list(evaluate(model, grid))
         assert 0 < len(calls) < len(grid) and set(calls) == {(2, 2)}
-        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        monkeypatch.setattr(np.linalg, "eig", eig)
         _assert_grid_is_per_beta(model, grid)
 
     def test_reports_come_chunk_by_chunk(self, monkeypatch):
@@ -311,11 +311,7 @@ class TestStackedPowerIteration:
 
     @staticmethod
     def _alone(entries, tol):
-        try:
-            *_, lower, upper = partition._power_iteration(entries, np.ones(len(entries)), None, tol)
-        except NoConvergenceError:
-            return None
-        return lower, upper
+        return partition._power_iteration(entries, np.ones(len(entries)), None, tol)[-2:]
 
     @pytest.mark.parametrize("tol", (1e-12, 1e-4))
     def test_each_slice_as_alone(self, rng, tol):
@@ -325,13 +321,20 @@ class TestStackedPowerIteration:
             assert partition._power_iteration_stack(stack[-1:], tol) == got[-1:]
 
     def test_spent_budget_per_slice(self, rng, monkeypatch):
+        # a slice that spends the budget takes the dense rung, as it would alone
         stacks = list(self._stacks(rng))
         monkeypatch.setattr(partition, "POWER_MAXITER_DEFAULT", 24)
+        real_dense, answers = partition._dense, []
+        monkeypatch.setattr(partition, "_dense",
+                            lambda *args: answers.append(real_dense(*args)) or answers[-1])
         seen = set()
         for stack in stacks:
+            answers.clear()
             got = partition._power_iteration_stack(stack, 1e-12)
+            dense = [answer[-2:] for answer in answers]
             assert got == [self._alone(entries, 1e-12) for entries in stack]
-            seen |= {bounds is None for bounds in got}
+            assert all(bounds in got for bounds in dense)
+            seen |= {bounds in dense for bounds in got}
         assert seen == {True, False}
 
 

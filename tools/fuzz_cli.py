@@ -26,12 +26,17 @@ every other warning printed.  A run is reported when its exit status is
 neither 0 nor 1, when its stderr holds a warning or a traceback, when it
 takes over 1 s, or when it is a ``partition --beta`` that exits 0 with a
 ``spectral_radius`` more than 1e-9 of it plus 8 m eps ||M||_1 away from
-max |eigvals(M)|, M = A N^-beta, or a ``partition --sweep`` that exits 0
-with a row whose radius misses the same test or whose z_total is not inf
-exactly when that radius is at least 1, or an ``oracle`` that exits 0 with
-a row that ``kmsphase.enumerate_words``, the independent depth-first search,
-does not reproduce: in every shell of at most 2 10^4 words the count must
-match exactly and the sum within 1e-12 relative (the search weighs a word
+max |eigvals(M)|, M = A N^-beta (or not finite), or a ``partition --sweep``
+that exits 0 with a row whose radius misses the same test or whose z_total
+is not inf exactly when that radius is at least 1, or a ``critical`` that
+exits 0, on a system that is not permutation-like, with a beta_c whose
+bracket does not hold the root of max |eigvals(M)| = 1: with
+d = 1e-9 max(1, beta_c), that radius must be above 1 at
+beta_c - bracket_width - d and at most 1 at beta_c + bracket_width + d, or
+an ``oracle`` that exits 0 with a row that ``kmsphase.enumerate_words``, the
+independent depth-first search, does not reproduce: in every shell of at
+most 2 10^4 words the count must match exactly and the sum within 1e-12
+relative (the search weighs a word
 by exp(-beta log N(mu)), not by products), or a ``critical
 --abscissa-check L`` that exits 0 with an estimate the same search does
 not confirm, where shell L holds at most 2 10^4 words: an estimate of 0
@@ -74,6 +79,7 @@ WORD_CAP = 100_000
 LONG_LENGTH, SMALL_CAP = 100_000, 1000
 ORACLE_WORDS, ORACLE_RTOL = 20_000, 1e-12
 ABSCISSA_STEP = 1e-6
+CRITICAL_STEP = 1e-9
 EPS = float(np.finfo(float).eps)
 
 
@@ -176,12 +182,38 @@ def _radius_problem(model, argv: list[str], out: str) -> str | None:
     return _radius_gap(model, beta, json.loads(out)["partition"]["spectral_radius"])
 
 
-def _radius_gap(model, beta: float, got: float) -> str | None:
+def _eigvals_radius(entries: np.ndarray) -> float:
+    return float(np.abs(np.linalg.eigvals(entries)).max())
+
+
+def _radius_gap(model, beta: float, got) -> str | None:
+    # a non-finite radius is printed as the string "inf" or "nan"
+    got = float(got)
     entries = model.matrix * model.weights(beta)
-    want = float(np.abs(np.linalg.eigvals(entries)).max())
+    want = _eigvals_radius(entries)
     slack = 1e-9 * want + 8 * model.m * EPS * float(entries.sum(axis=0).max())
-    if abs(got - want) > slack:
+    if not math.isfinite(got) or abs(got - want) > slack:
         return f"radius {got!r}, eigenvalues give {want!r}"
+    return None
+
+
+def _critical_problem(model, out: str) -> str | None:
+    """A ``critical`` beta_c whose bracket, widened by d = ``CRITICAL_STEP``
+    max(1, beta_c), does not hold the root of max |eigvals(M)| = 1: the
+    radius must be above 1 at beta_c - bracket_width - d (at 0 where that is
+    negative: the radius only grows below it) and at most 1 at
+    beta_c + bracket_width + d; else None, and None for a permutation-like
+    system."""
+    report = json.loads(out)["critical"]
+    if report["permutation_like"]:
+        return None
+    beta, width = float(report["beta_c"]), float(report["bracket_width"])
+    d = CRITICAL_STEP * max(1.0, beta)
+    below, above = max(0.0, beta - width - d), beta + width + d
+    r_below, r_above = (_eigvals_radius(model.matrix * model.weights(b)) for b in (below, above))
+    if not (r_below > 1.0 and r_above <= 1.0):
+        return (f"beta_c {beta!r} +- {width!r}, but eigenvalues give radii "
+                f"{r_below!r} at {below!r} and {r_above!r} at {above!r}")
     return None
 
 
@@ -316,6 +348,8 @@ def fuzz(seed: int, count: int, families: tuple[str, ...]) -> tuple[int, int, fl
                     problem = _radius_problem(built, argv, stdout)
                 if problem is None and status == 0 and argv[0] == "oracle":
                     problem = _oracle_problem(built, argv, stdout)
+                if problem is None and status == 0 and argv[0] == "critical":
+                    problem = _critical_problem(built, stdout)
                 if problem is None and status == 0 and "--abscissa-check" in argv:
                     problem = _abscissa_problem(built, argv, stdout)
                 if problem is not None:
