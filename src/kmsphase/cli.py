@@ -295,7 +295,7 @@ def _cmd_check_state(args) -> dict:
 
 def _cmd_star(args) -> dict:
     drop = None if args.drop == "auto" else int(args.drop)
-    sys_ = star.build_star("default", drop=drop, head_count=args.head_count)
+    sys_ = star.build_star(args.family, drop=drop, head_count=args.head_count)
     beta = args.beta if args.beta is not None else sys_.beta_bar
     # one zeta(beta) enclosure for the partition, z0 and every truncation bound
     enclosure = star.zeta_enclosure(sys_, beta)

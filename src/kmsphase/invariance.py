@@ -43,8 +43,8 @@ from .errors import (
     TooLargeForExhaustiveError,
 )
 from .model import ColumnSpace, SystemModel, column_space
-from .partition import transfer_matrix
-from .states import INFINITE, QState, qstate_from_atoms
+from .states import GAP_TOL_DEFAULT, INFINITE, QState, qstate_from_atoms
+from .states import _fixed_point_residual, _gaps
 
 __all__ = [
     "InvarianceVerdict",
@@ -55,7 +55,6 @@ __all__ = [
     "EXHAUSTIVE_MAX_M",
 ]
 
-GAP_TOL_DEFAULT = 1e-10
 EXHAUSTIVE_MAX_M = 12
 # Relative transfer-matrix residual a fixed point may carry.
 FIXED_POINT_RTOL = 1e-9
@@ -104,8 +103,7 @@ def is_subinvariant(
             subinvariant=True, invariant=False, atom_gaps=gaps, worst_violation=None
         )
 
-    inflow = space.push(model.weights(beta) * state.q)
-    gaps = state.atoms - inflow
+    inflow, gaps = _gaps(model, space, beta, state)
     sub = bool((gaps >= -tol).all())
     inv = bool((np.abs(gaps) <= tol).all())
 
@@ -220,8 +218,7 @@ def invariant_state_from_fixed_point(model: SystemModel, beta: float, v) -> QSta
     norm = float(nw @ v)
     if abs(norm - 1.0) > 1e-9:
         raise NotNormalizedError(f"sum N(x)^-beta v_x = {norm}, expected 1")
-    entries = transfer_matrix(model, beta).entries
-    residual = float(np.abs(entries @ v - v).max())
+    residual = _fixed_point_residual(model, beta, v)
     if residual > FIXED_POINT_RTOL * max(1.0, float(np.abs(v).max())):
         raise NotFixedPointError(f"transfer-matrix residual {residual}")
 
@@ -241,9 +238,7 @@ def fixed_point_from_state(model: SystemModel, beta: float, state: QState) -> np
         raise NotInvariantError(
             f"state is not invariant at beta={beta}; worst gap {verdict.worst_violation}"
         )
-    v = state.q.copy()
-    entries = transfer_matrix(model, beta).entries
-    residual = float(np.abs(entries @ v - v).max())
+    residual = _fixed_point_residual(model, beta, state.q)
     if residual > 1e-8:
         raise NotFixedPointError(f"transfer-matrix residual {residual}")
-    return v
+    return state.q

@@ -12,7 +12,8 @@ module builds the two constructive families:
 It also computes the infinite-stem mass diagnostic, splits an arbitrary
 subinvariant state into finite and infinite components via per-atom
 defects, and transports a state to a lower temperature (cooling), where it
-always lands on the finite-type side.
+always lands on the finite-type side.  One rule decides subinvariance, here
+and in :mod:`.invariance`: each gap of :func:`_gaps` is at least -``GAP_TOL_DEFAULT``.
 """
 
 from __future__ import annotations
@@ -45,8 +46,10 @@ __all__ = [
     "cooling",
 ]
 
-# A defect below -DEFECT_TOL breaks subinvariance; a finite fraction within
-# DEFECT_TOL of 0 or 1 leaves out the finite or the infinite part.
+# The one subinvariance rule: a gap below -GAP_TOL_DEFAULT breaks it, and a
+# defect at most GAP_TOL_DEFAULT counts as invariant.  A finite fraction
+# within DEFECT_TOL of 0 or 1 leaves out the finite or the infinite part.
+GAP_TOL_DEFAULT = 1e-10
 DEFECT_TOL = 1e-9
 # Infinite-stem shells checked against their bound after cooling.
 COOLING_CHECK_SHELLS = 20
@@ -215,8 +218,8 @@ class Decomposition:
     finite part (the state of ``gamma_finite``) is present only when that
     fraction is above 0, the infinite part only when it is below 1, and its
     generator values are a fixed point of the transfer matrix (residual
-    reported, not enforced).  Atoms whose defect lies inside the invariance
-    gap tolerance belong wholly to the infinite part, judged atom by atom.
+    reported, not enforced).  Atoms whose defect is at most
+    ``GAP_TOL_DEFAULT`` belong wholly to the infinite part, atom by atom.
     """
 
     gamma_finite: RootMeasure
@@ -228,40 +231,46 @@ class Decomposition:
     q_norm_residual: float | None
 
 
-INVARIANT_TOL = 1e-10
+def _gaps(model: SystemModel, space: ColumnSpace, beta: float, state: QState):
+    """Per column point c: the inflow sum_{z with column c} N(z)^-beta q_z, and atoms minus it."""
+    inflow = space.push(model.weights(beta) * state.q)
+    return inflow, state.atoms - inflow
+
+
+def _fixed_point_residual(model: SystemModel, beta: float, v: np.ndarray) -> float:
+    """max |(A N^-beta) v - v|: how far v is from a transfer-matrix fixed point."""
+    return float(np.abs(transfer_matrix(model, beta).entries @ v - v).max())
 
 
 def _defects(model: SystemModel, space: ColumnSpace, beta: float, state: QState) -> np.ndarray:
-    """Per-atom defect: atom mass minus the inflow sum_{z with column c} N(z)^-beta q_z.
+    """Per-atom defect: the gap of :func:`_gaps`, under the one subinvariance rule.
 
-    Nonnegative exactly when the state is subinvariant at beta (up to
-    ``DEFECT_TOL``).  The invariance gap tolerance then applies atom by
-    atom: every defect inside it (or below 0) is zeroed as invariant,
-    whether or not other atoms carry a real defect.  Near criticality the
-    normalizer blows up like 1/(1 - r), so eigen-gap noise left in any
-    atom would otherwise masquerade as (or inflate) a finite component.
+    Raises :class:`NegativeDefectError` at the first gap below
+    -``GAP_TOL_DEFAULT``, exactly where :func:`invariance.is_subinvariant`
+    rejects the state.  Then every defect at most ``GAP_TOL_DEFAULT`` is
+    zeroed as invariant, atom by atom: near criticality the normalizer
+    blows up like 1/(1 - r), so eigen-gap noise left in any atom would
+    otherwise masquerade as (or inflate) a finite component.
     """
-    inflow = space.push(model.weights(beta) * state.q)
-    d = state.atoms - inflow
-    for c, v in enumerate(d):
-        if v < -DEFECT_TOL:
-            raise NegativeDefectError(c, float(v))
-    d[d <= INVARIANT_TOL] = 0.0
+    _, d = _gaps(model, space, beta, state)
+    bad = np.flatnonzero(d < -GAP_TOL_DEFAULT)
+    if bad.size:
+        raise NegativeDefectError(int(bad[0]), float(d[bad[0]]))
+    d[d <= GAP_TOL_DEFAULT] = 0.0
     return d
 
 
 def decompose(model: SystemModel, beta: float, state: QState) -> Decomposition:
     """Recover the root measure and type split of a subinvariant state.
 
-    The defect vector is exactly the restriction of the underlying measure
-    to trivial-stem configurations, so it doubles as the root measure of
-    the finite part; the finite fraction is its normalizer Z(beta, defect),
-    from the same evaluation of the series (:func:`partition._finite_part`).
-    Each defect inside the invariance gap tolerance (``INVARIANT_TOL``) is
-    zeroed on its own, so a state mixing finite-type and invariant parts
-    keeps only its real finite defects: eigen-gap noise on the invariant
-    atoms, amplified by a near-critical normalizer, would otherwise shift
-    the fraction or push it past 1.
+    A state that :func:`invariance.is_subinvariant` rejects at beta raises
+    :class:`NegativeDefectError` (:func:`_defects`).  The defect vector is
+    exactly the restriction of the underlying measure to trivial-stem
+    configurations, so it doubles as the root measure of the finite part;
+    the finite fraction is its normalizer Z(beta, defect), from the same
+    evaluation of the series (:func:`partition._finite_part`).  A state
+    mixing finite-type and invariant parts keeps only its real finite
+    defects: :func:`_defects` zeroes the eigen-gap noise atom by atom.
     """
     space = column_space(model)
     d = _defects(model, space, beta, state)
@@ -283,25 +292,20 @@ def decompose(model: SystemModel, beta: float, state: QState) -> Decomposition:
     if fraction > DEFECT_TOL:
         fin_state = qstate_from_atoms(space, beta, atoms / (gamma_fin.total + stems), FINITE)
 
-    inf_state = None
-    fp_residual = None
-    qn_residual = None
+    inf_state = fp_residual = qn_residual = None
     if fraction < 1.0 - DEFECT_TOL:
         fin_atoms = fin_state.atoms if fin_state is not None else np.zeros(space.d)
-        rem = (state.atoms - fraction * fin_atoms) / (1.0 - fraction)
-        rem = np.clip(rem, 0.0, None)
-        rem_q = rem @ space.bit_matrix()
+        rem = np.clip((state.atoms - fraction * fin_atoms) / (1.0 - fraction), 0.0, None)
         # Renormalize so the fixed-point normalization sum N^-beta q = 1
         # holds exactly; the bit rule is preserved by scaling atoms too.
-        s = float(model.weights(beta) @ rem_q)
+        s = float(model.weights(beta) @ (rem @ space.bit_matrix()))
         qn_residual = abs(s - 1.0)
         if s > 0:
             rem = rem / s
         inf_state = qstate_from_atoms(
             space, beta, rem, INFINITE, atol=max(1e-9, 2 * qn_residual + 1e-12)
         )
-        entries = transfer_matrix(model, beta).entries
-        fp_residual = float(np.abs(entries @ inf_state.q - inf_state.q).max())
+        fp_residual = _fixed_point_residual(model, beta, inf_state.q)
 
     # Reconstruction check: fraction * finite + (1 - fraction) * infinite.
     recon = np.zeros(space.d)
@@ -325,10 +329,11 @@ def decompose(model: SystemModel, beta: float, state: QState) -> Decomposition:
 def cooling(model: SystemModel, beta: float, state: QState, beta_prime: float) -> QState:
     """Transport a subinvariant state at beta to beta_prime > beta.
 
-    The result is the unique beta_prime-scaling state with the same
-    restriction data; lowering the temperature always makes it finite
-    type, with infinite-stem shells bounded by R^(-n delta) for
-    R = min N(x) and delta = beta_prime - beta, checked on the first
+    A state that :func:`invariance.is_subinvariant` rejects at beta raises
+    :class:`NotSubinvariantError`.  The result is the unique beta_prime-scaling
+    state with the same restriction data; lowering the temperature always
+    makes it finite type, with infinite-stem shells bounded by R^(-n delta)
+    for R = min N(x) and delta = beta_prime - beta, checked on the first
     ``COOLING_CHECK_SHELLS`` shells.  It is the decomposition's finite part.
     """
     if beta_prime < beta:

@@ -43,7 +43,7 @@ from kmsphase.errors import (
     ZeroMeasureError,
 )
 from kmsphase.partition import restricted_fixed_pairs, transfer_matrix
-from kmsphase.states import DEFECT_TOL, FINITE, INFINITE, INVARIANT_TOL, TypeTag
+from kmsphase.states import DEFECT_TOL, FINITE, GAP_TOL_DEFAULT, INFINITE, TypeTag
 
 from conftest import coexistence_models, random_irreducible
 
@@ -93,10 +93,10 @@ def ref_defects(model, space, beta, state):
     d = state.atoms - space.push(model.weights(beta) * state.q)
     d[np.abs(d) < 1e-12] = 0.0
     for c, v in enumerate(d):
-        if v < -DEFECT_TOL:
+        if v < -GAP_TOL_DEFAULT:
             raise NegativeDefectError(c, float(v))
     d = np.clip(d, 0.0, None)
-    d[d <= INVARIANT_TOL] = 0.0
+    d[d <= GAP_TOL_DEFAULT] = 0.0
     return d
 
 

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from kmsphase import (
     QState,
     RootMeasure,
     beta_c,
+    build_model,
+    classify_ta,
     column_space,
     cooling,
     decompose,
@@ -30,7 +34,7 @@ from kmsphase.errors import (
     ZeroMeasureError,
 )
 from kmsphase.partition import class_roots, restricted_fixed_pairs, z_gamma
-from kmsphase.states import FINITE, TypeTag
+from kmsphase.states import FINITE, GAP_TOL_DEFAULT, TypeTag
 
 from conftest import (
     coexistence_models,
@@ -371,6 +375,52 @@ class TestCooling:
         )
         with pytest.raises(NotSubinvariantError):
             cooling(m, 0.3, lowered, bc)
+
+
+class TestOneSubinvarianceRule:
+    """``decompose`` and ``cooling`` accept exactly the states that
+    ``is_subinvariant`` accepts: one gap vector, one tolerance."""
+
+    def test_band_state_rejected_everywhere(self):
+        # its gap of -5.0e-10 lies between -1e-9 and -GAP_TOL_DEFAULT
+        m = build_model([[1, 1], [1, 0]], [2, 3])
+        state = qstate_from_atoms(column_space(m), 2.0, [0.7500000005000002, 0.2499999995],
+                                  FINITE)
+        verdict = is_subinvariant(m, 2.0, state)
+        assert not verdict.subinvariant
+        assert -1e-9 < min(verdict.atom_gaps) < -GAP_TOL_DEFAULT
+        with pytest.raises(NegativeDefectError):
+            decompose(m, 2.0, state)
+        with pytest.raises(NotSubinvariantError):
+            cooling(m, 2.0, state, 2.5)
+
+    @settings(max_examples=80, deadline=None)
+    @given(hst.integers(2, 5), hst.integers(0, 10_000), hst.booleans(), hst.data())
+    def test_verdict_matches_decompose_near_extreme_states(self, m_size, seed, critical, data):
+        # an extreme state, critical or above beta_c, with each atom moved by
+        # at most 2e-9: its gaps fall on both sides of -GAP_TOL_DEFAULT
+        rng = np.random.default_rng(seed)
+        m = random_irreducible(rng, m_size, non_permutation=True, energy_range=(1.5, 4.0))
+        space = column_space(m)
+        if critical:
+            beta, base = critical_state(m)
+        else:
+            beta = beta_c(m).beta_c + float(rng.uniform(0.1, 1.0))
+            extremes = classify_ta(m, beta).extreme_states
+            base = extremes[data.draw(hst.integers(0, len(extremes) - 1))]
+        moves = data.draw(hst.lists(hst.floats(-2e-9, 2e-9), min_size=space.d,
+                                    max_size=space.d))
+        state = qstate_from_atoms(space, beta, base.atoms + np.array(moves), FINITE, atol=1e-8)
+        accepted = is_subinvariant(m, beta, state).subinvariant
+        try:
+            decompose(m, beta, state)
+        except NegativeDefectError:
+            assert not accepted
+        except NotSubinvariantError:
+            # a divergent or too large finite fraction: not the gap rule
+            assert accepted
+        else:
+            assert accepted
 
 
 class TestQuotientTemperatureNormalizers:

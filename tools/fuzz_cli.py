@@ -43,7 +43,10 @@ not confirm, where shell L holds at most 2 10^4 words: an estimate of 0
 needs shell L to hold no more words than shell L - 1, and any other needs
 the shell ratio S_L / S_{L-1} above 1 at max(0, est - d) and below 1 at
 est + d, d = 1e-6 max(1, est) (a point where a shell sum underflows to 0
-is not judged).  Each report is one line: the
+is not judged), or a ``check-state --exhaustive`` that exits 0 on the state
+a ``kms`` run printed with a verdict that does not accept it as
+subinvariant, or, at a beta above the largest class root, with a
+``finite_fraction`` more than 1e-6 away from 1.  Each report is one line: the
 family, the reason, the wall time and the argv.  The model JSON is inline
 in the argv (on one line for even model numbers, indented by one space for
 odd ones), and a ``check-state`` line shows the state JSON in place of
@@ -80,6 +83,7 @@ LONG_LENGTH, SMALL_CAP = 100_000, 1000
 ORACLE_WORDS, ORACLE_RTOL = 20_000, 1e-12
 ABSCISSA_STEP = 1e-6
 CRITICAL_STEP = 1e-9
+FRACTION_TOL = 1e-6
 EPS = float(np.finfo(float).eps)
 
 
@@ -264,6 +268,20 @@ def _abscissa_problem(model, argv: list[str], out: str) -> str | None:
     return None
 
 
+def _state_problem(top: float, out: str) -> str | None:
+    """A ``check-state`` verdict that rejects the state a ``kms`` run printed,
+    or, above the largest class root ``top``, where every state is of finite
+    type, a finite fraction more than ``FRACTION_TOL`` away from 1; else None."""
+    report = json.loads(out)
+    verdict = report["verdict"]
+    if not verdict["subinvariant"]:
+        return f"verdict rejects a kms state, worst violation {verdict['worst_violation']}"
+    fraction = report["decomposition"]["finite_fraction"]
+    if float(report["beta"]) > top and abs(fraction - 1.0) > FRACTION_TOL:
+        return f"finite fraction {fraction!r} above the largest class root {top!r}"
+    return None
+
+
 def _state_from_kms(out: str) -> dict | None:
     """The barycentre of the extreme states a `kms` report printed, or None."""
     try:
@@ -352,6 +370,8 @@ def fuzz(seed: int, count: int, families: tuple[str, ...]) -> tuple[int, int, fl
                     problem = _critical_problem(built, stdout)
                 if problem is None and status == 0 and "--abscissa-check" in argv:
                     problem = _abscissa_problem(built, argv, stdout)
+                if problem is None and status == 0 and argv[0] == "check-state":
+                    problem = _state_problem(top, stdout)
                 if problem is not None:
                     problems += 1
                     shown = [json.dumps(state) if a == state_path else a for a in argv]
