@@ -24,7 +24,8 @@ one pass over the pairs per column point, and d <= m <= 12 keeps a table
 at 4096 entries.
 
 Invariant states biject with nonnegative, normalized fixed points of the
-transfer matrix via rho -> (q_x)_x.
+transfer matrix via rho -> (q_x)_x; both directions apply the one invariance
+rule (every gap within ``GAP_TOL_DEFAULT``) and ``FIXED_POINT_TOL``.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ __all__ = [
 ]
 
 EXHAUSTIVE_MAX_M = 12
-# Relative transfer-matrix residual a fixed point may carry.
-FIXED_POINT_RTOL = 1e-9
+# The one fixed-point threshold, on max |(A N^-beta) v - v|, in both directions.
+FIXED_POINT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -201,11 +202,11 @@ def _members(mask) -> tuple[int, ...]:
 
 
 def invariant_state_from_fixed_point(model: SystemModel, beta: float, v) -> QState:
-    """The invariant state whose generator values are the fixed point v.
+    """The invariant state of a fixed point v >= 0 with sum_x N(x)^-beta v_x = 1.
 
-    Requires v >= 0, (A N^-beta) v = v within ``FIXED_POINT_RTOL``, and the
-    normalization sum_x N(x)^-beta v_x = 1.  The atoms place N(z)^-beta v_z
-    at the column of each generator z.
+    Its atoms place N(z)^-beta v_z at the column of each generator z.  It must
+    pass the invariance rule of :func:`is_subinvariant`, and its generator
+    values, (A N^-beta) v, must lie within ``FIXED_POINT_TOL`` of v.
     """
     if not (0 < beta < math.inf):
         raise ValueError("invariant states need finite positive beta")
@@ -218,27 +219,25 @@ def invariant_state_from_fixed_point(model: SystemModel, beta: float, v) -> QSta
     norm = float(nw @ v)
     if abs(norm - 1.0) > 1e-9:
         raise NotNormalizedError(f"sum N(x)^-beta v_x = {norm}, expected 1")
-    residual = _fixed_point_residual(model, beta, v)
-    if residual > FIXED_POINT_RTOL * max(1.0, float(np.abs(v).max())):
-        raise NotFixedPointError(f"transfer-matrix residual {residual}")
 
     space = column_space(model)
-    atoms = space.push(nw * v)
-    state = qstate_from_atoms(space, beta, atoms, INFINITE)
-    # By construction q_values[x] = sum_z A(x,z) N(z)^-beta v_z = v_x.
-    if np.abs(state.q - v).max() > 1e-8:
+    state = qstate_from_atoms(space, beta, space.push(nw * v), INFINITE)
+    if not (np.abs(_gaps(model, space, beta, state)[1]) <= GAP_TOL_DEFAULT).all():
+        raise NotFixedPointError("the state breaks invariance: a gap exceeds GAP_TOL_DEFAULT")
+    if np.abs(state.q - v).max() > FIXED_POINT_TOL:
         raise NotFixedPointError("derived generator values drifted from the fixed point")
     return state
 
 
 def fixed_point_from_state(model: SystemModel, beta: float, state: QState) -> np.ndarray:
-    """Extract the fixed point (the generator values) of an invariant state."""
+    """The fixed point q of a state that passes the invariance rule of
+    :func:`is_subinvariant`, with transfer-matrix residual at most ``FIXED_POINT_TOL``."""
     verdict = is_subinvariant(model, beta, state)
     if not verdict.invariant:
         raise NotInvariantError(
             f"state is not invariant at beta={beta}; worst gap {verdict.worst_violation}"
         )
     residual = _fixed_point_residual(model, beta, state.q)
-    if residual > 1e-8:
+    if residual > FIXED_POINT_TOL:
         raise NotFixedPointError(f"transfer-matrix residual {residual}")
     return state.q

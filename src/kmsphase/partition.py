@@ -535,7 +535,8 @@ def evaluate(
     call at its own beta gives.  A chunk's reports are made only once the
     iterator reaches it, so a long grid on a large model never holds every
     Z_xy at once.  Every beta is checked before anything is evaluated; a
-    solve that fails the single-letter floor raises as its report is reached.
+    solve that fails the single-letter floor raises as its report is reached,
+    and an I - M singular at working precision raises for its whole chunk.
     """
     betas = np.asarray(beta, dtype=float)
     if not (betas > 0).all():
@@ -559,7 +560,10 @@ def _evaluate_chunk(
     solved = iter(())
     if convergent:
         stack = eye - tm[convergent]
-        solved = zip(stack, np.linalg.solve(stack, np.broadcast_to(eye, stack.shape)))
+        try:
+            solved = zip(stack, np.linalg.solve(stack, np.broadcast_to(eye, stack.shape)))
+        except np.linalg.LinAlgError:   # r < 1, but I - M is singular in floating point
+            raise IllConditionedSolveError("I - M is singular at working precision") from None
     for b, w, r in zip(betas, nw, radii):
         if r >= 1.0:
             yield PartitionReport(

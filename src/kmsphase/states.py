@@ -302,9 +302,11 @@ def decompose(model: SystemModel, beta: float, state: QState) -> Decomposition:
         qn_residual = abs(s - 1.0)
         if s > 0:
             rem = rem / s
-        inf_state = qstate_from_atoms(
-            space, beta, rem, INFINITE, atol=max(1e-9, 2 * qn_residual + 1e-12)
-        )
+        try:  # atom noise, amplified by 1 / (1 - fraction), may leave no state
+            inf_state = qstate_from_atoms(space, beta, rem, INFINITE,
+                                          atol=max(1e-9, 2 * qn_residual + 1e-12))
+        except ValueError as exc:
+            raise NotSubinvariantError(f"no infinite part at beta={beta}: {exc}") from None
         fp_residual = _fixed_point_residual(model, beta, inf_state.q)
 
     # Reconstruction check: fraction * finite + (1 - fraction) * infinite.

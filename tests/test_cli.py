@@ -288,6 +288,15 @@ class TestStarCommand:
         s0, s1 = out["critical_states"]
         assert abs(s0["rho_q0"] - s1["rho_q0"]) > 1e-3
 
+    def test_explicit_drop(self, capsys):
+        # dropping one more term shrinks zeta(1), and so its upper bound
+        bounds = {}
+        for drop in ("auto", "2"):
+            assert main(["star", "--drop", drop, "--levels", "8", "--head-count", "20000"]) == 0
+            system = json.loads(capsys.readouterr().out)["system"]
+            bounds[system["drop"]] = system["zeta_at_abscissa_bounds"]
+        assert set(bounds) == {1, 2} and bounds[2][1] < bounds[1][1]
+
     @pytest.mark.parametrize("beta", [None, "1.3"])
     def test_one_zeta_enclosure_per_report(self, monkeypatch, capsys, beta):
         """The report sums the zeta head once, and prints what the public

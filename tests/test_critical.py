@@ -887,6 +887,22 @@ class TestTiedModel:
         assert rep.perron_at_critical is not None
         assert counts["eig"] > 0 and counts["eigvals"] == 0
 
+    def test_refused_dense_rung_is_tried_once(self, monkeypatch):
+        # a pair the rung cannot certify iterates on until the budget is spent
+        monkeypatch.setattr(partition, "POWER_MAXITER_DEFAULT", 2_000)
+        real_bounds, real_dense, checks, tries = partition._bounds, partition._dense, [], []
+        monkeypatch.setattr(partition, "_bounds",
+                            lambda *args: checks.append(None) or real_bounds(*args))
+
+        def refuse_pairs(entries, left, tol):
+            tries.append(len(checks))
+            return None if left else real_dense(entries, left, tol)
+
+        monkeypatch.setattr(partition, "_dense", refuse_pairs)
+        with pytest.raises(NoConvergenceError):
+            partition.perron_pair(transfer_matrix(self._model(), 0.7).entries)
+        assert len(tries) == 1 and len(checks) > tries[0]
+
 
 class TestBisect:
     # The ITP search that replaced the bisection keeps the bisection's

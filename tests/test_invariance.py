@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from kmsphase import (
     RootMeasure,
     beta_c,
+    build_model,
     column_space,
+    decompose,
     finite_type_state,
     fixed_point_from_state,
     invariant_state_from_fixed_point,
@@ -27,7 +29,7 @@ from kmsphase.errors import (
 )
 from kmsphase import invariance
 from kmsphase.invariance import GAP_TOL_DEFAULT, InvarianceVerdict, _disjoint_pairs, _pair_gaps
-from kmsphase.states import FINITE
+from kmsphase.states import FINITE, INFINITE
 
 from conftest import (
     block_triangular,
@@ -444,6 +446,43 @@ class TestFixedPointBijection:
         v = v / float((m.energies ** -1.0) @ v)
         with pytest.raises(NotFixedPointError):
             invariant_state_from_fixed_point(m, 1.0, v)
+
+    def test_vector_whose_state_breaks_invariance_rejected(self):
+        # at beta_c its residual is 4.6e-10, but its state's gaps are
+        # (-2.35e-10, 1.55e-10): is_subinvariant calls it neither
+        # subinvariant nor invariant
+        m = build_model([[1, 1], [1, 0]], [2, 3])
+        beta, v = 0.6009668516136756, [1.0000000002351581, 0.6593119555920595]
+        space = column_space(m)
+        state = qstate_from_atoms(space, beta, space.push(m.weights(beta) * v), INFINITE)
+        verdict = is_subinvariant(m, beta, state)
+        assert not verdict.subinvariant and not verdict.invariant
+        with pytest.raises(NotFixedPointError):
+            invariant_state_from_fixed_point(m, beta, v)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 5), st.integers(0, 10_000), st.data())
+    def test_builder_accepts_exactly_the_invariant_states(self, m_size, seed, data):
+        # the critical Perron vector moved by at most 1e-9 per entry along
+        # directions that keep sum N^-beta v = 1
+        rng = np.random.default_rng(seed)
+        m = random_irreducible(rng, m_size, non_permutation=True, energy_range=(1.5, 4.0))
+        rep = beta_c(m)
+        beta, nw = rep.beta_c, m.weights(rep.beta_c)
+        moves = np.array(data.draw(st.lists(st.floats(-1e-9, 1e-9), min_size=m.m,
+                                            max_size=m.m)))
+        v = rep.perron_at_critical + moves - (nw @ moves) / (nw @ nw) * nw
+        space = column_space(m)
+        built = qstate_from_atoms(space, beta, space.push(nw * v), INFINITE)
+        invariant = is_subinvariant(m, beta, built).invariant
+        try:
+            state = invariant_state_from_fixed_point(m, beta, v)
+        except NotFixedPointError:
+            assert not invariant
+        else:
+            assert invariant and state == built
+            assert decompose(m, beta, state).finite_fraction == 0.0
+            assert np.array_equal(fixed_point_from_state(m, beta, state), state.q)
 
     def test_finite_type_state_is_not_invariant(self):
         m = full_model(2)

@@ -25,7 +25,7 @@ from kmsphase import (
     truncated_model,
     z_gamma,
 )
-from kmsphase import partition
+from kmsphase import cli, partition
 from kmsphase.critical import beta_c
 from kmsphase.errors import (
     DivergentNormalizerError,
@@ -81,6 +81,18 @@ class TestEvaluate:
     def test_full_uniform_total(self):
         rep = evaluate(full_model(2), 2.0)
         assert rep.z_total == pytest.approx(2.0, rel=1e-14)
+
+    def test_singular_below_one_raises(self, capsys):
+        # at beta these rank-one weights sum to 1 - 2^-54: r < 1, but I - M
+        # rounds to a singular matrix, and no report can be computed
+        model = {"matrix": [[1, 1, 1]] * 3,
+                 "energies": [2.6157946842739705, 1.947923364232462, 2.0861069984869447]}
+        m, beta = build_model(model["matrix"], model["energies"]), 1.4137896089124542
+        assert partition.matrix_spectral_radius(transfer_matrix(m, beta).entries) < 1.0
+        with pytest.raises(IllConditionedSolveError):
+            evaluate(m, beta)
+        assert cli.main(["partition", "--model-json", json.dumps(model), f"--beta={beta!r}"]) == 2
+        assert "singular" in capsys.readouterr().err
 
     def test_ground_temperature(self):
         rep = evaluate(full_model(2), math.inf)
@@ -181,10 +193,27 @@ def _assert_same_report(got, want):
 
 
 def _assert_grid_is_per_beta(model, grid, margin=partition.CONVERGENCE_MARGIN_DEFAULT):
+    """The grid's reports are the per-beta ones and the reference's.  Where
+    r < 1 but the reference finds I - M singular, the call at that beta and
+    the whole grid raise IllConditionedSolveError, and the other betas are
+    compared alone."""
+    wants = []
+    for beta in grid:
+        try:
+            wants.append(evaluate_reference(model, float(beta), margin))
+        except np.linalg.LinAlgError:
+            with pytest.raises(IllConditionedSolveError):
+                evaluate(model, float(beta), margin=margin)
+            wants.append(None)
+    if any(want is None for want in wants):
+        with pytest.raises(IllConditionedSolveError):
+            list(evaluate(model, np.asarray(grid, dtype=float), margin=margin))
+        return [_assert_grid_is_per_beta(model, [beta], margin)[0]
+                for beta, want in zip(grid, wants) if want is not None]
     reports = list(evaluate(model, np.asarray(grid, dtype=float), margin=margin))
     assert len(reports) == len(grid)
-    for beta, report in zip(grid, reports):
-        _assert_same_report(report, evaluate_reference(model, float(beta), margin))
+    for beta, report, want in zip(grid, reports, wants):
+        _assert_same_report(report, want)
         _assert_same_report(evaluate(model, float(beta), margin=margin), report)
     return reports
 

@@ -45,6 +45,12 @@ class TestBuildStar:
         s = build_star("default", head_count=1000)
         assert s.drop == 1 and sizes.count(1000) == 1
 
+    def test_explicit_drop_matches_the_automatic_one(self):
+        auto, explicit = (build_star("default", drop=d, head_count=1000) for d in (None, 1))
+        assert explicit.drop == auto.drop == 1
+        assert np.array_equal(explicit.head, auto.head)
+        assert explicit.zeta_at_abscissa_bounds == auto.zeta_at_abscissa_bounds
+
     def test_drop_zero_fails_on_energy(self):
         with pytest.raises(EnergyBelowTwoError) as err:
             build_star("default", drop=0, head_count=1000)

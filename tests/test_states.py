@@ -394,6 +394,20 @@ class TestOneSubinvarianceRule:
         with pytest.raises(NotSubinvariantError):
             cooling(m, 2.0, state, 2.5)
 
+    def test_noise_remainder_is_no_infinite_part(self):
+        # an extreme state above beta_c with its atoms moved by about 1e-9:
+        # its gaps pass the rule, but its finite fraction falls below
+        # 1 - DEFECT_TOL, and the remainder, that noise over 1 - fraction,
+        # normalizes to no state
+        m = build_model([[1, 1, 1], [1, 0, 0], [1, 0, 0]],
+                        [3.7818889431943044, 3.0165894394179498, 3.323741402459996])
+        beta = 1.134974754365027
+        state = qstate_from_atoms(column_space(m), beta, [0.779039251911502, 0.22096074685807082],
+                                  FINITE, atol=1e-8)
+        assert is_subinvariant(m, beta, state).subinvariant
+        with pytest.raises(NotSubinvariantError, match="no infinite part"):
+            decompose(m, beta, state)
+
     @settings(max_examples=80, deadline=None)
     @given(hst.integers(2, 5), hst.integers(0, 10_000), hst.booleans(), hst.data())
     def test_verdict_matches_decompose_near_extreme_states(self, m_size, seed, critical, data):

@@ -33,6 +33,9 @@ exits 0, on a system that is not permutation-like, with a beta_c whose
 bracket does not hold the root of max |eigvals(M)| = 1: with
 d = 1e-9 max(1, beta_c), that radius must be above 1 at
 beta_c - bracket_width - d and at most 1 at beta_c + bracket_width + d, or
+an ``oa --scan`` that exits 0 with a temperature beta at which no strong
+class C has a radius, max |eigvals| of its block of M, above 1 at
+max(0, beta - d) and at most 1 at beta + d, d = 1e-9 max(1, beta), or
 an ``oracle`` that exits 0 with a row that ``kmsphase.enumerate_words``, the
 independent depth-first search, does not reproduce: in every shell of at
 most 2 10^4 words the count must match exactly and the sum within 1e-12
@@ -95,9 +98,14 @@ def _energies(rng: np.random.Generator, family: str, m: int) -> list[float]:
     return (1.0 + 10.0 ** rng.uniform(-9.0, 1.1, size=m)).tolist()
 
 
-def _strongly_connected(a: np.ndarray) -> bool:
+def _reach(a: np.ndarray) -> np.ndarray:
+    """Whether a walk leads from letter i to letter j (or i == j)."""
     # (I + A)^(m-1) counts walks of length < m: below 3^8 entries for m <= 8
-    return bool((np.linalg.matrix_power(np.eye(len(a), dtype=np.int64) + a, len(a) - 1) > 0).all())
+    return np.linalg.matrix_power(np.eye(len(a), dtype=np.int64) + a, len(a) - 1) > 0
+
+
+def _strongly_connected(a: np.ndarray) -> bool:
+    return bool(_reach(a).all())
 
 
 def _irreducible_block(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -218,6 +226,22 @@ def _critical_problem(model, out: str) -> str | None:
     if not (r_below > 1.0 and r_above <= 1.0):
         return (f"beta_c {beta!r} +- {width!r}, but eigenvalues give radii "
                 f"{r_below!r} at {below!r} and {r_above!r} at {above!r}")
+    return None
+
+
+def _scan_problem(model, out: str) -> str | None:
+    """An ``oa --scan`` temperature beta at which no strong class C has a
+    radius r_C, max |eigvals| of its block of M = A N^-beta, above 1 at
+    max(0, beta - d) and at most 1 at beta + d, d = ``CRITICAL_STEP``
+    max(1, beta); else None."""
+    reach = _reach(model.matrix)
+    classes = [np.ix_(c, c) for c in map(np.flatnonzero, np.unique(reach & reach.T, axis=0))]
+    for simplex in json.loads(out)["scan"]["simplices"]:
+        beta = float(simplex["beta"])
+        d = CRITICAL_STEP * max(1.0, beta)
+        below, above = (model.matrix * model.weights(b) for b in (max(0.0, beta - d), beta + d))
+        if not any(_eigvals_radius(below[c]) > 1.0 >= _eigvals_radius(above[c]) for c in classes):
+            return f"scan temperature {beta!r}: no class radius from eigenvalues crosses 1 there"
     return None
 
 
@@ -368,6 +392,8 @@ def fuzz(seed: int, count: int, families: tuple[str, ...]) -> tuple[int, int, fl
                     problem = _oracle_problem(built, argv, stdout)
                 if problem is None and status == 0 and argv[0] == "critical":
                     problem = _critical_problem(built, stdout)
+                if problem is None and status == 0 and "--scan" in argv:
+                    problem = _scan_problem(built, stdout)
                 if problem is None and status == 0 and "--abscissa-check" in argv:
                     problem = _abscissa_problem(built, argv, stdout)
                 if problem is None and status == 0 and argv[0] == "check-state":
