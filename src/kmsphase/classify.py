@@ -30,7 +30,7 @@ import numpy as np
 from .critical import CriticalReport, _certified_vector, beta_c as compute_beta_c
 from .errors import NotIrreducibleError, ZeroColumnError
 from .invariance import invariant_state_from_fixed_point, is_subinvariant
-from .model import SystemModel, column_space
+from .model import SystemModel, check_beta, column_space
 from .partition import class_roots, perron_pair, transfer_matrix
 from .states import FINITE, QState, RootMeasure, finite_type_state
 
@@ -102,8 +102,7 @@ def classify_ta(
     """
     if model.strong_components[0] != 1:
         raise NotIrreducibleError("phase classification requires an irreducible matrix")
-    if not (beta > 0):
-        raise ValueError("beta must be positive or +inf")
+    check_beta(beta, "(0, inf]")
     crit = crit or compute_beta_c(model)
 
     if math.isinf(beta):
@@ -181,8 +180,7 @@ def kms_oa(model: SystemModel, beta: float) -> OaSimplex:
     Collatz-Wielandt bounds did not meet (as :func:`critical.perron_vector`).
     The vectors are sorted by their entries rounded to 9 digits.
     """
-    if not (0 < beta < math.inf):
-        raise ValueError("quotient KMS states are computed for finite positive beta")
+    check_beta(beta, "(0, inf)")
     _require_no_zero_column(model)
     entries = transfer_matrix(model, beta).entries
     _, labels = model.strong_components

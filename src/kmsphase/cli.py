@@ -5,8 +5,8 @@ floats are printed with 17 significant digits (full round-trip), and every
 numeric report embeds the tolerances and caps in effect.  CSV is emitted
 only for sweeps and the enumeration oracle.  Exit status: 0 success,
 1 bad input (an InputError, such as a cap below the words to enumerate or
-a star beta below the abscissa, or a ValueError), 2 any other KmsError
-(a numeric failure).
+a star beta below the abscissa, or a ValueError), 2 any other KmsError or
+numpy's LinAlgError, a ValueError subclass (a numeric failure).
 """
 
 from __future__ import annotations
@@ -422,6 +422,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         report = args.func(args)
+    except np.linalg.LinAlgError as exc:    # a ValueError, but no bad input
+        print(f"numeric failure: {exc}", file=_sys.stderr)
+        return 2
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import words
 from .errors import NoConvergenceError, NotIrreducibleError, DegenerateShellsError
-from .model import SystemModel
+from .model import SystemModel, check_beta
 from .partition import (
     BISECT_TOL_DEFAULT,
     PerronPair,
@@ -303,11 +303,10 @@ def perron_vector(model: SystemModel, beta: float) -> np.ndarray:
     last Newton iterate, so at beta_c it takes about one check;
     NoConvergenceError is raised when its Collatz-Wielandt bounds are more
     than ``PERRON_VECTOR_TOL`` apart relative to r, since then Mv = rv
-    holds no better than that.  Raises ValueError for beta = +inf, where the
-    transfer matrix is zero and no vector can be normalized.
+    holds no better than that.  Raises ValueError for a beta that is not
+    finite: at +inf the transfer matrix is zero and no vector can be normalized.
     """
-    if beta == math.inf:
-        raise ValueError("the Perron vector needs a finite beta, got inf")
+    check_beta(beta, "(-inf, inf)")
     if model.strong_components[0] != 1:
         raise NotIrreducibleError("the Perron vector needs an irreducible matrix")
     start = class_roots(model)[0].pair

@@ -3,7 +3,8 @@
 An :class:`InputError` signals bad input data; every other
 :class:`KmsError` signals a computation that could not be completed
 reliably.  The CLI exits 1 on an InputError (or a ValueError) and 2 on
-any other KmsError.
+any other KmsError, and on numpy's LinAlgError, a ValueError subclass
+raised by a failed solve or eigendecomposition.
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ from .errors import (
     NotNormalizedError,
     TooLargeForExhaustiveError,
 )
-from .model import ColumnSpace, SystemModel, column_space
+from .model import ColumnSpace, SystemModel, check_beta, column_space
 from .states import GAP_TOL_DEFAULT, INFINITE, QState, qstate_from_atoms
 from .states import _fixed_point_residual, _gaps
 
@@ -98,7 +98,7 @@ def is_subinvariant(
     pair in (X, Y) mask order.
     """
     space = column_space(model)
-    if math.isinf(beta) and beta > 0:
+    if beta == math.inf:
         gaps = tuple(float(v) for v in state.atoms)
         return InvarianceVerdict(
             subinvariant=True, invariant=False, atom_gaps=gaps, worst_violation=None
@@ -208,8 +208,7 @@ def invariant_state_from_fixed_point(model: SystemModel, beta: float, v) -> QSta
     pass the invariance rule of :func:`is_subinvariant`, and its generator
     values, (A N^-beta) v, must lie within ``FIXED_POINT_TOL`` of v.
     """
-    if not (0 < beta < math.inf):
-        raise ValueError("invariant states need finite positive beta")
+    check_beta(beta, "(0, inf)")
     v = np.asarray(v, dtype=float)
     if v.shape != (model.m,):
         raise ValueError(f"fixed point must have length {model.m}")

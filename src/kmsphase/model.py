@@ -38,10 +38,16 @@ __all__ = [
 ]
 
 
-def check_beta(beta: float) -> None:
-    """Raise ValueError for a NaN or -inf beta, where N^-beta is no number."""
-    if math.isnan(beta) or beta == -math.inf:
-        raise ValueError(f"N^-beta needs a beta above -inf, got {float(beta)!r}")
+def check_beta(beta: float, domain: str = "(-inf, inf]") -> None:
+    """The one beta rule: raise ValueError, naming beta, unless it lies in ``domain``."""
+    ok, need = {
+        "(-inf, inf]": (beta > -math.inf, "N^-beta needs a beta above -inf"),
+        "(0, inf]": (beta > 0, "beta must be positive or +inf"),
+        "(0, inf)": (0 < beta < math.inf, "beta must be positive and finite"),
+        "(-inf, inf)": (-math.inf < beta < math.inf, "beta must be finite"),
+    }[domain]
+    if not ok:
+        raise ValueError(f"{need}, got {float(beta)!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,10 +78,7 @@ class SystemModel:
         return np.flatnonzero(self.matrix[x])
 
     def weights(self, beta: float) -> np.ndarray:
-        """N(x)^-beta per generator; beta = +inf gives zeros.
-
-        Raises ValueError for a NaN or -inf beta (:func:`check_beta`).
-        """
+        """N(x)^-beta per generator, for beta in (-inf, inf] (:func:`check_beta`); +inf gives 0."""
         check_beta(beta)
         if beta == math.inf:
             return np.zeros(self.m)

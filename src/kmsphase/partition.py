@@ -47,7 +47,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import IllConditionedSolveError, NoConvergenceError
-from .model import SystemModel, ColumnSpace, _strong_components, column_space
+from .model import SystemModel, ColumnSpace, _strong_components, check_beta, column_space
 
 __all__ = [
     "TransferMatrix",
@@ -539,8 +539,8 @@ def evaluate(
     and an I - M singular at working precision raises for its whole chunk.
     """
     betas = np.asarray(beta, dtype=float)
-    if not (betas > 0).all():
-        raise ValueError("partition functions are defined for beta > 0 or beta = +inf")
+    for b in betas.ravel().tolist():
+        check_beta(b, "(0, inf]")
     if betas.ndim == 0:
         return next(_evaluate_chunk(model, [float(betas)], margin))
     per_chunk = max(1, STACK_BYTES // (8 * model.m * model.m))
@@ -700,14 +700,13 @@ def z_gamma(
     a subcritical block of a reducible matrix keeps a finite normalizer.
     A zero measure gives 0; ``beta = +inf`` gives the total mass.
     """
-    if not beta > 0:
-        raise ValueError("partition functions are defined for beta > 0 or beta = +inf")
+    from .states import RootMeasure     # states imports this module
+    check_beta(beta, "(0, inf]")
     space = space or column_space(model)
     w = np.asarray(weights, dtype=float)
     if w.shape != (space.d,):
         raise ValueError(f"weights must have one entry per column point ({space.d})")
-    if (w < 0).any():
-        raise ValueError("root-measure weights must be nonnegative")
+    RootMeasure(tuple(w.tolist()))
     total = float(w.sum())
     if total == 0.0:
         return 0.0
@@ -720,8 +719,7 @@ def geometric_bound(model: SystemModel, beta: float) -> float | None:
 
     Returns None when the bound does not apply (s >= 1).
     """
-    if not (0 < beta < math.inf):
-        raise ValueError("geometric bound is defined for finite positive beta")
+    check_beta(beta, "(0, inf)")
     s = float(model.weights(beta).sum())
     if s < 1.0:
         return 1.0 / (1.0 - s)

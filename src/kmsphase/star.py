@@ -69,7 +69,6 @@ Z0_CONVENTION = (
 )
 
 HEAD_COUNT_DEFAULT = 200_000
-_MAX_AUTO_DROP = 64
 
 
 def _default_term(j: np.ndarray | float):
@@ -118,10 +117,15 @@ def _tail_bounds(beta: float, beta_bar: float, first_omitted: int) -> tuple[floa
     return 0.0, upper
 
 
+def _check_abscissa(sys: StarSystem, beta: float) -> None:
+    """Raise BelowAbscissaError unless beta >= beta_bar (NaN included)."""
+    if not beta >= sys.beta_bar - 1e-12:
+        raise BelowAbscissaError(f"zeta is only evaluated for beta >= {sys.beta_bar}")
+
+
 def zeta_enclosure(sys: StarSystem, beta: float) -> tuple[float, float]:
     """Certified lower/upper bounds on zeta(beta); requires beta >= beta_bar."""
-    if beta < sys.beta_bar - 1e-12:
-        raise BelowAbscissaError(f"zeta is only evaluated for beta >= {sys.beta_bar}")
+    _check_abscissa(sys, beta)
     head = float(np.sum(sys.head ** (-beta)))
     if sys.kind == "user":
         return head, head
@@ -142,25 +146,20 @@ def build_star(
 ) -> StarSystem:
     """Validate a star system from the default term rule or a user list.
 
-    ``drop = None`` selects the minimal drop satisfying both N_k >= 2 and
-    the normalization condition; an explicit drop that fails raises
-    EnergyBelowTwoError or ConditionDaggerFailsError with a suggested drop.
-    User lists carry their declared abscissa unverified and an exactly
-    zero tail.
+    ``drop = None`` selects drop 1, the least with N_1 >= 2 (at drop 0,
+    N_1 = log^2 2), and a drop of 0 raises EnergyBelowTwoError.  The
+    certified upper bound on zeta(1) is largest at drop 1 with a head of one
+    term, where it is 1.857, so the normalization condition holds; it is
+    still checked, and a failure raises ConditionDaggerFailsError.  User
+    lists carry their declared abscissa unverified and an exactly zero tail.
     """
     if isinstance(family, str):
         if family != "default":
             raise ValueError(f"unknown family {family!r}")
-        if drop is None:
-            found = _minimal_default_drop(head_count)
-            if found is None:
-                raise ConditionDaggerFailsError(None)
-            drop, head, bounds = found
-        else:
-            head, bounds = _default_head(drop, head_count)
-            if not bounds[1] < 2.0:
-                found = _minimal_default_drop(head_count)
-                raise ConditionDaggerFailsError(None if found is None else found[0])
+        drop = 1 if drop is None else drop
+        head, bounds = _default_head(drop, head_count)
+        if not bounds[1] < 2.0:
+            raise ConditionDaggerFailsError(None)
         return StarSystem(
             kind="default", drop=drop, beta_bar=1.0, head=head, n0_energy=2.0,
             first_omitted=drop + head_count + 1, abscissa_verified=True,
@@ -201,19 +200,6 @@ def _default_head(drop: int, head_count: int) -> tuple[np.ndarray, tuple[float, 
     lo_t, hi_t = _tail_bounds(1.0, 1.0, drop + head_count + 1)
     head_sum = float(np.sum(1.0 / head))
     return head, (head_sum + lo_t, head_sum + hi_t)
-
-
-def _minimal_default_drop(head_count: int) -> tuple[int, np.ndarray, tuple[float, float]] | None:
-    """(drop, head, zeta(1) bounds) at the least drop meeting N_1 >= 2 and
-    the normalization condition, or None when no drop up to _MAX_AUTO_DROP does."""
-    for d in range(_MAX_AUTO_DROP + 1):
-        try:
-            head, bounds = _default_head(d, head_count)
-        except EnergyBelowTwoError:
-            continue
-        if bounds[1] < 2.0:
-            return d, head, bounds
-    return None
 
 
 def star_z0(sys: StarSystem, beta: float) -> float:
@@ -330,7 +316,8 @@ def truncated_model(sys: StarSystem, K: int) -> SystemModel:
 
 
 def zeta_tail_after(sys: StarSystem, beta: float, K: int) -> float:
-    """Certified upper bound on the starred-energy tail sum_{k > K} N_k^-beta."""
+    """Certified upper bound on the tail sum_{k > K} N_k^-beta; requires beta >= beta_bar."""
+    _check_abscissa(sys, beta)
     if sys.kind == "user":
         return float(np.sum(sys.head[K:] ** (-beta)))
     _, tail_up = _tail_bounds(beta, sys.beta_bar, sys.drop + K + 1)

@@ -30,7 +30,7 @@ from .errors import (
     NotSubinvariantError,
     ZeroMeasureError,
 )
-from .model import ColumnSpace, SystemModel, column_space
+from .model import ColumnSpace, SystemModel, check_beta, column_space
 from .partition import _finite_part, transfer_matrix
 
 __all__ = [
@@ -135,13 +135,12 @@ def qstate_from_atoms(
 ) -> QState:
     """Build a QState from atom masses, deriving q_values by the bit rule.
 
-    Raises ValueError for a beta that is not positive or +inf (NaN
-    included) and for atoms that are not finite, not one per column point,
-    negative beyond ``atol`` or off a total of 1 by more than ``atol``.
+    Raises ValueError for a beta outside (0, inf] (:func:`model.check_beta`)
+    and for atoms that are not finite, not one per column point, negative
+    beyond ``atol`` or off a total of 1 by more than ``atol``.
     """
     beta = float(beta)
-    if not beta > 0:
-        raise ValueError(f"beta must be positive or +inf, got {beta!r}")
+    check_beta(beta, "(0, inf]")
     a = np.asarray(atoms, dtype=float)
     if a.shape != (space.d,):
         raise ValueError(f"need one atom mass per column point ({space.d})")
@@ -168,8 +167,7 @@ def finite_type_state(model: SystemModel, beta: float, gamma: RootMeasure) -> QS
     Its atoms are those of :func:`partition._finite_part` divided by
     Z(beta, gamma).  Scaling gamma leaves the state unchanged.
     """
-    if not (0 < beta < math.inf):
-        raise ValueError("finite-type states need finite positive beta; see ground_state")
+    check_beta(beta, "(0, inf)")
     if gamma.total == 0.0:
         raise ZeroMeasureError("cannot normalize the zero measure")
     space = column_space(model)
@@ -198,6 +196,7 @@ def omega_infinity_mass(model: SystemModel, beta: float, state: QState, L: int) 
     transfer-matrix powers.  For subinvariant states the sequence is
     nonincreasing in [0, 1] and its limit is the infinite-stem mass.
     """
+    check_beta(beta, "(0, inf]")
     if L < 1:
         raise ValueError("need at least one shell")
     entries = transfer_matrix(model, beta).entries
@@ -233,6 +232,7 @@ class Decomposition:
 
 def _gaps(model: SystemModel, space: ColumnSpace, beta: float, state: QState):
     """Per column point c: the inflow sum_{z with column c} N(z)^-beta q_z, and atoms minus it."""
+    check_beta(beta, "(0, inf]")
     inflow = space.push(model.weights(beta) * state.q)
     return inflow, state.atoms - inflow
 

@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from kmsphase import build_model, properties
 from kmsphase.critical import matrix_spectral_radius
+
+# The same examples on every run, and no example database replayed first: a
+# failure is then a fact of the code under test, not of an earlier run.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 def golden_mean_model(energy=np.e):

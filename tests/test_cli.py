@@ -372,6 +372,18 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err == "numeric failure: both shells underflow to 0\n"
 
+    def test_linalg_error_exits_two(self, monkeypatch, capsys):
+        # numpy's LinAlgError is a ValueError, but it reports a failed solve, not bad input
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        model = _model_json([[1, 1, 0], [1, 0, 0], [1, 0, 1]], [math.e, math.e, math.e ** 2])
+        assert main(["oa", "--scan", "--model-json", model]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numeric failure: Singular matrix\n"
+
 
 # --- the CLI's error paths: exit status, empty stdout, one stderr line ----
 
@@ -478,14 +490,15 @@ _ERROR_CASES = [
     _case("energies-object",
           ["analyze", "--model-json", _model_json(_SQUARE, {"a": 2})], 1,
           "error: energies must be numbers, got {'a': 2}"),
-    # beta <= 0 or NaN
-    *[_case(f"{cmd}-beta-{beta}", [cmd, *_G, f"--beta={beta}"], 1, f"error: {line}")
-      for cmd, line in [("partition", "partition functions are defined for beta > 0 or beta = +inf"),
+    # beta <= 0 or NaN: one message per beta domain of model.check_beta
+    *[_case(f"{cmd}-beta-{beta}", [cmd, *_G, f"--beta={beta}"], 1,
+            f"error: {line}, got {float(beta)!r}")
+      for cmd, line in [("partition", "beta must be positive or +inf"),
                         ("kms", "beta must be positive or +inf"),
-                        ("oa", "quotient KMS states are computed for finite positive beta")]
+                        ("oa", "beta must be positive and finite")]
       for beta in ("0", "-1", "nan")],
     _case("oa-beta-inf", ["oa", *_G, "--beta", "inf"], 1,
-          "error: quotient KMS states are computed for finite positive beta"),
+          "error: beta must be positive and finite, got inf"),
     *[_case(f"check-state-beta-{beta}",
             ["check-state", *_G, "--state", "{dir}/state-ok.json", f"--beta={beta}"], 1,
             f"error: beta must be positive or +inf, got {line}")
@@ -505,7 +518,7 @@ _ERROR_CASES = [
           "error: range needs b1 > b0 and at least 2 points"),
     # rejected at its first row: no CSV header either
     _case("sweep-from-negative-beta", ["partition", *_G, "--sweep=-1:2:4"], 1,
-          "error: partition functions are defined for beta > 0 or beta = +inf"),
+          "error: beta must be positive or +inf, got -1.0"),
     _case("kms-reducible",
           ["kms", "--model-json", _model_json([[1, 1], [0, 1]], [2, 2]), "--beta", "2"], 1,
           "error: phase classification requires an irreducible matrix"),
@@ -567,6 +580,8 @@ _ERROR_CASES = [
     _case("star-levels-not-int", ["star", "--levels", "8,x"], 1,
           "error: invalid literal for int() with base 10: 'x'"),
     _case("star-below-abscissa", ["star", "--beta", "0.5", "--levels", "8"], 1,
+          "error: zeta is only evaluated for beta >= 1.0"),
+    _case("star-beta-nan", ["star", "--beta", "nan", "--levels", "8"], 1,
           "error: zeta is only evaluated for beta >= 1.0"),
     # the enumeration oracle and the abscissa check
     # the cap bounds the running total of shells 1..k, the words an

@@ -8,14 +8,20 @@ import pytest
 
 from kmsphase import (
     RootMeasure,
+    build_star,
     classify_ta,
     column_space,
     cooling,
+    decompose,
     enumerate_words,
     evaluate,
+    factors_through_oa,
     finite_type_state,
+    fixed_point_from_state,
     geometric_bound,
     ground_state,
+    invariant_state_from_fixed_point,
+    is_subinvariant,
     kms_oa,
     omega_infinity_mass,
     partial_series,
@@ -23,19 +29,32 @@ from kmsphase import (
     qstate_from_atoms,
     shell_sum,
     spectral_radius,
+    star_kms_at_critical,
+    star_partition,
+    star_z0,
+    truncated_model,
     z_gamma,
 )
-from kmsphase.errors import ZeroMeasureError
+from kmsphase.errors import BelowAbscissaError, ZeroMeasureError
+from kmsphase.star import z0_truncation_bound, zeta_enclosure, zeta_tail_after, zeta_value
 from kmsphase.states import FINITE
 
 from conftest import golden_mean_model
 
-PARTITION_BETA = "partition functions are defined for beta > 0 or beta = +inf"
+# the four domains of model.check_beta, one message each
 NO_WEIGHTS = "N^-beta needs a beta above -inf, got {}"
+STATES = "beta must be positive or +inf, got {}"
+FINITE_STATES = "beta must be positive and finite, got {}"
+FINITE_BETA = "beta must be finite, got {}"
+BELOW_ABSCISSA = "zeta is only evaluated for beta >= 1.0"
 
 
 def _state(model, beta=2.0):
     return qstate_from_atoms(column_space(model), beta, [0.5, 0.5], FINITE)
+
+
+def _star():
+    return build_star(head_count=64)
 
 
 def _case(id, call, message, exc=ValueError):
@@ -43,20 +62,25 @@ def _case(id, call, message, exc=ValueError):
 
 
 CASES = [
-    *[_case(f"evaluate-beta-{b}", lambda m, b=b: evaluate(m, b), PARTITION_BETA)
+    *[_case(f"evaluate-beta-{b}", lambda m, b=b: evaluate(m, b), STATES.format(b))
       for b in (0.0, -1.0, math.nan, -math.inf)],
-    *[_case(f"z_gamma-beta-{b}", lambda m, b=b: z_gamma(m, b, [0.5, 0.5]), PARTITION_BETA)
+    # a grid names its first beta outside the domain
+    _case("evaluate-grid", lambda m: evaluate(m, [1.0, -2.0, math.nan]), STATES.format(-2.0)),
+    *[_case(f"z_gamma-beta-{b}", lambda m, b=b: z_gamma(m, b, [0.5, 0.5]), STATES.format(b))
       for b in (math.nan, 0.0, -1.0, -math.inf)],
     _case("z_gamma-shape", lambda m: z_gamma(m, 2.0, [1.0]),
           "weights must have one entry per column point (2)"),
     _case("z_gamma-sign", lambda m: z_gamma(m, 2.0, [-1.0, 2.0]),
           "root-measure weights must be nonnegative"),
+    # RootMeasure's rule: finite, then nonnegative
+    *[_case(f"z_gamma-weights-{w}", lambda m, w=w: z_gamma(m, 2.0, [w, 1.0]),
+            "root-measure weights must be finite")
+      for w in (math.nan, math.inf, -math.inf)],
     *[_case(f"geometric_bound-beta-{b}", lambda m, b=b: geometric_bound(m, b),
-            "geometric bound is defined for finite positive beta")
+            FINITE_STATES.format(b))
       for b in (0.0, math.inf)],
-    _case("classify_ta-beta", lambda m: classify_ta(m, 0.0), "beta must be positive or +inf"),
-    *[_case(f"kms_oa-beta-{b}", lambda m, b=b: kms_oa(m, b),
-            "quotient KMS states are computed for finite positive beta")
+    _case("classify_ta-beta", lambda m: classify_ta(m, 0.0), STATES.format(0.0)),
+    *[_case(f"kms_oa-beta-{b}", lambda m, b=b: kms_oa(m, b), FINITE_STATES.format(b))
       for b in (0.0, math.inf)],
     _case("qstate-shape", lambda m: qstate_from_atoms(column_space(m), 2.0, [1.0], FINITE),
           "need one atom mass per column point (2)"),
@@ -70,8 +94,23 @@ CASES = [
           "atom masses must be finite and sum to 1, got nan"),
     *[_case(f"finite_type_state-beta-{b}",
             lambda m, b=b: finite_type_state(m, b, RootMeasure((1.0, 0.0))),
-            "finite-type states need finite positive beta; see ground_state")
+            FINITE_STATES.format(b))
       for b in (0.0, math.inf)],
+    *[_case(f"invariant_state-beta-{b}",
+            lambda m, b=b: invariant_state_from_fixed_point(m, b, [1.0, 1.0]),
+            FINITE_STATES.format(b))
+      for b in (0.0, math.inf)],
+    _case("invariant_state-length", lambda m: invariant_state_from_fixed_point(m, 1.0, [1.0]),
+          "fixed point must have length 2"),
+    # the state calculus: every subinvariance check, and the shells
+    *[_case(f"{name}-beta-{b}", lambda m, b=b, call=call: call(m, b, _state(m)), STATES.format(b))
+      for b in (0.0, -1.0, math.nan)
+      for name, call in [("is_subinvariant", is_subinvariant),
+                         ("decompose", decompose),
+                         ("cooling", lambda m, b, st: cooling(m, b, st, 3.0)),
+                         ("omega_infinity_mass", lambda m, b, st: omega_infinity_mass(m, b, st, 3)),
+                         ("factors_through_oa", factors_through_oa),
+                         ("fixed_point_from_state", fixed_point_from_state)]],
     _case("ground_state-zero", lambda m: ground_state(m, RootMeasure((0.0, 0.0))),
           "cannot normalize the zero measure", ZeroMeasureError),
     _case("omega_infinity_mass-L", lambda m: omega_infinity_mass(m, 2.0, _state(m), 0),
@@ -88,13 +127,33 @@ CASES = [
       for b in (math.nan, -math.inf)
       for name, call in [("weights", lambda m, b: m.weights(b)),
                          ("spectral_radius", spectral_radius),
-                         ("perron_vector", perron_vector),
                          ("shell_sum-n0", lambda m, b: shell_sum(m, b, 0)),
                          ("shell_sum-n3", lambda m, b: shell_sum(m, b, 3, target=1)),
                          ("partial_series-L0", lambda m, b: partial_series(m, b, 0, source=0)),
                          ("partial_series-L3", lambda m, b: partial_series(m, b, 3))]],
-    _case("perron_vector-beta-inf", lambda m: perron_vector(m, math.inf),
-          "the Perron vector needs a finite beta, got inf"),
+    *[_case(f"perron_vector-beta-{b}", lambda m, b=b: perron_vector(m, b), FINITE_BETA.format(b))
+      for b in (math.nan, -math.inf, math.inf)],
+    # the star family: zeta and everything built on it need beta >= beta_bar
+    *[_case(f"{name}-beta-{b}", lambda m, b=b, call=call: call(_star(), b), BELOW_ABSCISSA,
+            BelowAbscissaError)
+      for b in (math.nan, 0.5)
+      for name, call in [("zeta_enclosure", zeta_enclosure),
+                         ("zeta_value", zeta_value),
+                         ("star_z0", star_z0),
+                         ("star_partition", star_partition),
+                         ("z0_truncation_bound", lambda s, b: z0_truncation_bound(s, b, 8, 1.0)),
+                         ("zeta_tail_after", lambda s, b: zeta_tail_after(s, b, 8))]],
+    _case("build_star-head-count-0", lambda m: build_star(head_count=0),
+          "tail bound needs at least two retained raw terms"),
+    _case("build_star-family", lambda m: build_star("harmonic"), "unknown family 'harmonic'"),
+    _case("build_star-no-abscissa", lambda m: build_star([3.0, 4.0]),
+          "user term lists must declare their abscissa"),
+    _case("build_star-all-dropped", lambda m: build_star([3.0], drop=1, declared_abscissa=1.0),
+          "no terms left after dropping"),
+    _case("star_kms_at_critical-t", lambda m: star_kms_at_critical(_star(), 1.5),
+          "t must lie in [0, 1]"),
+    _case("truncated_model-K", lambda m: truncated_model(_star(), 65),
+          "only 64 head terms are stored"),
 ]
 
 

@@ -311,8 +311,10 @@ class TestStackedGrid:
 
     def test_every_beta_is_checked_first(self):
         model = full_model(2)
-        for grid in ([1.0, 2.0, 0.0], [math.nan, 1.0], [-math.inf]):
-            with pytest.raises(ValueError, match="defined for beta > 0"):
+        # the message names the first beta outside (0, inf]
+        for grid, first in (([1.0, 2.0, 0.0], "0.0"), ([math.nan, 1.0], "nan"),
+                            ([-math.inf], "-inf"), ([3.0, -1.0, 0.0], "-1.0")):
+            with pytest.raises(ValueError, match=f"^beta must be positive or \\+inf, got {first}$"):
                 evaluate(model, np.array(grid))
 
     def test_floor_failure_raises_at_its_report(self):

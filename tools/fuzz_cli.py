@@ -26,7 +26,11 @@ every other warning printed.  A run is reported when its exit status is
 neither 0 nor 1, when its stderr holds a warning or a traceback, when it
 takes over 1 s, or when it is a ``partition --beta`` that exits 0 with a
 ``spectral_radius`` more than 1e-9 of it plus 8 m eps ||M||_1 away from
-max |eigvals(M)|, M = A N^-beta (or not finite), or a ``partition --sweep``
+max |eigvals(M)|, M = A N^-beta (or not finite), or whose ``z_total`` or
+some ``Z_y`` lies below ``kmsphase.partial_series`` (the word sum to the
+longest length L <= 64 whose shells 1..L hold at most 2 10^4 words) by more
+than 8 m eps kappa_1 of the printed value, kappa_1 the printed
+``condition_estimate``, or a ``partition --sweep``
 that exits 0 with a row whose radius misses the same test or whose z_total
 is not inf exactly when that radius is at least 1, or a ``critical`` that
 exits 0, on a system that is not permutation-like, with a beta_c whose
@@ -77,13 +81,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from kmsphase import build_model, cli, enumerate_words, partition  # noqa: E402
+from kmsphase import build_model, cli, enumerate_words, partial_series, partition  # noqa: E402
 
 FAMILIES = ("uniform", "split", "near-one")
 SLOW_S = 1.0
 WORD_CAP = 100_000
 LONG_LENGTH, SMALL_CAP = 100_000, 1000
 ORACLE_WORDS, ORACLE_RTOL = 20_000, 1e-12
+FLOOR_LENGTH = 64
 ABSCISSA_STEP = 1e-6
 CRITICAL_STEP = 1e-9
 FRACTION_TOL = 1e-6
@@ -192,6 +197,31 @@ def _radius_problem(model, argv: list[str], out: str) -> str | None:
         return None
     beta = float(next(a for a in argv if a.startswith("--beta=")).split("=", 1)[1])
     return _radius_gap(model, beta, json.loads(out)["partition"]["spectral_radius"])
+
+
+def _floor_problem(model, argv: list[str], out: str) -> str | None:
+    """A convergent ``partition --beta`` whose ``z_total`` or some ``Z_y``
+    lies below its word sum by more than 8 m eps kappa_1 of the printed
+    value, kappa_1 the printed ``condition_estimate``; else None.  The word
+    sum is ``partial_series`` to the longest length L, at most
+    ``FLOOR_LENGTH``, whose shells 1..L hold at most ``ORACLE_WORDS`` words.
+    Each of its words is a term of the series, so the solve's value falls
+    short of it only by its own error."""
+    report = json.loads(out)["partition"]
+    if not report["convergent"]:
+        return None
+    beta = float(next(a for a in argv if a.startswith("--beta=")).split("=", 1)[1])
+    # shell[y]: the words of length L + 1 that end in y
+    length, words, shell = 0, 0, np.ones(model.m, dtype=np.int64)
+    while length < FLOOR_LENGTH and words + shell.sum() <= ORACLE_WORDS:
+        length, words, shell = length + 1, words + shell.sum(), shell @ model.matrix
+    slack = 8 * model.m * EPS * float(report["condition_estimate"])
+    for name, got, target in [("z_total", report["z_total"], None),
+                              *((f"Z_{y}", z, y) for y, z in enumerate(report["z_y"]))]:
+        want = partial_series(model, beta, length, target=target, cap=ORACLE_WORDS)
+        if not got + slack * got >= want:
+            return f"{name} {got!r} below its word sum to length {length}, {want!r}"
+    return None
 
 
 def _eigvals_radius(entries: np.ndarray) -> float:
@@ -388,6 +418,9 @@ def fuzz(seed: int, count: int, families: tuple[str, ...]) -> tuple[int, int, fl
                 problem = _problem(status, stderr, seconds)
                 if problem is None and status == 0 and argv[0] == "partition":
                     problem = _radius_problem(built, argv, stdout)
+                if problem is None and status == 0 and argv[0] == "partition" \
+                        and "--sweep" not in argv:
+                    problem = _floor_problem(built, argv, stdout)
                 if problem is None and status == 0 and argv[0] == "oracle":
                     problem = _oracle_problem(built, argv, stdout)
                 if problem is None and status == 0 and argv[0] == "critical":
