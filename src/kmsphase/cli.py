@@ -2,7 +2,10 @@
 
 Reports are deterministic for a fixed invocation: JSON keys are sorted,
 floats are printed with 17 significant digits (full round-trip), and every
-numeric report embeds the tolerances and caps in effect.  CSV is emitted
+numeric report embeds the tolerances and caps in effect.  `dumps` prints
+each value by the emitter of its exact type, chosen once per type; a
+dataclass type's emitter holds its sorted fields and encoded keys, so an
+instance is printed without a dict or a sort.  CSV is emitted
 only for sweeps and the enumeration oracle.  Exit status: 0 success,
 1 bad input (an InputError, such as a cap below the words to enumerate or
 a star beta below the abscissa, or a ValueError), 2 any other KmsError or
@@ -50,40 +53,63 @@ def _emit_list(items) -> str:
     return "[" + ", ".join(_emit(v) for v in items) + "]"
 
 
-def _emit_dict(items) -> str:
-    keyed = {str(k): v for k, v in items}
+def _emit_dict(o: dict) -> str:
+    keyed = {str(k): v for k, v in o.items()}
     return "{" + ", ".join(f"{json.dumps(k)}: {_emit(keyed[k])}" for k in sorted(keyed)) + "}"
 
 
-def _emit(o) -> str:
+def _dataclass_emitter(t: type):
+    # The plan of a dataclass type: its field names sorted, each with the
+    # encoded key that heads it in the output.
+    plan = [(json.dumps(name) + ": ", name) for name in sorted(f.name for f in dataclasses.fields(t))]
+    return lambda o: "{" + ", ".join([head + _emit(getattr(o, name)) for head, name in plan]) + "}"
+
+
+def _emit_array(a: np.ndarray) -> str:
+    return _emit_list(a.tolist())
+
+
+def _emit_scalar(o) -> str:
+    item = o.item()
+    if type(item) in (int, float):
+        return _emit(item)
+    raise TypeError(f"cannot serialize {type(item)!r}")
+
+
+# The emitter of each type met so far, keyed by exact type.
+_EMITTERS = {
+    float: _fmt_float,
+    type(None): lambda o: "null",
+    bool: lambda o: "true" if o else "false",
+    int: str,
+    str: json.dumps,
+    list: _emit_list,
+    tuple: _emit_list,
+    dict: _emit_dict,
+}
+
+
+def _emitter(o):
+    """The emitter of type(o), chosen in the order that decides what it prints as,
+    and kept in the table.  A type that cannot be serialized raises and is not
+    kept: so does every class object, a dataclass among them."""
     t = type(o)
-    if t is float:
-        return _fmt_float(o)
-    if o is None:
-        return "null"
-    if t is bool:
-        return "true" if o else "false"
-    if t is int:
-        return str(o)
-    if t is str:
-        return json.dumps(o)
-    if t is list or t is tuple:
-        return _emit_list(o)
-    if t is dict:
-        return _emit_dict(o.items())
-    # Less common types, in the order that decides what they print as.
     if dataclasses.is_dataclass(o) and not isinstance(o, type):
-        return _emit_dict((f.name, getattr(o, f.name)) for f in dataclasses.fields(o))
-    if isinstance(o, np.ndarray):
-        return _emit_list(o.tolist())
-    if isinstance(o, (np.floating, np.integer)):
-        item = o.item()
-        if type(item) in (int, float):
-            return _emit(item)
-        raise TypeError(f"cannot serialize {type(item)!r}")
-    if isinstance(o, (list, tuple)):
-        return _emit_list(o)
-    raise TypeError(f"cannot serialize {type(o)!r}")
+        emit = _dataclass_emitter(t)
+    elif isinstance(o, np.ndarray):
+        emit = _emit_array
+    elif isinstance(o, (np.floating, np.integer)):
+        emit = _emit_scalar
+    elif isinstance(o, (list, tuple)):
+        emit = _emit_list
+    else:
+        raise TypeError(f"cannot serialize {t!r}")
+    _EMITTERS[t] = emit
+    return emit
+
+
+def _emit(o) -> str:
+    return (_EMITTERS.get(type(o)) or _emitter(o))(o)
 
 
 def dumps(obj) -> str:
@@ -92,6 +118,9 @@ def dumps(obj) -> str:
     Dataclasses print as objects of their fields, arrays, tuples and
     NamedTuples as lists, numpy scalars as Python numbers, and dict keys as
     strings.  Subclasses of dict, bool, int, float and str raise TypeError.
+    Each value is printed by the emitter of its exact type, chosen once per
+    type; a dataclass type's emitter holds its sorted fields with their
+    encoded keys, so an instance costs one getattr and one emit per field.
     """
     return _emit(obj)
 
@@ -215,11 +244,12 @@ def _cmd_analyze(args) -> dict:
     props = model_mod.properties(m)
     space = model_mod.column_space(m)
     crit = critical.beta_c(m)
+    digits = (space.bit_matrix() + 48).astype(np.uint8).tobytes().decode()     # "0" is 48
     return {
         "properties": props,
         "column_space": {
             "d": space.d,
-            "points": ["".join(str(b) for b in p) for p in space.points],
+            "points": [digits[i:i + m.m] for i in range(0, len(digits), m.m)],
             "column_of": list(space.column_of),
             "contains_zero": space.contains_zero,
         },

@@ -124,8 +124,7 @@ class NotInvariantError(KmsError):
 class ConditionDaggerFailsError(InputError):
     def __init__(self, needed_drop: int | None):
         self.needed_drop = needed_drop
-        hint = f"; try drop >= {needed_drop}" if needed_drop is not None else ""
-        super().__init__(f"the partition normalization condition fails at the abscissa{hint}")
+        super().__init__("the partition normalization condition fails at the abscissa")
 
 
 class EnergyBelowTwoError(InputError):

@@ -144,14 +144,23 @@ class SystemModel:
 
     @cached_property
     def _column_space(self) -> "ColumnSpace":
-        # np.unique sorts the rows of A^T lexicographically, as tuples sort.
-        points, column_of = np.unique(self.matrix.T, axis=0, return_inverse=True)
-        return ColumnSpace(
-            points=tuple(map(tuple, points.tolist())),
-            column_of=tuple(column_of.reshape(-1).tolist()),
-            d=len(points),
-            contains_zero=not points[0].any(),
+        # Each column packed big-endian into bytes, whose order is the order
+        # of its 0/1 tuple: one sort of the packed keys orders the columns as
+        # tuples sort.  The void view needs C-contiguous rows.
+        packed = np.ascontiguousarray(np.packbits(self.matrix.T != 0, axis=1))
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, first, column_of = np.unique(keys, return_index=True, return_inverse=True)
+        rows = self.matrix.T[first]
+        space = ColumnSpace(
+            points=tuple(map(tuple, rows.tolist())),
+            column_of=tuple(column_of.tolist()),
+            d=len(first),
+            contains_zero=not rows[0].any(),
         )
+        bits = rows.astype(float)
+        bits.setflags(write=False)
+        space.__dict__["_bits"] = bits      # bit_matrix() from these rows, not the tuples
+        return space
 
 
 def _strong_components(matrix: np.ndarray) -> tuple[int, np.ndarray]:

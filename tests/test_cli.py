@@ -1,17 +1,20 @@
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from kmsphase import cli, critical, errors, partition, star, words
+from kmsphase import classify, cli, critical, errors, partition, star, words
 from kmsphase.cli import dumps, main
 from kmsphase.critical import AbscissaEstimate
 from kmsphase.model import SystemModel
@@ -75,6 +78,23 @@ class TestAnalyze:
         main(["analyze", "--model", golden_file])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_points_match_per_bit_join(self, capsys):
+        """Each point prints as its bits joined, one character per bit; sizes
+        on each side of a byte, with duplicate columns and a zero column."""
+        rng = np.random.default_rng(8)
+        for mm in (1, 7, 8, 9, 17, 65):
+            a = (rng.random((mm, mm)) < 0.5).astype(int)
+            a[:, 0] = 1                                                 # no zero row
+            a = a[:, np.r_[0, rng.integers(0, mm, size=mm - 1)]]        # duplicate columns
+            if mm > 1:
+                a[:, -1] = 0
+            model = {"matrix": a.tolist(), "energies": [2.0] * mm}
+            assert main(["analyze", "--model-json", json.dumps(model)]) == 0
+            got = json.loads(capsys.readouterr().out)["column_space"]["points"]
+            points = sorted(set(map(tuple, a.T.tolist())))
+            assert got == ["".join(str(b) for b in p) for p in points]
+            assert (got[0] == "0" * mm) == (mm > 1)
 
 
 class TestPartition:
@@ -835,6 +855,22 @@ class _Outer:
     extra: dict
 
 
+class _Dict(dict):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
 class TestDumpsMatchesTwoPassReference:
     def _reports(self, argv, monkeypatch, capsys):
         seen = []
@@ -883,7 +919,59 @@ class TestDumpsMatchesTwoPassReference:
         "quote \" and \u00e9",
     ])
     def test_values(self, obj):
-        assert dumps(obj) == dumps_reference(obj)
+        # the second call takes the emitters the first one chose
+        for _ in range(2):
+            assert dumps(obj) == dumps_reference(obj)
+
+    def test_dataclass_fields_read_once_per_type(self, monkeypatch, rng):
+        """Dumping a regime of 128 extreme states reads each dataclass type's
+        fields at most once, however many instances and calls there are."""
+        model = random_irreducible(rng, 128, non_permutation=True)
+        regime = classify.classify_ta(model, 2.0 * critical.beta_c(model).beta_c)
+        assert len(regime.extreme_states) == 128
+        read = collections.Counter()
+        fields = dataclasses.fields
+
+        def counting(t):
+            read[t if isinstance(t, type) else type(t)] += 1
+            return fields(t)
+
+        monkeypatch.setattr(dataclasses, "fields", counting)
+        first, second = dumps(regime), dumps(regime)
+        monkeypatch.setattr(dataclasses, "fields", fields)
+        same = first == second == dumps_reference(regime)   # no diff of ~1 MB texts on failure
+        assert same
+        assert max(read.values(), default=0) <= 1
+
+    def test_new_types_in_the_table(self):
+        """A dataclass subclass with its own fields and a NamedTuple print as
+        the reference does, on the first call and on the next."""
+        @dataclasses.dataclass(frozen=True)
+        class Wider(_Inner):
+            added: float = 0.5
+
+        class Pair(NamedTuple):
+            left: float
+            right: object
+
+        for obj in [Wider(TypeTag("finite"), (1.5,), np.ones(2)),
+                    {"inner": _Inner(TypeTag("finite"), (), np.zeros(0)),
+                     "wider": Wider(TypeTag("finite"), (), np.zeros(1), math.inf)},
+                    Pair(0.25, [Pair(1.0, None)]), [Pair(-0.0, "x")]]:
+            for _ in range(2):
+                assert dumps(obj) == dumps_reference(obj)
+
+    @pytest.mark.parametrize("obj,culprit", [
+        (_Inner, type), ({"x": AbscissaEstimate}, type), (_Dict(a=1), _Dict),
+        (_Float(1.5), _Float), (_Int(3), _Int), (_Str("s"), _Str),
+    ])
+    def test_classes_and_subclasses_raise(self, obj, culprit):
+        """A class object, a dataclass among them, and subclasses of dict,
+        float, int and str cannot be serialized, on every call."""
+        for _ in range(2):
+            with pytest.raises(TypeError, match=re.escape(f"cannot serialize {culprit!r}")):
+                dumps(obj)
+        assert dumps(_Inner(TypeTag("finite"), (), np.zeros(0))).startswith('{"array": []')
 
     def test_float_lists_match_per_element_path(self):
         """Lists of finite floats take one %-format; it must print what format(x, ".17g") does."""

@@ -300,21 +300,38 @@ class TestColumnSpace:
             assert space.points[space.column_of[z]] == expected
 
     def test_matches_tuple_construction(self):
-        """The reference is the set of column tuples, sorted; zero columns included."""
+        """The reference is the set of column tuples, sorted; zero columns included.
+
+        Sizes on each side of a byte of packed bits and 300 random sizes up
+        to 24, with matrices of every density, of many duplicate columns and
+        of a zero column.
+        """
         rng = np.random.default_rng(31)
-        for _ in range(300):
-            mm = int(rng.integers(1, 25))
-            a = (rng.random((mm, mm)) < rng.uniform(0.05, 0.95)).astype(int)
-            a[np.arange(mm), rng.integers(0, mm, size=mm)] = 1         # no zero row
+        sizes = [1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 128, 400]
+        cases = [(mm, trial) for mm in sizes for trial in range(24 if mm < 100 else 6)]
+        cases += [(int(rng.integers(1, 25)), trial) for trial in range(300)]
+        for mm, trial in cases:
+            a =(rng.random((mm, mm)) < rng.uniform(0.05, 0.95)).astype(int)
+            if trial % 3 == 1:          # copies of a few columns, one of them all ones
+                a[:, 0] = 1
+                a = a[:, np.r_[0, rng.integers(0, max(1, mm // 8), size=mm - 1)]]
+            else:                       # no zero row, then a zero column
+                a[np.arange(mm), rng.integers(0, max(1, mm - 1), size=mm)] = 1
+                if trial % 3 == 2 and mm > 1:
+                    a[:, -1] = 0
             space = column_space(build_model(a, [2.0] * mm))
-            cols = [tuple(int(b) for b in a[:, z]) for z in range(mm)]
+            cols = list(map(tuple, a.T.tolist()))
             points = tuple(sorted(set(cols)))
+            index = {p: i for i, p in enumerate(points)}
             assert space.points == points
-            assert space.column_of == tuple(points.index(c) for c in cols)
+            assert space.column_of == tuple(index[c] for c in cols)
             assert space.d == len(points)
-            assert space.contains_zero == ((0,) * mm in points)
+            assert space.contains_zero == ((0,) * mm in index)
             assert all(type(b) is int for p in space.points for b in p)
             assert all(type(c) is int for c in space.column_of)
+            bits = space.bit_matrix()
+            assert bits is space.bit_matrix() and not bits.flags.writeable
+            assert bits.dtype == float and np.array_equal(bits, np.array(points, dtype=float))
 
     def test_structure_built_once_per_model(self):
         m = golden_mean_model()

@@ -57,8 +57,10 @@ class TestBuildStar:
         assert err.value.k == 1
 
     def test_geometric_user_list_fails_dagger(self):
-        with pytest.raises(ConditionDaggerFailsError):
+        with pytest.raises(ConditionDaggerFailsError) as err:
             build_star([4.0, 8.0, 16.0, 32.0], declared_abscissa=0.0)
+        assert str(err.value) == "the partition normalization condition fails at the abscissa"
+        assert err.value.needed_drop is None
 
     def test_user_list_below_two_rejected(self):
         with pytest.raises(EnergyBelowTwoError):

@@ -24,7 +24,10 @@ Every run calls ``kmsphase.cli.main`` in this process with RuntimeWarning
 turned into an error, as ``python -W error::RuntimeWarning`` would, and
 every other warning printed.  A run is reported when its exit status is
 neither 0 nor 1, when its stderr holds a warning or a traceback, when it
-takes over 1 s, or when it is a ``partition --beta`` that exits 0 with a
+takes over 1 s, or when it is an ``analyze`` that exits 0 with a column
+space other than the brute-force one (the distinct column bit strings
+sorted, each letter's index among them, their number and whether the zero
+column is one), or a ``partition --beta`` that exits 0 with a
 ``spectral_radius`` more than 1e-9 of it plus 8 m eps ||M||_1 away from
 max |eigvals(M)|, M = A N^-beta (or not finite), or whose ``z_total`` or
 some ``Z_y`` lies below ``kmsphase.partial_series`` (the word sum to the
@@ -177,6 +180,20 @@ def _problem(status, err: str, seconds: float) -> str | None:
         return "warning: " + next(line for line in err.splitlines() if "Warning" in line)
     if seconds > SLOW_S:
         return "slow"
+    return None
+
+
+def _column_space_problem(model, out: str) -> str | None:
+    """An ``analyze`` column space other than the brute-force one: the
+    distinct column bit strings sorted, the index of each letter's column
+    among them, their number and whether the zero column is one; else None."""
+    cols = ["".join(str(b) for b in column) for column in model.matrix.T.tolist()]
+    points = sorted(set(cols))
+    want = {"d": len(points), "points": points, "column_of": [points.index(c) for c in cols],
+            "contains_zero": "0" * model.m in points}
+    got = json.loads(out)["column_space"]
+    if got != want:
+        return f"column space {got}, brute force gives {want}"
     return None
 
 
@@ -416,6 +433,8 @@ def fuzz(seed: int, count: int, families: tuple[str, ...]) -> tuple[int, int, fl
                 if argv[0] == "kms":
                     state = _state_from_kms(stdout) if status == 0 else None
                 problem = _problem(status, stderr, seconds)
+                if problem is None and status == 0 and argv[0] == "analyze":
+                    problem = _column_space_problem(built, stdout)
                 if problem is None and status == 0 and argv[0] == "partition":
                     problem = _radius_problem(built, argv, stdout)
                 if problem is None and status == 0 and argv[0] == "partition" \
