@@ -48,6 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import words
+from ._rounding import Enclosure
 from .errors import NoConvergenceError, NotIrreducibleError, DegenerateShellsError
 from .model import SystemModel, check_beta
 from .partition import (
@@ -98,8 +99,8 @@ class CriticalReport:
             self.perron_at_critical.setflags(write=False)
 
     def regime(self, beta: float) -> str:
-        """"critical" within max(bracket_width, 1e-12) of beta_c, else "below" or "above"."""
-        if not self.permutation_like and abs(beta - self.beta_c) <= max(self.bracket_width, 1e-12):
+        """"critical" within bracket_width of beta_c, else "below" or "above"."""
+        if not self.permutation_like and abs(beta - self.beta_c) <= self.bracket_width:
             return "critical"
         return "below" if beta < self.beta_c else "above"
 
@@ -109,7 +110,7 @@ class AbscissaEstimate(NamedTuple):
     residual: float
 
 
-def _itp(probe, tol: float, steer_at_zero: float | None = None) -> tuple[float, float]:
+def _itp(probe, tol: float, steer_at_zero: float | None = None) -> Enclosure:
     """Bracket [lo, hi] of a sign change of a predicate that holds at 0.
 
     ``probe(b)`` returns ``(above, steer, exact)``: the predicate at b as a
@@ -188,13 +189,13 @@ def _itp(probe, tol: float, steer_at_zero: float | None = None) -> tuple[float, 
             right = min(hi, max(x + 0.5 * tol, math.nextafter(x, math.inf)))
             if ((left == lo or probe(left)[0] is True)
                     and (right == hi or probe(right)[0] is False)):
-                return left, right
+                return Enclosure(left, right)
         above, steer = settle(above, steer, exact)
         if above:
             lo, f_lo = x, steer
         else:
             hi, f_hi = x, steer
-    return lo, hi
+    return Enclosure(lo, hi)
 
 
 def beta_c(model: SystemModel) -> CriticalReport:
@@ -287,8 +288,7 @@ def abscissa_estimate(
         steer = exact()
         if steer <= 0.0:
             return AbscissaEstimate(estimate=0.0, residual=steer)
-    lo, hi = _itp(probe, BISECT_TOL_DEFAULT, steer)
-    est = 0.5 * (lo + hi)
+    est = _itp(probe, BISECT_TOL_DEFAULT, steer).mid
     return AbscissaEstimate(estimate=est, residual=g(last_two(est)))
 
 

@@ -181,7 +181,7 @@ def _pair_gaps(m: int, space: ColumnSpace, inflow: np.ndarray, atoms: np.ndarray
     0.0 in the order of a loop over its points, so every gap is bitwise
     that loop's.
     """
-    bits = np.array(space.points, dtype=np.int64)      # (d, m)
+    bits = space.bit_matrix().astype(np.int64)         # (d, m)
     p1 = (bits << np.arange(space.d)[:, None]).sum(axis=0)  # points with bit i set
     p0 = ((1 << space.d) - 1) ^ p1
     sig = np.full(1, (1 << space.d) - 1)

@@ -46,6 +46,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from ._rounding import EPS, Enclosure, down, exp_out, up
 from .errors import IllConditionedSolveError, NoConvergenceError
 from .model import SystemModel, ColumnSpace, _strong_components, check_beta, column_space
 
@@ -87,7 +88,6 @@ STACK_BYTES = 2 ** 19
 # INEXACT_FACTOR * f^2, f being the previous iterate's log r, until that
 # falls below POWER_TOL_DEFAULT (see :func:`_class_root`).
 INEXACT_FACTOR = 1e-1
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,7 +157,7 @@ class _Schedule:
             if self.best < math.inf:
                 # as many steps as the last block's contraction needs to reach
                 # tol (or one ulp: no gap below that is reached anyway)
-                needed = self.block * math.log(max(tol, _EPS) / gap) / math.log(gap / self.best)
+                needed = self.block * math.log(max(tol, EPS) / gap) / math.log(gap / self.best)
                 self.block = min(MAX_BLOCK, max(1, math.ceil(needed)))
                 self.late = self.late + 1 if self.steps + needed > POWER_MAXITER_DEFAULT else 0
             self.best, self.stale = gap, 0
@@ -412,7 +412,7 @@ class ClassRoot:
     at: float = 0.0
     pair: PerronPair | None = None
 
-    def radius_bounds(self, model: SystemModel, beta: float) -> tuple[float, float]:
+    def radius_bounds(self, model: SystemModel, beta: float) -> Enclosure:
         """Certified bounds lower <= r_C(beta) <= upper, read off ``pair``; no power step.
 
         With t = beta - at, M_CC(beta) = M_CC(at) N^-t columnwise, so
@@ -422,25 +422,15 @@ class ClassRoot:
         of t, of log N, of exp and of the two entries of M_CC it compares.
         """
         if self.pair is None:
-            return 0.0, 0.0
+            return Enclosure(0.0, 0.0)
         energies = model.energies[self.generators]
         t = beta - self.at
         slow, fast = math.log(energies.max()), math.log(energies.min())
         if t < 0.0:
             slow, fast = fast, slow
-        pad = (len(self.generators) + 3) * _EPS
-        lower = self.pair.lower * (1.0 - pad) * _padded_exp(-t * slow, -1.0)
-        upper = self.pair.upper * (1.0 + pad) * _padded_exp(-t * fast, 1.0)
-        return lower, upper
-
-
-def _padded_exp(x: float, side: float) -> float:
-    """exp(x) moved outward (side -1 down, +1 up) past the rounding of an x
-    computed from two rounded factors, of exp itself and of the products it
-    enters; +inf past overflow."""
-    if x > 709.0:
-        return math.inf
-    return math.exp(x) * (1.0 + side * 8.0 * (1.0 + abs(x)) * _EPS)
+        k = len(self.generators) + 3
+        return Enclosure(down(self.pair.lower, k) * exp_out(-t * slow, -1.0),
+                         up(self.pair.upper, k) * exp_out(-t * fast, 1.0))
 
 
 def _class_root(model: SystemModel, idx: np.ndarray) -> ClassRoot:
@@ -471,24 +461,24 @@ def _class_root(model: SystemModel, idx: np.ndarray) -> ClassRoot:
         return ClassRoot(idx, None, 0.0, 0.0)
     log_n = np.log(model.energies[idx])
     log_min = float(log_n.min())
-    pad = (len(idx) + 3) * _EPS
+    k = len(idx) + 3
     beta, pair, f = 0.0, None, math.inf
     while True:
         entries = sub * model.weights(beta)[idx]
         pair_tol = max(POWER_TOL_DEFAULT, min(INEXACT_FACTOR, INEXACT_FACTOR * f * f))
         pair = perron_pair(entries, pair, pair_tol)
         # the lower bound is 0 only when weights underflow far out
-        low = math.log(pair.lower * (1.0 - pad)) if pair.lower > 0.0 else -math.inf
-        high = math.log(pair.upper * (1.0 + pad))
+        low = math.log(down(pair.lower, k)) if pair.lower > 0.0 else -math.inf
+        high = math.log(up(pair.upper, k))
         if beta == 0.0 and pair.upper <= 1.0 + BISECT_TOL_DEFAULT:
             _freeze(pair)
-            return ClassRoot(idx, None, 0.0, float(np.nextafter(max(0.0, high) / log_min, math.inf)),
+            return ClassRoot(idx, None, 0.0, math.nextafter(max(0.0, high) / log_min, math.inf),
                              0.0, pair)
         f = math.log(pair.r)
         slope = -float(pair.u @ (entries @ (log_n * pair.v))) / (pair.r * float(pair.u @ pair.v))
         step = -f / slope
-        lo = float(np.nextafter(beta - max(0.0, -low) / log_min, -math.inf))
-        hi = float(np.nextafter(beta + max(0.0, high) / log_min, math.inf))
+        lo = math.nextafter(beta - max(0.0, -low) / log_min, -math.inf)
+        hi = math.nextafter(beta + max(0.0, high) / log_min, math.inf)
         width = max(BISECT_TOL_DEFAULT, 2.0 * (high - low) / log_min)
         if pair_tol == POWER_TOL_DEFAULT and hi - lo <= width:
             _freeze(pair)
@@ -620,7 +610,7 @@ def _restricted_resolvent(model: SystemModel, beta: float, u_key: bytes) -> np.n
         v = resolvent.sum(axis=1)
         bound = float(((sub @ v) / v).max())
     if not (np.isfinite(v).all() and (v > 0.0).all()
-            and bound * (1.0 + (len(u) + 3) * _EPS) < 1.0):
+            and up(bound, len(u) + 3) < 1.0):
         return None
     z_xy_sub = model.weights(beta)[u, None] * resolvent
     z_xy_sub.setflags(write=False)

@@ -40,6 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._rounding import Enclosure
 from .errors import (
     BelowAbscissaError,
     ConditionDaggerFailsError,
@@ -94,13 +95,13 @@ class StarSystem:
     n0_energy: float
     first_omitted: int | None     # raw index of the first tail term (default family)
     abscissa_verified: bool
-    zeta_at_abscissa_bounds: tuple[float, float]
+    zeta_at_abscissa_bounds: Enclosure
 
     def __post_init__(self):
         self.head.setflags(write=False)
 
 
-def _tail_bounds(beta: float, beta_bar: float, first_omitted: int) -> tuple[float, float]:
+def _tail_bounds(beta: float, beta_bar: float, first_omitted: int) -> Enclosure:
     """Certified enclosure of the default-family tail sum_{j >= J} (j log^2(j+1))^-beta.
 
     The term function is decreasing, so integral comparison sandwiches the
@@ -112,30 +113,28 @@ def _tail_bounds(beta: float, beta_bar: float, first_omitted: int) -> tuple[floa
     if a < 2:
         raise ValueError("tail bound needs at least two retained raw terms")
     if beta == beta_bar:
-        return 1.0 / math.log(j + 1), 1.0 / math.log(a)
-    upper = (a * math.log(a) ** 2) ** (1.0 - beta) / math.log(a)
-    return 0.0, upper
+        return Enclosure(1.0 / math.log(j + 1), 1.0 / math.log(a))
+    return Enclosure(0.0, (a * math.log(a) ** 2) ** (1.0 - beta) / math.log(a))
 
 
 def _check_abscissa(sys: StarSystem, beta: float) -> None:
     """Raise BelowAbscissaError unless beta >= beta_bar (NaN included)."""
-    if not beta >= sys.beta_bar - 1e-12:
+    if not beta >= sys.beta_bar:
         raise BelowAbscissaError(f"zeta is only evaluated for beta >= {sys.beta_bar}")
 
 
-def zeta_enclosure(sys: StarSystem, beta: float) -> tuple[float, float]:
+def zeta_enclosure(sys: StarSystem, beta: float) -> Enclosure:
     """Certified lower/upper bounds on zeta(beta); requires beta >= beta_bar."""
     _check_abscissa(sys, beta)
     head = float(np.sum(sys.head ** (-beta)))
     if sys.kind == "user":
-        return head, head
+        return Enclosure(head, head)
     lo, hi = _tail_bounds(beta, sys.beta_bar, sys.first_omitted)
-    return head + lo, head + hi
+    return Enclosure(head + lo, head + hi)
 
 
 def zeta_value(sys: StarSystem, beta: float) -> float:
-    lo, hi = zeta_enclosure(sys, beta)
-    return 0.5 * (lo + hi)
+    return zeta_enclosure(sys, beta).mid
 
 
 def build_star(
@@ -158,7 +157,7 @@ def build_star(
             raise ValueError(f"unknown family {family!r}")
         drop = 1 if drop is None else drop
         head, bounds = _default_head(drop, head_count)
-        if not bounds[1] < 2.0:
+        if not bounds.hi < 2.0:
             raise ConditionDaggerFailsError(None)
         return StarSystem(
             kind="default", drop=drop, beta_bar=1.0, head=head, n0_energy=2.0,
@@ -183,11 +182,11 @@ def build_star(
     return StarSystem(
         kind="user", drop=d, beta_bar=bb, head=terms, n0_energy=2.0,
         first_omitted=None, abscissa_verified=False,
-        zeta_at_abscissa_bounds=(z_at, z_at),
+        zeta_at_abscissa_bounds=Enclosure(z_at, z_at),
     )
 
 
-def _default_head(drop: int, head_count: int) -> tuple[np.ndarray, tuple[float, float]]:
+def _default_head(drop: int, head_count: int) -> tuple[np.ndarray, Enclosure]:
     """The default family's head after ``drop`` terms, with its certified
     bounds on zeta(1).
 
@@ -199,7 +198,7 @@ def _default_head(drop: int, head_count: int) -> tuple[np.ndarray, tuple[float, 
     head = _default_term(np.arange(drop + 1, drop + head_count + 1, dtype=float))
     lo_t, hi_t = _tail_bounds(1.0, 1.0, drop + head_count + 1)
     head_sum = float(np.sum(1.0 / head))
-    return head, (head_sum + lo_t, head_sum + hi_t)
+    return head, Enclosure(head_sum + lo_t, head_sum + hi_t)
 
 
 def star_z0(sys: StarSystem, beta: float) -> float:
@@ -211,12 +210,10 @@ def star_z0(sys: StarSystem, beta: float) -> float:
     return _z0_displayed(beta, zeta_enclosure(sys, beta))
 
 
-def _z0_displayed(beta: float, enclosure: tuple[float, float]) -> float:
+def _z0_displayed(beta: float, enclosure: Enclosure) -> float:
     """star_z0 from the enclosure of zeta(beta)."""
-    lo, hi = enclosure
     two = 2.0 ** (-beta)
-    zeta_mid = 0.5 * (lo + hi)
-    ratio = two * zeta_mid
+    ratio = two * enclosure.mid
     if ratio >= 1.0:
         return math.inf
     return (1.0 + two) / (1.0 - ratio)
@@ -242,10 +239,10 @@ def star_partition(sys: StarSystem, beta: float) -> StarPartition:
     return _partition(beta, zeta_enclosure(sys, beta))
 
 
-def _partition(beta: float, enclosure: tuple[float, float]) -> StarPartition:
+def _partition(beta: float, enclosure: Enclosure) -> StarPartition:
     """star_partition from the enclosure of zeta(beta)."""
     z0_disp = _z0_displayed(beta, enclosure)
-    zeta = 0.5 * (enclosure[0] + enclosure[1])
+    zeta = enclosure.mid
     if math.isinf(z0_disp):
         return StarPartition(
             beta=beta, zeta=zeta, z0=math.inf, zk_factor=math.inf, z_total=math.inf
@@ -320,8 +317,7 @@ def zeta_tail_after(sys: StarSystem, beta: float, K: int) -> float:
     _check_abscissa(sys, beta)
     if sys.kind == "user":
         return float(np.sum(sys.head[K:] ** (-beta)))
-    _, tail_up = _tail_bounds(beta, sys.beta_bar, sys.drop + K + 1)
-    return tail_up
+    return _tail_bounds(beta, sys.beta_bar, sys.drop + K + 1).hi
 
 
 def z0_truncation_bound(sys: StarSystem, beta: float, K: int, z0_truncated: float) -> float:
@@ -331,7 +327,7 @@ def z0_truncation_bound(sys: StarSystem, beta: float, K: int, z0_truncated: floa
     (1 + z0_truncated) * tail * (loop factor); every factor is evaluated at
     its certified upper value.
     """
-    return _truncation_bound(sys, beta, K, z0_truncated, zeta_enclosure(sys, beta)[1])
+    return _truncation_bound(sys, beta, K, z0_truncated, zeta_enclosure(sys, beta).hi)
 
 
 def _truncation_bound(sys: StarSystem, beta: float, K: int, z0_truncated: float,

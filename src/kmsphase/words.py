@@ -45,6 +45,7 @@ from math import fsum, inf, log
 
 import numpy as np
 
+from ._rounding import EPS, Enclosure, gamma
 from .errors import LengthTooLargeError
 from .model import SystemModel, check_beta
 
@@ -173,7 +174,7 @@ def _exact(level: tuple, w: np.ndarray, target: int | None = None) -> float:
                 for count, stop in zip(counts.tolist(), counts.cumsum().tolist()) if count)
 
 
-def _enclosure(w: np.ndarray) -> tuple[float, float]:
+def _enclosure(w: np.ndarray) -> Enclosure:
     """Certified [lo, hi] around the :func:`_exact` sum of one level's
     weights ``w``, from a plain ``w.sum()``.
 
@@ -188,14 +189,12 @@ def _enclosure(w: np.ndarray) -> tuple[float, float]:
     R (1 - rel) underflows.  A plain sum that is zero or not finite gets
     [0, inf], which decides no comparison.
     """
-    u = 2.0 ** -53
     rough = float(w.sum())
     if not 0.0 < rough < inf:
-        return 0.0, inf
-    k = (w.size - 1) * u
-    gamma = k / (1.0 - k)
-    rel = (gamma + 2.0 * u + u * u) / (1.0 - gamma) + 8.0 * u
-    return rough * (1.0 - rel), rough * (1.0 + rel)
+        return Enclosure(0.0, inf)
+    u, g = 0.5 * EPS, gamma(w.size - 1)
+    rel = (g + 2.0 * u + u * u) / (1.0 - g) + 8.0 * u
+    return Enclosure(rough * (1.0 - rel), rough * (1.0 + rel))
 
 
 def _check_args(model: SystemModel, beta: float, source: int | None, target: int | None) -> None:

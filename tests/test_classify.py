@@ -217,6 +217,40 @@ class TestClassifyTa:
             assert classify_ta(m, rep.beta_c, crit=rep).kind == "critical"
             assert classify_ta(m, rep.beta_c + 0.4, crit=rep).kind == "above"
 
+    def test_just_above_a_narrow_bracket_is_above(self):
+        # the tied golden-mean model: beta_c's bracket is 8.7e-15 wide, and
+        # this beta lies 2e-14 above beta_c, past it
+        m, rep = _tied_golden()
+        beta = 0.69426914640057
+        assert rep.bracket_width < beta - rep.beta_c < 1e-12
+        regime = classify_ta(m, beta, crit=rep)
+        assert regime.kind == "above" and len(regime.extreme_states) == 5
+
+    def test_just_below_a_narrow_bracket_is_below(self):
+        m = build_model([[1, 1], [1, 0]], [2.0, 3.0])
+        rep = beta_c(m)
+        assert rep.bracket_width < 5e-13
+        regime = classify_ta(m, rep.beta_c - 5e-13, crit=rep)
+        assert regime.kind == "below" and not regime.extreme_states
+
+    @pytest.mark.parametrize("make", [
+        lambda: _tied_golden()[0],
+        lambda: build_model([[1, 1], [1, 0]], [2.0, 3.0]),
+    ], ids=["tied", "golden"])
+    def test_inside_the_bracket_is_critical(self, make):
+        m = make()
+        rep = beta_c(m)
+        half = 0.5 * rep.bracket_width
+        for beta in (rep.beta_c, rep.beta_c - half, rep.beta_c + half):
+            assert rep.regime(beta) == classify_ta(m, beta, crit=rep).kind == "critical"
+
+
+def _tied_golden():
+    m = build_model([[1, 1, 0, 0, 1, 0], [1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 1],
+                     [0, 0, 1, 1, 0, 0], [0, 0, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0]],
+                    [2.0, 2.0, 2.0, 2.0, 1e6, 1e6])
+    return m, beta_c(m)
+
 
 class TestKmsOa:
     def test_full_two_at_log_two(self):

@@ -603,6 +603,8 @@ _ERROR_CASES = [
           "error: zeta is only evaluated for beta >= 1.0"),
     _case("star-beta-nan", ["star", "--beta", "nan", "--levels", "8"], 1,
           "error: zeta is only evaluated for beta >= 1.0"),
+    _case("star-just-below-abscissa", ["star", "--beta", "0.9999999999995", "--levels", "8"], 1,
+          "error: zeta is only evaluated for beta >= 1.0"),
     # the enumeration oracle and the abscissa check
     # the cap bounds the running total of shells 1..k, the words an
     # enumeration to length k visits; the golden mean's totals are 2, 5, 10, 18, ...

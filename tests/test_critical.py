@@ -28,6 +28,7 @@ from kmsphase import (
     words,
 )
 from kmsphase import cli, critical, partition
+from kmsphase._rounding import EPS
 from kmsphase.critical import BISECT_TOL_DEFAULT, _itp, matrix_spectral_radius
 from kmsphase.partition import class_roots
 from kmsphase.errors import NoConvergenceError, NotIrreducibleError
@@ -407,7 +408,7 @@ def power_iteration_reference(entries, v, u, tol):
         gap /= upper
         if gap < best:
             if best < math.inf:
-                needed = block * math.log(max(tol, partition._EPS) / gap) / math.log(gap / best)
+                needed = block * math.log(max(tol, EPS) / gap) / math.log(gap / best)
                 block = min(partition.MAX_BLOCK, max(1, math.ceil(needed)))
             best, stale = gap, 0
         else:
@@ -994,7 +995,7 @@ class TestRegime:
         rep = beta_c(golden_mean_model())
         bc = rep.beta_c
         assert rep.regime(bc) == "critical"
-        assert rep.regime(bc + 0.5 * max(rep.bracket_width, 1e-12)) == "critical"
+        assert rep.regime(bc + 0.5 * rep.bracket_width) == "critical"
         assert rep.regime(bc - 1e-3) == "below"
         assert rep.regime(bc + 1e-3) == "above"
 

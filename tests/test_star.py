@@ -86,6 +86,16 @@ class TestZeta:
         with pytest.raises(BelowAbscissaError):
             zeta_value(default_star, 0.9)
 
+    @pytest.mark.parametrize("call", [
+        zeta_enclosure,
+        lambda sys_, beta: star_mod.zeta_tail_after(sys_, beta, 8),
+        star_partition,
+    ], ids=["zeta_enclosure", "zeta_tail_after", "star_partition"])
+    def test_one_ulp_below_abscissa_rejected(self, default_star, call):
+        # the series diverge at every beta below beta_bar, however close
+        with pytest.raises(BelowAbscissaError):
+            call(default_star, math.nextafter(1.0, 0.0))
+
 
 class TestStarZ0:
     def test_finite_at_abscissa(self, default_star):
