@@ -8,10 +8,11 @@ pair of finite generator sets (X, Y),
 with equality characterizing invariance.  Over a finite generator set each
 singleton column point is itself a set of the form V(X, Y), so the pair
 inequalities aggregate from per-atom defects; the exhaustive mode checks
-every pair directly and must agree with the atom check.  A pair with
-X and Y intersecting selects no column point, so its gap is exactly 0 and
-it can neither violate subinvariance nor break invariance; the exhaustive
-mode therefore checks the 3^m disjoint pairs, all at once in numpy.
+every pair directly, against the bound the atom rule implies for it, and
+must agree with the atom check.  A pair with X and Y intersecting selects
+no column point, so its gap is exactly 0 and it can neither violate
+subinvariance nor break invariance; the exhaustive mode therefore checks
+the 3^m disjoint pairs, all at once in numpy.
 
 A pair's gap depends only on which of the d column points it selects, its
 d-bit signature.  The signatures of all pairs come from one concatenation
@@ -31,7 +32,6 @@ rule (every gap within ``GAP_TOL_DEFAULT``) and ``FIXED_POINT_TOL``.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +43,7 @@ from .errors import (
     NotNormalizedError,
     TooLargeForExhaustiveError,
 )
+from ._rounding import gamma
 from .model import ColumnSpace, SystemModel, check_beta, column_space
 from .states import GAP_TOL_DEFAULT, INFINITE, QState, qstate_from_atoms
 from .states import _fixed_point_residual, _gaps
@@ -86,24 +87,21 @@ def is_subinvariant(
 ) -> InvarianceVerdict:
     """Certify beta-(sub)invariance of a state.
 
-    At beta = +inf everything is subinvariant by convention, and nothing is
-    invariant (the equality would force the unit to vanish).  Exhaustive
-    mode checks every pair (X, Y) of disjoint generator sets, 3^m of them,
-    and cross-checks the atom-level aggregation; the other pairs select no
-    column point and have gap exactly 0.  Each pair's gap is read from a
-    2^d table indexed by the signature of the points it selects, in
-    O(3^m + 2^d) rather than one pass over the pairs per column point.  It
-    is capped at m <= 12 and needs tol >= 0.  ``worst_violation`` is the
-    atom witness unless a pair is strictly worse, and then the first such
-    pair in (X, Y) mask order.
+    The atom rule decides: every gap of :func:`states._gaps` at least -tol;
+    at beta = +inf the gaps are the atoms.  Exhaustive mode checks the 3^m
+    pairs (X, Y) of disjoint generator sets (the others select no column
+    point and have gap 0), reading each gap from a 2^d table indexed by the
+    signature of the points it selects, in O(3^m + 2^d).  A pair of k points
+    is held to k tol, widened past k = 1 by gamma_(k+5) times its two k-term
+    sums (k - 1 roundings in each, two subtractions, four to form the bound).
+    So the verdicts agree: a failing atom is a failing singleton pair, whose
+    gap is bitwise the atom's, and passing atoms keep every pair within its
+    bound.  It is capped at m <= 12 and needs tol >= 0: the widening bounds
+    rounding error above a slack, not a margin demanded of each atom.
+    ``worst_violation`` is the atom witness unless a pair past its bound is
+    strictly worse, and then the first such pair in (X, Y) mask order.
     """
     space = column_space(model)
-    if beta == math.inf:
-        gaps = tuple(float(v) for v in state.atoms)
-        return InvarianceVerdict(
-            subinvariant=True, invariant=False, atom_gaps=gaps, worst_violation=None
-        )
-
     inflow, gaps = _gaps(model, space, beta, state)
     sub = bool((gaps >= -tol).all())
     inv = bool((np.abs(gaps) <= tol).all())
@@ -119,18 +117,20 @@ def is_subinvariant(
     if exhaustive:
         if model.m > EXHAUSTIVE_MAX_M:
             raise TooLargeForExhaustiveError(f"exhaustive check capped at m <= {EXHAUSTIVE_MAX_M}")
-        if tol < 0:
-            raise ValueError("the exhaustive check needs tol >= 0")
-        pair_gaps = _pair_gaps(model.m, space, inflow, state.atoms)
-        violated = pair_gaps < -tol
+        if not tol >= 0:
+            raise ValueError(f"the exhaustive check needs tol >= 0, got {tol!r}")
+        sig, lt, rt, k = _signature_tables(model.m, space, inflow, state.atoms)
+        pair_gaps = (rt - lt)[sig]
+        bound = (k * tol + np.where(k > 1, gamma(k + 5) * (rt + lt), 0.0))[sig]
+        violated = pair_gaps < -bound
         sub_ex = not violated.any()
-        inv_ex = not (np.abs(pair_gaps) > tol).any()
+        inv_ex = not (np.abs(pair_gaps) > bound).any()
         if not sub_ex:
             # The first most violated pair in (X, Y) order; the atom witness wins ties.
-            k = int(np.argmin(np.where(violated, pair_gaps, np.inf)))
+            j = int(np.argmin(np.where(violated, pair_gaps, np.inf)))
             x_masks, y_masks = _disjoint_pairs(model.m)
-            if worst is None or pair_gaps[k] < worst[2]:
-                worst = (_members(x_masks[k]), _members(y_masks[k]), float(pair_gaps[k]))
+            if worst is None or pair_gaps[j] < worst[2]:
+                worst = (_members(x_masks[j]), _members(y_masks[j]), float(pair_gaps[j]))
         if sub_ex != sub or inv_ex != inv:
             raise AssertionError("atom-level and exhaustive pair checks disagree")
 
@@ -173,13 +173,18 @@ def _pair_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _pair_gaps(m: int, space: ColumnSpace, inflow: np.ndarray, atoms: np.ndarray) -> np.ndarray:
-    """rho(q(X, Y)) minus the inflow of every disjoint pair, in (X, Y) order.
+    """rho(q(X, Y)) minus the inflow of every disjoint pair, in (X, Y) order."""
+    sig, lt, rt, _ = _signature_tables(m, space, inflow, atoms)
+    return (rt - lt)[sig]
 
-    Column point c is bit c of a pair's signature.  The tables ``lt`` and
-    ``rt`` hold the inflow and atom sums of every signature, built by
-    doubling over the columns in column order: each entry is summed from
-    0.0 in the order of a loop over its points, so every gap is bitwise
-    that loop's.
+
+def _signature_tables(m: int, space: ColumnSpace, inflow: np.ndarray, atoms: np.ndarray):
+    """The signature of every disjoint pair, in (X, Y) order, and the inflow
+    sum, atom sum and point count of every signature.
+
+    Column point c is bit c of a signature.  The tables are built by doubling
+    over the columns in column order: each entry is summed from 0.0 in the
+    order of a loop over its points, so every gap is bitwise that loop's.
     """
     bits = space.bit_matrix().astype(np.int64)         # (d, m)
     p1 = (bits << np.arange(space.d)[:, None]).sum(axis=0)  # points with bit i set
@@ -187,13 +192,13 @@ def _pair_gaps(m: int, space: ColumnSpace, inflow: np.ndarray, atoms: np.ndarray
     sig = np.full(1, (1 << space.d) - 1)
     for i in range(m):
         sig = np.concatenate((sig, sig & p1[i], sig & p0[i]))
-    lt = np.zeros(1)
-    rt = np.zeros(1)
+    lt = rt = k = np.zeros(1)
     for c in range(space.d):
         lt = np.concatenate((lt, lt + inflow[c]))
         rt = np.concatenate((rt, rt + atoms[c]))
+        k = np.concatenate((k, k + 1.0))
     _, _, order = _pair_table(m)
-    return (rt - lt)[sig[order]]
+    return sig[order], lt, rt, k
 
 
 def _members(mask) -> tuple[int, ...]:

@@ -513,8 +513,8 @@ def evaluate(
     """Evaluate Z, Z_y and Z_xy at beta, or flag them divergent.
 
     Convergent when the spectral radius r of the transfer matrix satisfies
-    r < 1 - margin; values with 1 - margin <= r < 1 are still computed but
-    flagged ``near_critical``.
+    r < 1 - margin, 0 <= margin < 1 (else ValueError); values with
+    1 - margin <= r < 1 are still computed but flagged ``near_critical``.
 
     ``beta`` is one inverse temperature, which gives its
     :class:`PartitionReport`, or a 1-D array of them, which gives an
@@ -528,6 +528,8 @@ def evaluate(
     solve that fails the single-letter floor raises as its report is reached,
     and an I - M singular at working precision raises for its whole chunk.
     """
+    if not 0.0 <= margin < 1.0:
+        raise ValueError(f"convergence margin must lie in [0, 1), got {margin}")
     betas = np.asarray(beta, dtype=float)
     for b in betas.ravel().tolist():
         check_beta(b, "(0, inf]")

@@ -260,19 +260,9 @@ def _defects(model: SystemModel, space: ColumnSpace, beta: float, state: QState)
     return d
 
 
-def decompose(model: SystemModel, beta: float, state: QState) -> Decomposition:
-    """Recover the root measure and type split of a subinvariant state.
-
-    A state that :func:`invariance.is_subinvariant` rejects at beta raises
-    :class:`NegativeDefectError` (:func:`_defects`).  The defect vector is
-    exactly the restriction of the underlying measure to trivial-stem
-    configurations, so it doubles as the root measure of the finite part;
-    the finite fraction is its normalizer Z(beta, defect), from the same
-    evaluation of the series (:func:`partition._finite_part`).  A state
-    mixing finite-type and invariant parts keeps only its real finite
-    defects: :func:`_defects` zeroes the eigen-gap noise atom by atom.
-    """
-    space = column_space(model)
+def _finite_split(model: SystemModel, space: ColumnSpace, beta: float, state: QState):
+    """:func:`decompose`'s defect measure, finite fraction (at most 1) and
+    finite part (None at a fraction within ``DEFECT_TOL`` of 0)."""
     d = _defects(model, space, beta, state)
     gamma_fin = RootMeasure(weights=tuple(float(v) for v in d))
     part = _finite_part(model, space, beta, d)
@@ -287,10 +277,26 @@ def decompose(model: SystemModel, beta: float, state: QState) -> Decomposition:
             f"finite fraction {fraction} exceeds 1: data is not a state restriction at beta={beta}"
         )
     fraction = min(fraction, 1.0)
-
     fin_state = None
     if fraction > DEFECT_TOL:
         fin_state = qstate_from_atoms(space, beta, atoms / (gamma_fin.total + stems), FINITE)
+    return gamma_fin, fraction, fin_state
+
+
+def decompose(model: SystemModel, beta: float, state: QState) -> Decomposition:
+    """Recover the root measure and type split of a subinvariant state.
+
+    A state that :func:`invariance.is_subinvariant` rejects at beta raises
+    :class:`NegativeDefectError` (:func:`_defects`).  The defect vector is
+    exactly the restriction of the underlying measure to trivial-stem
+    configurations, so it doubles as the root measure of the finite part;
+    the finite fraction is its normalizer Z(beta, defect), from the same
+    evaluation of the series (:func:`partition._finite_part`).  A state
+    mixing finite-type and invariant parts keeps only its real finite
+    defects: :func:`_defects` zeroes the eigen-gap noise atom by atom.
+    """
+    space = column_space(model)
+    gamma_fin, fraction, fin_state = _finite_split(model, space, beta, state)
 
     inf_state = fp_residual = qn_residual = None
     if fraction < 1.0 - DEFECT_TOL:
@@ -336,7 +342,8 @@ def cooling(model: SystemModel, beta: float, state: QState, beta_prime: float) -
     state with the same restriction data; lowering the temperature always
     makes it finite type, with infinite-stem shells bounded by R^(-n delta)
     for R = min N(x) and delta = beta_prime - beta, checked on the first
-    ``COOLING_CHECK_SHELLS`` shells.  It is the decomposition's finite part.
+    ``COOLING_CHECK_SHELLS`` shells.  It is the finite part of the split at
+    beta_prime (:func:`_finite_split`); no infinite part is built.
     """
     if beta_prime < beta:
         raise ValueError("cooling requires beta_prime >= beta")
@@ -349,12 +356,11 @@ def cooling(model: SystemModel, beta: float, state: QState, beta_prime: float) -
         warnings.warn("cooling with beta_prime == beta is the identity", stacklevel=2)
         return state
 
-    dec = decompose(model, beta_prime, state)
-    if abs(dec.finite_fraction - 1.0) > 1e-6:
+    _, fraction, cooled = _finite_split(model, space, beta_prime, state)
+    if abs(fraction - 1.0) > 1e-6:
         raise NotSubinvariantError(
-            f"cooled state failed to close up as finite type (fraction {dec.finite_fraction})"
+            f"cooled state failed to close up as finite type (fraction {fraction})"
         )
-    cooled = dec.finite_part
 
     delta = beta_prime - beta
     r_min = float(model.energies.min())

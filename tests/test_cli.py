@@ -539,6 +539,12 @@ _ERROR_CASES = [
     # rejected at its first row: no CSV header either
     _case("sweep-from-negative-beta", ["partition", *_G, "--sweep=-1:2:4"], 1,
           "error: beta must be positive or +inf, got -1.0"),
+    # the convergence margin lies in [0, 1), on a point and on a sweep
+    *[_case(f"partition-margin-{margin}", ["partition", *_G, "--beta", "2", f"--margin={margin}"],
+            1, f"error: convergence margin must lie in [0, 1), got {line}")
+      for margin, line in [("nan", "nan"), ("-5", "-5.0"), ("1", "1.0"), ("inf", "inf")]],
+    _case("sweep-margin-negative", ["partition", *_G, "--sweep", "1:2:3", "--margin=-5"], 1,
+          "error: convergence margin must lie in [0, 1), got -5.0"),
     _case("kms-reducible",
           ["kms", "--model-json", _model_json([[1, 1], [0, 1]], [2, 2]), "--beta", "2"], 1,
           "error: phase classification requires an irreducible matrix"),

@@ -66,6 +66,12 @@ CASES = [
       for b in (0.0, -1.0, math.nan, -math.inf)],
     # a grid names its first beta outside the domain
     _case("evaluate-grid", lambda m: evaluate(m, [1.0, -2.0, math.nan]), STATES.format(-2.0)),
+    # the convergence margin lies in [0, 1); a grid is not evaluated either
+    *[_case(f"evaluate-margin-{margin}", lambda m, margin=margin: evaluate(m, 2.0, margin),
+            f"convergence margin must lie in [0, 1), got {margin}")
+      for margin in (math.nan, -5.0, -1e-300, 1.0, math.inf)],
+    _case("evaluate-grid-margin", lambda m: evaluate(m, [1.0, 2.0], margin=-5.0),
+          "convergence margin must lie in [0, 1), got -5.0"),
     *[_case(f"z_gamma-beta-{b}", lambda m, b=b: z_gamma(m, b, [0.5, 0.5]), STATES.format(b))
       for b in (math.nan, 0.0, -1.0, -math.inf)],
     _case("z_gamma-shape", lambda m: z_gamma(m, 2.0, [1.0]),

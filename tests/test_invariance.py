@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 from itertools import product
 
@@ -27,7 +28,8 @@ from kmsphase.errors import (
     NotNormalizedError,
     TooLargeForExhaustiveError,
 )
-from kmsphase import invariance
+from kmsphase import cli, invariance
+from kmsphase._rounding import gamma
 from kmsphase.invariance import GAP_TOL_DEFAULT, InvarianceVerdict, _disjoint_pairs, _pair_gaps
 from kmsphase.states import FINITE, INFINITE
 
@@ -72,6 +74,22 @@ class TestIsSubinvariant:
         state = qstate_from_atoms(space, math.inf, [0.5, 0.5], FINITE)
         verdict = is_subinvariant(m, math.inf, state)
         assert verdict.subinvariant and not verdict.invariant
+
+    def test_ground_temperature_follows_atom_rule(self):
+        # at +inf the inflow vanishes, so the gaps are the atoms and the
+        # largest atom is the witness; the exhaustive mode keeps its cap
+        m = golden_mean_model()
+        space = column_space(m)
+        state = qstate_from_atoms(space, math.inf, [0.25, 0.75], FINITE)
+        verdict = is_subinvariant(m, math.inf, state)
+        assert verdict.atom_gaps == state.atom_masses
+        assert verdict.worst_violation == ((0, 1), (), 0.75)
+        assert is_subinvariant(m, math.inf, state, exhaustive=True) == verdict
+        assert assert_same_verdict(m, math.inf, state) == verdict
+        big = full_model(13)
+        with pytest.raises(TooLargeForExhaustiveError):
+            is_subinvariant(big, math.inf, qstate_from_atoms(column_space(big), math.inf, [1.0],
+                                                             FINITE), exhaustive=True)
 
     def test_exhaustive_cap(self):
         m = full_model(13)
@@ -121,11 +139,17 @@ def _atom_check(model, beta, state, tol):
     return space, inflow, gaps, sub, inv, worst
 
 
+def pair_bound(k, lhs, rhs, tol):
+    """The bound the atom rule implies for a pair of k points with inflow sum
+    lhs and atom sum rhs: k tol, widened by gamma_(k+5) (lhs + rhs) past one point."""
+    return k * tol + (gamma(k + 5) * (rhs + lhs) if k > 1 else 0.0)
+
+
 def subinvariant_reference(model, beta, state, tol=GAP_TOL_DEFAULT):
     """The exhaustive check as a double loop over all 4^m pairs (X, Y).
 
     Kept as the reference the 3^m disjoint-pair check must reproduce bit
-    for bit, raising where it raises.
+    for bit, raising where it raises.  Each pair is held to :func:`pair_bound`.
     """
     space, inflow, gaps, sub, inv, worst = _atom_check(model, beta, state, tol)
     col_masks = [sum(1 << i for i, b in enumerate(p) if b) for p in space.points]
@@ -133,18 +157,21 @@ def subinvariant_reference(model, beta, state, tol=GAP_TOL_DEFAULT):
     sub_ex, inv_ex = True, True
     for x_mask, y_mask in product(range(1 << model.m), repeat=2):
         lhs = rhs = 0.0
+        k = 0
         for c, mask in enumerate(col_masks):
             if (mask & x_mask) == x_mask and (mask & y_mask) == 0:
                 lhs += inflow[c]
                 rhs += atoms[c]
+                k += 1
         gap = rhs - lhs
-        if gap < -tol:
+        bound = pair_bound(k, lhs, rhs, tol)
+        if gap < -bound:
             sub_ex = False
             if worst is None or gap < worst[2]:
                 xs = tuple(i for i in range(model.m) if x_mask >> i & 1)
                 ys = tuple(i for i in range(model.m) if y_mask >> i & 1)
                 worst = (xs, ys, float(gap))
-        if abs(gap) > tol:
+        if abs(gap) > bound:
             inv_ex = False
     if sub_ex != sub or inv_ex != inv:
         raise AssertionError("atom-level and exhaustive pair checks disagree")
@@ -294,6 +321,13 @@ class TestExhaustiveMatchesPairLoop:
         with pytest.raises(ValueError):
             is_subinvariant(m, 1.0, state, exhaustive=True, tol=-1e-12)
 
+    def test_nan_tolerance_rejected(self):
+        # a NaN tol fails every comparison, so it would pass every pair and no atom
+        m = full_model(2)
+        state = invariant_state_from_fixed_point(m, 1.0, [1.0, 1.0])
+        with pytest.raises(ValueError, match="needs tol >= 0, got nan"):
+            is_subinvariant(m, 1.0, state, exhaustive=True, tol=math.nan)
+
     def test_cap_is_inclusive(self, rng):
         model = random_irreducible(rng, 12, non_permutation=True, energy_range=(1.5, 4.0))
         beta, state = _state(model, "accepted", rng)
@@ -302,26 +336,68 @@ class TestExhaustiveMatchesPairLoop:
         assert verdict.subinvariant
 
 
+# One model, two states whose atom gaps all pass the rule while a pair of
+# two points sums past tol: above beta_c, gaps (0.31, -0.9e-10, -0.9e-10),
+# subinvariant; at beta_c, gaps (0.6, 0.6, -0.93) 1e-10, invariant.
+_CYCLE3 = dict(matrix=[[1, 1, 0], [0, 1, 1], [1, 0, 1]], energies=[2, 3, 5])
+_NEAR_INVARIANT = [
+    (0.9542356819054412, [0.4727377109266961, 0.27212794837256615, 0.2551343407007378], False),
+    (0.6361571212702941, [0.26507483425150546, 0.47286889091683015, 0.2620562748316645], True),
+]
+
+
+class TestExhaustiveFollowsAtomRule:
+    @pytest.mark.parametrize("beta,atoms,invariant", _NEAR_INVARIANT)
+    def test_pair_past_tol_is_within_its_bound(self, beta, atoms, invariant):
+        model = build_model(**_CYCLE3)
+        space = column_space(model)
+        state = qstate_from_atoms(space, beta, atoms, FINITE)
+        verdict = is_subinvariant(model, beta, state)
+        assert verdict.subinvariant and verdict.invariant == invariant
+        inflow = space.push(model.weights(beta) * state.q)
+        assert np.abs(_pair_gaps(model.m, space, inflow, state.atoms)).max() > GAP_TOL_DEFAULT
+        assert is_subinvariant(model, beta, state, exhaustive=True) == verdict
+        assert assert_same_verdict(model, beta, state) == verdict
+
+    @pytest.mark.parametrize("beta,atoms,invariant", _NEAR_INVARIANT)
+    def test_check_state_exhaustive(self, tmp_path, capsys, beta, atoms, invariant):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"beta": beta, "atom_masses": atoms}))
+        argv = ["check-state", "--model-json", json.dumps(_CYCLE3), "--state", str(path)]
+        assert cli.main(argv) == 0
+        plain = capsys.readouterr().out
+        assert cli.main([*argv, "--exhaustive"]) == 0
+        assert capsys.readouterr().out == plain
+        report = json.loads(plain)
+        assert report["verdict"]["subinvariant"]
+        assert report["verdict"]["invariant"] == invariant
+        assert report["decomposition"]["finite_fraction"] == (0 if invariant else 1)
+
+
 def exhaustive_column_loop(model, beta, state, tol=GAP_TOL_DEFAULT):
     """The exhaustive check with one pass over the 3^m pairs per column point.
 
     Kept as the reference the signature table must reproduce bit for bit
     where the 4^m double loop is too slow: returns the verdict (or the
     AssertionError it raises) and the gap of every pair in (X, Y) order.
+    Each pair is held to :func:`pair_bound`.
     """
     space, inflow, gaps, sub, inv, worst = _atom_check(model, beta, state, tol)
     x_masks, y_masks = _disjoint_pairs(model.m)
     lhs = np.zeros(x_masks.size)
     rhs = np.zeros(x_masks.size)
+    k = np.zeros(x_masks.size, dtype=np.int64)
     for c, point in enumerate(space.points):
         mask = sum(1 << i for i, b in enumerate(point) if b)
         sel = ((x_masks & mask) == x_masks) & ((y_masks & mask) == 0)
         lhs[sel] += inflow[c]
         rhs[sel] += state.atoms[c]
+        k[sel] += 1
     pair_gaps = rhs - lhs
-    violated = pair_gaps < -tol
+    bound = np.array([pair_bound(n, a, b, tol) for n, a, b in zip(k.tolist(), lhs, rhs)])
+    violated = pair_gaps < -bound
     sub_ex = not violated.any()
-    inv_ex = not (np.abs(pair_gaps) > tol).any()
+    inv_ex = not (np.abs(pair_gaps) > bound).any()
     if not sub_ex:
         k = int(np.argmin(np.where(violated, pair_gaps, np.inf)))
         if worst is None or pair_gaps[k] < worst[2]:

@@ -20,6 +20,7 @@ from conftest import (
     coexistence_models,
     full_model,
     golden_mean_model,
+    random_duplicate_columns_model,
     random_irreducible,
     random_matrix,
 )
@@ -350,6 +351,34 @@ class TestColumnSpace:
         assert not bits.flags.writeable
         with pytest.raises(ValueError):
             bits[0, 0] = 1.0
+
+    # generators 0 and 1 share a column, generator 2's column is zero
+    _SHARED = [[1, 1, 0, 0], [1, 1, 0, 1], [0, 0, 0, 1], [1, 1, 0, 0]]
+
+    def test_members_are_the_generators_of_each_column(self, rng):
+        space = column_space(build_model(self._SHARED, [2.0, 3.0, 4.0, 5.0]))
+        assert space.contains_zero and space.points[0] == (0, 0, 0, 0)
+        assert [space.members(c) for c in range(space.d)] == [(2,), (3,), (0, 1)]
+        for model in (build_model(np.ones((3, 3), dtype=int), [2.0] * 3),
+                      random_duplicate_columns_model(rng, 9, 4)):
+            space = column_space(model)
+            members = [space.members(c) for c in range(space.d)]
+            assert members == [tuple(z for z in range(model.m) if space.column_of[z] == c)
+                               for c in range(space.d)]
+            assert sorted(sum(members, ())) == list(range(model.m))
+
+    def test_hand_built_column_space(self):
+        space = column_space(build_model(self._SHARED, [2.0, 3.0, 4.0, 5.0]))
+        hand = model_mod.ColumnSpace(space.points, space.column_of, space.d, space.contains_zero)
+        assert hand == space
+        bits = hand.bit_matrix()
+        assert bits is hand.bit_matrix() and bits is not space.bit_matrix()
+        assert bits.dtype == float and bits.tobytes() == space.bit_matrix().tobytes()
+        assert not bits.flags.writeable
+        with pytest.raises(ValueError):
+            bits[0, 0] = 1.0
+        values = np.array([0.5, 0.25, 0.125, 0.0625])
+        assert hand.push(values).tobytes() == space.push(values).tobytes()
 
     def test_push_matches_generator_loop_bitwise(self, rng):
         models = list(coexistence_models()) + [

@@ -21,6 +21,7 @@ from kmsphase.errors import (
     EnergyBelowTwoError,
 )
 from kmsphase import star as star_mod
+from kmsphase._rounding import Enclosure
 from kmsphase.star import StarSystem, z0_truncation_bound, zeta_enclosure, zeta_value
 
 
@@ -110,7 +111,7 @@ class TestStarZ0:
         s = StarSystem(
             kind="user", drop=0, beta_bar=0.5, head=np.array([2.0, 2.0, 2.0]),
             n0_energy=2.0, first_omitted=None, abscissa_verified=False,
-            zeta_at_abscissa_bounds=(0.0, 0.0),
+            zeta_at_abscissa_bounds=Enclosure(0.0, 0.0),
         )
         assert math.isinf(star_z0(s, 0.6))
 

@@ -33,6 +33,7 @@ from kmsphase.errors import (
     NotSubinvariantError,
     ZeroMeasureError,
 )
+from kmsphase import states
 from kmsphase.partition import class_roots, restricted_fixed_pairs, z_gamma
 from kmsphase.states import FINITE, GAP_TOL_DEFAULT, TypeTag
 
@@ -375,6 +376,24 @@ class TestCooling:
         )
         with pytest.raises(NotSubinvariantError):
             cooling(m, 0.3, lowered, bc)
+
+    def test_discarded_infinite_part_is_not_built(self, monkeypatch):
+        # the split at beta' has finite fraction 0.9999999984763871: within
+        # cooling's 1e-6 of 1, but below 1 - DEFECT_TOL, so decompose also
+        # builds the infinite part, and its remainder normalizes to no state
+        m = build_model([[1, 1], [1, 1]], [4.2155573671777535, 4.998304982600301])
+        bc, beta_prime = 0.4553319722123045, 0.45533201774550175
+        st = classify_ta(m, bc).unique_state
+        with pytest.raises(NotSubinvariantError, match="no infinite part"):
+            decompose(m, beta_prime, st)
+
+        def refuse(*args):
+            raise AssertionError("cooling called decompose")
+
+        monkeypatch.setattr(states, "decompose", refuse)
+        cooled = cooling(m, bc, st, beta_prime)
+        assert cooled.type_tag == FINITE and cooled.beta == beta_prime
+        assert cooled.atom_masses == pytest.approx((1.0,), abs=1e-15)
 
 
 class TestOneSubinvarianceRule:

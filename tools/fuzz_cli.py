@@ -12,7 +12,7 @@ m = 2..8 letters, cycling through the energy families
 (``--family`` keeps only the named ones).  Each model goes through every
 subcommand: ``analyze``, ``critical`` (plain and with ``--abscissa-check``),
 ``partition`` (``--beta`` and ``--sweep``), ``kms``, ``oa`` (``--beta`` and
-``--scan``), ``check-state --exhaustive`` on a state that ``kms`` printed,
+``--scan``), ``check-state --exhaustive`` on states that ``kms`` printed,
 ``oracle`` (all words, and from letter 0 to letter m - 1) and ``star``;
 ``oracle`` and ``critical --abscissa-check`` also run once to length 10^5
 under a cap of 1000 words.  The temperatures are read off the model's
@@ -56,7 +56,14 @@ est + d, d = 1e-6 max(1, est) (a point where a shell sum underflows to 0
 is not judged), or a ``check-state --exhaustive`` that exits 0 on the state
 a ``kms`` run printed with a verdict that does not accept it as
 subinvariant, or, at a beta above the largest class root, with a
-``finite_fraction`` more than 1e-6 away from 1.  Each report is one line: the
+``finite_fraction`` more than 1e-6 away from 1.  After ``kms`` at twice the
+largest root, on a model of at least 3 column points, one more
+``check-state --exhaustive`` runs on a near-invariant state: the first
+extreme state, its atoms moved (total unchanged, by a least-norm numpy
+solve on the brute-force column space) until its gaps at points 1 and 2
+are -0.9 ``gap_tol`` as printed in the settings, kept when every gap stays
+at least -``gap_tol``; that run is reported unless it exits 0 and accepts
+the state.  Each report is one line: the
 family, the reason, the wall time and the argv.  The model JSON is inline
 in the argv (on one line for even model numbers, indented by one space for
 odd ones), and a ``check-state`` line shows the state JSON in place of
@@ -365,8 +372,44 @@ def _state_from_kms(out: str) -> dict | None:
     return {"beta": regime["beta"], "atom_masses": np.mean(masses, axis=0).tolist()}
 
 
+def _near_invariant_state(model, out: str) -> dict | None:
+    """The first extreme state a ``kms`` report printed, its atoms moved, with
+    their total unchanged, so that its gaps at column points 1 and 2 are
+    -0.9 ``gap_tol`` (read from the printed settings); else None.
+
+    The gaps, atoms minus inflow, come from the brute-force column space, as
+    in :func:`_column_space_problem`, and the move is the least-norm solution
+    of three linear equations.  Each gap keeps the atom rule, but a pair of
+    the two points sums past -``gap_tol``.  None also when the model has
+    fewer than 3 column points, or when the moved state has a gap below
+    -``gap_tol`` or a negative atom.
+    """
+    try:
+        report = json.loads(out)
+        regime = report["regime"]
+        atoms = np.array(regime["extreme_states"][0]["atom_masses"], dtype=float)
+        beta, tol = float(regime["beta"]), float(report["settings"]["gap_tol"])
+    except (ValueError, KeyError, TypeError, IndexError):
+        return None
+    cols = ["".join(str(b) for b in column) for column in model.matrix.T.tolist()]
+    points = sorted(set(cols))
+    if len(points) < 3:
+        return None
+    bits = np.array([[int(b) for b in p] for p in points], dtype=float)    # (d, m)
+    inflow_of = np.zeros((len(points), model.m))        # letter z flows into its column
+    inflow_of[[points.index(c) for c in cols], np.arange(model.m)] = model.energies ** -beta
+    gap_map = np.eye(len(points)) - inflow_of @ bits.T  # atoms -> gaps
+    gaps = gap_map @ atoms
+    lhs = np.vstack([np.ones(len(points)), gap_map[1:3]])
+    rhs = np.array([0.0, -0.9 * tol - gaps[1], -0.9 * tol - gaps[2]])
+    moved = atoms + np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+    if (gap_map @ moved < -tol).any() or (moved < 0.0).any():
+        return None
+    return {"beta": regime["beta"], "atom_masses": moved.tolist()}
+
+
 def _commands(rng: np.random.Generator, m: int, model_json: str, roots: list[float], top: float,
-              state_path: str):
+              state_path: str, near_path: str):
     """The argv of every run on one model; ``check-state`` follows a `kms` run that printed states."""
     model = ["--model-json", model_json]
     yield ["analyze", *model]
@@ -385,6 +428,10 @@ def _commands(rng: np.random.Generator, m: int, model_json: str, roots: list[flo
     for beta in (0.5 * top, top, 2.0 * top, math.inf):
         yield ["kms", *model, f"--beta={beta!r}"]
         yield ["check-state", *model, "--state", state_path, "--exhaustive"]
+        if beta == 2.0 * top:
+            # a state the atom rule just accepts (no draw from rng, so every
+            # other run keeps its arguments)
+            yield ["check-state", *model, "--state", near_path, "--exhaustive"]
     length = str(int(rng.integers(1, 9)))
     yield ["oracle", *model, f"--beta={top!r}", "--max-length", length, "--cap", str(WORD_CAP)]
     # the words from letter 0 to letter m - 1 (no draw from rng, so every
@@ -409,6 +456,7 @@ def fuzz(seed: int, count: int, families: tuple[str, ...]) -> tuple[int, int, fl
     slowest = 0.0
     with tempfile.TemporaryDirectory() as workdir:
         state_path = os.path.join(workdir, "state.json")
+        near_path = os.path.join(workdir, "near.json")
         for i in range(count):
             rng = np.random.default_rng([seed, i])
             family = families[i % len(families)]
@@ -420,19 +468,24 @@ def fuzz(seed: int, count: int, families: tuple[str, ...]) -> tuple[int, int, fl
                                     indent=1 if i % 2 else None)
             built = build_model(matrix, energies)
             roots, top = _betas(built)
-            state = None
-            for argv in _commands(rng, m, model_json, roots, top, state_path):
+            state = near = None
+            for argv in _commands(rng, m, model_json, roots, top, state_path, near_path):
+                files = {state_path: state, near_path: near}
                 if argv[0] == "check-state":
-                    if state is None:
+                    path = argv[argv.index("--state") + 1]
+                    if files[path] is None:
                         continue
-                    with open(state_path, "w") as fh:
-                        json.dump(state, fh)
+                    with open(path, "w") as fh:
+                        json.dump(files[path], fh)
                 status, stdout, stderr, seconds = _run(argv)
                 runs += 1
                 slowest = max(slowest, seconds)
                 if argv[0] == "kms":
                     state = _state_from_kms(stdout) if status == 0 else None
+                    near = _near_invariant_state(built, stdout) if status == 0 else None
                 problem = _problem(status, stderr, seconds)
+                if problem is None and near_path in argv and status != 0:
+                    problem = f"exit {status} on a state the atom rule accepts"
                 if problem is None and status == 0 and argv[0] == "analyze":
                     problem = _column_space_problem(built, stdout)
                 if problem is None and status == 0 and argv[0] == "partition":
@@ -452,7 +505,7 @@ def fuzz(seed: int, count: int, families: tuple[str, ...]) -> tuple[int, int, fl
                     problem = _state_problem(top, stdout)
                 if problem is not None:
                     problems += 1
-                    shown = [json.dumps(state) if a == state_path else a for a in argv]
+                    shown = [json.dumps(files[a]) if a in files else a for a in argv]
                     print(f"{family} | {problem} | {seconds:.3f} s | {json.dumps(shown)}")
     return runs, problems, slowest
 
